@@ -6,8 +6,9 @@
     tubeflux modulus --domain <descriptor.json> --h <spacing>
 
 Config schema for analyze: {"R": real, "g": string, "f"?: string,
-"c"?: real, "N"?: int} with exactly one of f (explicit Weierstrass data) or
-c (synthesize f from the Gauss map at vertical flux 2 pi c).
+"c"?: real, "N"?: even int >= 16} with exactly one of f (explicit
+Weierstrass data) or c (synthesize f from the Gauss map at vertical flux
+2 pi c).
 
 Exit codes: 0 success; 1 I/O, argument or schema error; 2 hypothesis
 failure (the data does not close up to a tube, or univalence is violated) --
@@ -153,8 +154,9 @@ def _validate_spec(cfg) -> dict:
     if has_c and not _is_number(cfg["c"]):
         raise SchemaError("field 'c' must be a real number")
     if "N" in cfg:
-        if not isinstance(cfg["N"], int) or isinstance(cfg["N"], bool) or cfg["N"] < 8:
-            raise SchemaError("field 'N' must be an integer >= 8")
+        n = cfg["N"]
+        if not isinstance(n, int) or isinstance(n, bool) or n < 16 or n % 2:
+            raise SchemaError("field 'N' must be an even integer >= 16")
     return cfg
 
 
@@ -360,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="analyze a tube config")
     pa.add_argument("config", help="JSON tube spec")
     pa.add_argument("--sections", default=None, metavar="T1,T2,...",
-                    help="emit section polylines at these times")
+                    help="emit section polylines at these times; a list that "
+                         "starts with a negative value must be attached with '=', "
+                         "as in --sections=-0.3,0.2")
     pa.add_argument("--out", default=None, help="report path (default stdout)")
     pa.set_defaults(func=cmd_analyze)
 

@@ -30,6 +30,10 @@ DEFAULT_N = 1024
 MAX_N = 2 ** 16
 QUAD_TOL = 1e-11
 
+# the probe's winding circles sit this fraction of ln R inside the rims
+PROBE_MARGIN = 0.02
+PROBE_TARGETS = 32
+
 
 @dataclass(frozen=True)
 class Annulus:
@@ -183,6 +187,19 @@ def _trapezoid_circle(h, rho, n):
     return (TWO_PI_I / n) * np.sum(zeta * vals)
 
 
+def _refine(quad, n, n_max, tol):
+    """Double the resolution n of quad(n) until two successive estimates
+    differ by less than ``tol`` relative to the magnitude, capped at n_max."""
+    prev = quad(n)
+    while n < n_max:
+        n *= 2
+        cur = quad(n)
+        if abs(cur - prev) < tol * (1.0 + abs(cur)):
+            return cur
+        prev = cur
+    return prev
+
+
 def circle_integral(h, rho, n_points=None, tol=QUAD_TOL):
     """Integral of h over the circle |z| = rho, counterclockwise.
 
@@ -197,32 +214,17 @@ def circle_integral(h, rho, n_points=None, tol=QUAD_TOL):
         if n_points < 16 or n_points % 2:
             raise ValueError("n_points must be even and at least 16")
         return _trapezoid_circle(h, rho, int(n_points))
-    n = DEFAULT_N
-    prev = _trapezoid_circle(h, rho, n)
-    while n < MAX_N:
-        n *= 2
-        cur = _trapezoid_circle(h, rho, n)
-        if abs(cur - prev) < tol * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-    return prev
+    return _refine(lambda n: _trapezoid_circle(h, rho, n), DEFAULT_N, MAX_N, tol)
 
 
-def laurent_coeff(h, k, rho=1.0, n_points=None, tol=QUAD_TOL):
+def laurent_coeff(h, k, rho=1.0, n_points=None):
     """Laurent coefficient a_k[h] = (1/2pi i) * integral of h(z) z^(-k-1) dz over |z|=rho."""
     _check_rho(h, rho)
 
     def weighted(zeta):
         return h(zeta) * zeta ** (-k - 1)
 
-    class _W:
-        annulus = None
-
-        @staticmethod
-        def __call__(zeta):
-            return weighted(zeta)
-
-    return circle_integral(_W(), rho, n_points=n_points, tol=tol) / TWO_PI_I
+    return circle_integral(weighted, rho, n_points=n_points) / TWO_PI_I
 
 
 def a0(h, rho=1.0, n_points=None):
@@ -249,18 +251,6 @@ def _segment_quad(h, gamma, dgamma, panels):
     vals = h(gamma(t)) * dgamma(t)
     weights = np.tile(w, panels) / panels
     return np.sum(vals * weights)
-
-
-def _adaptive_segment(h, gamma, dgamma, tol=1e-12):
-    panels = 1
-    prev = _segment_quad(h, gamma, dgamma, panels)
-    while panels < 256:
-        panels *= 2
-        cur = _segment_quad(h, gamma, dgamma, panels)
-        if abs(cur - prev) < tol * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-    return prev
 
 
 def _canonical_legs(z0, z1):
@@ -296,7 +286,7 @@ def _canonical_legs(z0, z1):
 def _path_quad(h, z0, z1, tol=1e-12):
     total = 0.0 + 0.0j
     for gamma, dgamma in _canonical_legs(complex(z0), complex(z1)):
-        total += _adaptive_segment(h, gamma, dgamma, tol=tol)
+        total += _refine(lambda p: _segment_quad(h, gamma, dgamma, p), 1, 256, tol)
     return total
 
 
@@ -407,32 +397,40 @@ def _newton_roots(g, gprime, w, annulus, margin):
     return roots
 
 
-def univalence_probe(g, annulus=None, n_samples=32, margin=0.02):
+def _zero_excess(g, gprime, annulus, w=None, notes=None):
+    """Zeros minus poles of g - w between the circles |z| = R^(+-(1-PROBE_MARGIN)).
+
+    Both windings are always attempted, so ``notes`` records every retry;
+    returns None when either of them does not settle.
+    """
+    w_out = _integer_winding(g, gprime, annulus.R ** (1.0 - PROBE_MARGIN), w=w, notes=notes)
+    w_in = _integer_winding(g, gprime, annulus.R ** (PROBE_MARGIN - 1.0), w=w, notes=notes)
+    if w_out is None or w_in is None:
+        return None
+    return w_out - w_in
+
+
+def univalence_probe(g, annulus=None):
     """Probe injectivity and zero-omission of g on (a rim-shrunk copy of) its annulus.
 
     Zero counting and preimage counting both ride the argument principle over
-    the circles |z| = R^(1-margin) and |z| = R^(margin-1).  A 'violated'
-    verdict is certain; 'passed' means no violation was seen among the
-    sampled targets.
+    the circles |z| = R^(1-PROBE_MARGIN) and |z| = R^(PROBE_MARGIN-1).  A
+    'violated' verdict is certain; 'passed' means no violation was seen among
+    the PROBE_TARGETS sampled targets.
     """
     annulus = _merge_annuli(annulus, g.annulus)
     if annulus is None:
         raise ValueError("univalence_probe needs an annulus")
     gprime = g.derivative()
     notes = []
-    r_out = annulus.R ** (1.0 - margin)
-    r_in = annulus.R ** (margin - 1.0)
 
-    w_out = _integer_winding(g, gprime, r_out, notes=notes)
-    w_in = _integer_winding(g, gprime, r_in, notes=notes)
-    if w_out is None or w_in is None:
-        zero_count = None
+    zero_count = _zero_excess(g, gprime, annulus, notes=notes)
+    if zero_count is None:
         omits = "inconclusive"
     else:
-        zero_count = w_out - w_in
         omits = "passed" if zero_count == 0 else "violated"
 
-    targets = _sample_points(annulus, margin, n_samples)
+    targets = _sample_points(annulus, PROBE_MARGIN, PROBE_TARGETS)
     verdict = "passed"
     witness = None
     counted = 0
@@ -442,16 +440,14 @@ def univalence_probe(g, annulus=None, n_samples=32, margin=0.02):
         except EvalDomainError:
             notes.append(f"sample point {zt:.6g} not evaluable")
             continue
-        n_pre_out = _integer_winding(g, gprime, r_out, w=w, notes=notes)
-        n_pre_in = _integer_winding(g, gprime, r_in, w=w, notes=notes)
-        if n_pre_out is None or n_pre_in is None:
+        count = _zero_excess(g, gprime, annulus, w=w, notes=notes)
+        if count is None:
             notes.append(f"target {w:.6g} skipped (winding unsettled)")
             continue
-        count = n_pre_out - n_pre_in
         counted += 1
         if count >= 2:
             verdict = "violated"
-            roots = _newton_roots(g, gprime, w, annulus, margin)
+            roots = _newton_roots(g, gprime, w, annulus, PROBE_MARGIN)
             if len(roots) >= 2:
                 witness = (roots[0], roots[1])
             break

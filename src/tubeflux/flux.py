@@ -1,9 +1,11 @@
 """Flow vector, tilt angle, and life-time bounds for minimal tubes.
 
-The flow vector Q = Im oint F is constant across the sections of a tube, so a
-single circle integral recovers it.  Everything downstream of Q is elementary
-trigonometry in the (J1 + i J2, J3) plane: the tilt angle alpha is the angle
-between Q and the time axis, and the life-time bound is
+The flow vector Q = Im oint F is constant across the sections of a tube, so
+one pass of loop integrals recovers it; their real parts are the period
+defect of tubes.py, which MinimalTube takes from the same pass.  Everything
+downstream of Q is elementary trigonometry in the (J1 + i J2, J3) plane: the
+tilt angle alpha is the angle between Q and the time axis, and the life-time
+bound is
 
     pi |Q| cos(alpha) / ln tan(pi/4 + alpha/2)  =  pi J3 / arcsinh(tan alpha),
 
@@ -31,6 +33,9 @@ __all__ = [
 SNAP_TOL = 1e-11
 
 BOUND_FORM_TOL = 1e-10
+
+# slack granted to the measured life-time when it is checked against the bound
+LIFE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -69,23 +74,31 @@ class FluxVector:
         return np.array([self.J1, self.J2, self.J3])
 
 
-def flux_vector(data, rho=1.0, n_points=None, snap_tol=SNAP_TOL) -> FluxVector:
-    """Q = Im oint F over the circle |z| = rho (rho-independent for tube data).
+def _loop_integrals(F, rho, n_points):
+    """Loop integrals oint phi_k over |z| = rho: Re is the period defect, Im the flux."""
+    return np.array([circle_integral(phi, rho, n_points=n_points) for phi in F])
 
-    Components smaller than snap_tol relative to the largest one are set to
+
+def _flux_from_loops(loops) -> FluxVector:
+    """Q = Im of the loop integrals, with quadrature dust snapped to zero.
+
+    Components smaller than SNAP_TOL relative to the largest one are set to
     exactly zero, so that symmetric data (catenoid bands and their kin) gets
     an exact alpha = 0 instead of a 1e-16-radian tilt.
     """
-    J = np.array([
-        circle_integral(phi, rho, n_points=n_points).imag for phi in data.F
-    ])
+    J = loops.imag.copy()
     scale = 1.0 + np.max(np.abs(J))
-    J[np.abs(J) < snap_tol * scale] = 0.0
+    J[np.abs(J) < SNAP_TOL * scale] = 0.0
     if J[2] <= 0.0:
         raise ValueError(
             f"vertical flux J3={J[2]:.6g} is not positive; "
             "data is not co-oriented tube data")
     return FluxVector(*J)
+
+
+def flux_vector(data, rho=1.0, n_points=None) -> FluxVector:
+    """Q = Im oint F over the circle |z| = rho (rho-independent for tube data)."""
+    return _flux_from_loops(_loop_integrals(data.F, rho, n_points))
 
 
 @dataclass(frozen=True)
@@ -143,7 +156,7 @@ class LifetimeReport:
     probe: object = None
 
 
-def lifetime_report(tube, probe=None, tol=1e-8) -> LifetimeReport:
+def lifetime_report(tube, probe=None) -> LifetimeReport:
     """Check a tube's life-time against its flux bound.
 
     The bound needs a univalent Gauss map; if the probe reports a violation
@@ -164,6 +177,6 @@ def lifetime_report(tube, probe=None, tol=1e-8) -> LifetimeReport:
                               margin=math.inf, hypothesis=hypothesis, probe=probe)
     return LifetimeReport(
         lifetime=life, bound=bound,
-        satisfied=bool(life.measured <= bound + tol),
+        satisfied=bool(life.measured <= bound + LIFE_TOL),
         margin=bound - life.measured,
         hypothesis=hypothesis, probe=probe)

@@ -210,6 +210,9 @@ _THETA_MIN = 1e-3
 # killer take the process down mid-assembly
 _MAX_CELLS = 30_000_000
 
+# relative residual at which conjugate gradients stops
+_CG_RTOL = 1e-10
+
 
 def _bisect_cut(domain, za, zb, iters=45):
     """Fraction of the segment za->zb (inside -> not inside) still inside."""
@@ -224,7 +227,7 @@ def _bisect_cut(domain, za, zb, iters=45):
     return np.maximum(hi, _THETA_MIN)
 
 
-def _grid_energy(domain: RingDomain, h: float, rtol=1e-10):
+def _grid_energy(domain: RingDomain, h: float):
     """Conductance of the resistor network at spacing ~h.
 
     5-point stencil with finite-volume weights: interior edges carry hy/hx or
@@ -253,15 +256,14 @@ def _grid_energy(domain: RingDomain, h: float, rtol=1e-10):
     if not fst.any() or not snd.any():
         raise ValueError(f"a boundary component is unresolved at h={h}")
     # direct plate contact means the gap is below grid resolution
-    for dil in (ndi.binary_dilation(fst, _CROSS),):
-        if np.any(dil & snd):
-            raise ValueError(f"boundary components touch at h={h}; refine the grid")
+    near_fst = ndi.binary_dilation(fst, _CROSS)
+    if np.any(near_fst & snd):
+        raise ValueError(f"boundary components touch at h={h}; refine the grid")
 
     # drop interior components not attached to any conductor (floating islands)
     labels, nlab = ndi.label(ins, structure=_CROSS)
     if nlab == 0:
         raise ValueError(f"no interior nodes at h={h}")
-    near_fst = ndi.binary_dilation(fst, _CROSS)
     near_snd = ndi.binary_dilation(snd, _CROSS)
     touch_f = np.unique(labels[ins & near_fst])
     touch_s = np.unique(labels[ins & near_snd])
@@ -280,9 +282,9 @@ def _grid_energy(domain: RingDomain, h: float, rtol=1e-10):
     potential = np.zeros(ins.shape)
     potential[snd] = 1.0
 
-    rows, cols, vals = [], [], []
     diag = np.zeros(ndof)
     rhs = np.zeros(ndof)
+    inner_edges = []  # (dof, dof, conductance)
     fixed_edges = []  # (dof, conductance, boundary value)
 
     def transverse(mid, dperp):
@@ -314,8 +316,7 @@ def _grid_energy(domain: RingDomain, h: float, rtol=1e-10):
         if both.any():
             c = base * tw[both]
             ia, ib = index[a][both], index[b][both]
-            rows.append(ia); cols.append(ib); vals.append(-c)
-            rows.append(ib); cols.append(ia); vals.append(-c)
+            inner_edges.append((ia, ib, c))
             np.add.at(diag, ia, c)
             np.add.at(diag, ib, c)
 
@@ -333,45 +334,30 @@ def _grid_energy(domain: RingDomain, h: float, rtol=1e-10):
 
     if ndof == 0:
         raise ValueError(f"no degrees of freedom at h={h}")
-    if rows:
+    if inner_edges:
+        ia, ib, c = zip(*inner_edges)
         off = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            (-np.concatenate(c + c), (np.concatenate(ia + ib), np.concatenate(ib + ia))),
             shape=(ndof, ndof)).tocsr()
     else:
         off = sp.csr_matrix((ndof, ndof))
     A = off + sp.diags(diag)
     M = sp.diags(1.0 / np.maximum(diag, 1e-300))
-    try:
-        u, info = spla.cg(A, rhs, rtol=rtol, atol=0.0, maxiter=50 * max(nx, ny), M=M)
-    except TypeError:  # older scipy spells the relative tolerance 'tol'
-        u, info = spla.cg(A, rhs, tol=rtol, atol=0.0, maxiter=50 * max(nx, ny), M=M)
+    u, info = spla.cg(A, rhs, rtol=_CG_RTOL, atol=0.0, maxiter=50 * max(nx, ny), M=M)
     if info != 0:
         raise RuntimeError(f"conjugate gradient did not converge (info={info})")
 
     energy = 0.0
-    # interior edges: recompute the same masks to stream the energy
-    for axis in (0, 1):
-        if axis == 0:
-            a, b = np.s_[:, :-1], np.s_[:, 1:]
-            base = hy / hx
-            dperp = 1j * hy / 2.0
-        else:
-            a, b = np.s_[:-1, :], np.s_[1:, :]
-            base = hx / hy
-            dperp = hx / 2.0
-        mid = 0.5 * (Z[a] + Z[b])
-        tw = transverse(mid, dperp)
-        both = ins[a] & ins[b]
-        if both.any():
-            du = u[index[a][both]] - u[index[b][both]]
-            energy += float(np.sum(base * tw[both] * du * du))
+    for ia, ib, c in inner_edges:
+        du = u[ia] - u[ib]
+        energy += float(np.sum(c * du * du))
     for i, c, val in fixed_edges:
         du = u[i] - val
         energy += float(np.sum(c * du * du))
     return energy, ndof
 
 
-def grid_module_estimate(domain: RingDomain, h: float, rtol=1e-10) -> ModulusEstimate:
+def grid_module_estimate(domain: RingDomain, h: float) -> ModulusEstimate:
     """Joining-family module of a ring domain by discrete Dirichlet energy.
 
     Solves the network at spacings h and h/2; the finer energy is the value,
@@ -379,15 +365,15 @@ def grid_module_estimate(domain: RingDomain, h: float, rtol=1e-10) -> ModulusEst
     kind "D") are truncated to their box; the estimate is rerun on a padded
     box at spacing h and the difference reported as truncation sensitivity.
     """
-    e_coarse, _ = _grid_energy(domain, h, rtol=rtol)
-    e_fine, ndof = _grid_energy(domain, h / 2.0, rtol=rtol)
+    e_coarse, _ = _grid_energy(domain, h)
+    e_fine, ndof = _grid_energy(domain, h / 2.0)
     sens = None
     desc = domain.descriptor or {}
     if desc.get("kind") == "D":
         x0, x1, y0, y1 = domain.box
         padded = RingDomain.comparison(float(desc["lambda"]),
                                        box=(x0 - 3.0, x1, y0 - 3.0, y1 + 3.0))
-        e_pad, _ = _grid_energy(padded, h, rtol=rtol)
+        e_pad, _ = _grid_energy(padded, h)
         sens = abs(e_pad - e_coarse)
     return ModulusEstimate(value=e_fine, method="grid", h=h,
                            indicator=abs(e_fine - e_coarse),

@@ -27,10 +27,9 @@ from functools import cached_property
 import numpy as np
 
 from .contour import (
-    Annulus, HoloFn, _integer_winding, _merge_annuli, a0, circle_integral,
-    path_integral,
+    Annulus, HoloFn, _merge_annuli, _zero_excess, a0, path_integral,
 )
-from .flux import FluxVector, flux_vector
+from .flux import _flux_from_loops, _loop_integrals
 
 __all__ = [
     "NotATubeError", "WeierstrassData", "MinimalTube",
@@ -91,11 +90,10 @@ def period_defect(data: WeierstrassData, n_points=None):
 
     All three must vanish for u = Re int F to be single-valued on the
     annulus; the vector is returned untouched so callers can report how
-    badly closure fails.
+    badly closure fails.  It is the real part of the same loop integrals
+    whose imaginary part is the flux (see flux.flux_vector).
     """
-    return np.array([
-        circle_integral(phi, 1.0, n_points=n_points).real for phi in data.F
-    ])
+    return _loop_integrals(data.F, 1.0, n_points).real
 
 
 def a0_pair(g: HoloFn, rho=1.0, n_points=None):
@@ -135,19 +133,17 @@ def flux_from_means(g: HoloFn, c: float, rho=1.0):
     ])
 
 
-def _omission_check(g: HoloFn, annulus: Annulus, margin=0.02):
+def _omission_check(g: HoloFn, annulus: Annulus):
     """Fail loudly when g has zeros (or a zero/pole imbalance) in the annulus."""
-    gprime = g.derivative()
     notes = []
-    w_out = _integer_winding(g, gprime, annulus.R ** (1.0 - margin), notes=notes)
-    w_in = _integer_winding(g, gprime, annulus.R ** (margin - 1.0), notes=notes)
-    if w_out is None or w_in is None:
+    excess = _zero_excess(g, g.derivative(), annulus, notes=notes)
+    if excess is None:
         raise NotATubeError(
             "cannot certify that the Gauss map omits zero: winding integrals "
             f"did not settle ({'; '.join(notes) or 'no diagnostics'})")
-    if w_out - w_in != 0:
+    if excess != 0:
         raise NotATubeError(
-            f"Gauss map has zero/pole excess {w_out - w_in} inside the annulus; "
+            f"Gauss map has zero/pole excess {excess} inside the annulus; "
             "the data cannot describe a tube")
 
 
@@ -184,30 +180,30 @@ def _fit_points(annulus: Annulus, n_radii=8, n_angles=6):
 class MinimalTube:
     """A closed immersion with circular sections, built from Weierstrass data.
 
-    Construction integrates the periods, the flux, and a least-squares fit of
-    the height function to m + s ln|z|; with validate=True (the default) any
+    Construction takes the period defect and the flux from one pass of loop
+    integrals, and fits the height (path integrals of F3 alone) to
+    m + s ln|z| by least squares; with validate=True (the default) any
     failed tube hypothesis raises NotATubeError.  validate=False keeps the
     diagnostics available on a broken instance instead, for reporting.
     """
 
-    def __init__(self, data: WeierstrassData, z0=1.0, period_tol=None,
-                 validate=True, n_points=None):
+    def __init__(self, data: WeierstrassData, z0=1.0, validate=True, n_points=None):
         self.data = data
         self.annulus = data.annulus
         self.z0 = complex(z0)
         if not self.annulus.contains(self.z0):
             raise ValueError(f"base point {z0} is outside the annulus")
 
-        self.defect = period_defect(data, n_points=n_points)
+        loops = _loop_integrals(data.F, 1.0, n_points)
+        self.defect = loops.real
         try:
-            self.flux = flux_vector(data, n_points=n_points)
+            self.flux = _flux_from_loops(loops)
         except ValueError as exc:
             if validate:
                 raise NotATubeError(str(exc), defect=self.defect) from exc
             self.flux = None
         qnorm = self.flux.norm if self.flux is not None else 0.0
-        self.period_tol = period_tol if period_tol is not None \
-            else PERIOD_TOL * (1.0 + qnorm)
+        self.period_tol = PERIOD_TOL * (1.0 + qnorm)
         self.is_closed = bool(np.max(np.abs(self.defect)) < self.period_tol)
         if validate and not self.is_closed:
             raise NotATubeError(
@@ -231,7 +227,8 @@ class MinimalTube:
 
     def _fit_profile(self):
         pts = _fit_points(self.annulus)
-        u3 = np.array([self._raw_immerse(z)[2] for z in pts])
+        u3 = np.array([path_integral(self.data.F[2:], self.z0, complex(z))[0].real
+                       for z in pts])
         lr = np.log(np.abs(pts))
         A = np.column_stack([np.ones_like(lr), lr])
         (m, s), *_ = np.linalg.lstsq(A, u3, rcond=None)

@@ -70,6 +70,12 @@ class TestAnalyze:
         heights = {round(p[2], 9) for p in ring}
         assert heights == {0.25}
 
+    def test_sections_starting_negative_need_equals_form(self, tmp_path):
+        cfg = write_config(tmp_path, R=2.0, g="z", c=1.0)
+        proc = run("analyze", cfg, "--sections=-0.3,0.2")
+        assert proc.returncode == 0, proc.stderr
+        assert set(json.loads(proc.stdout)["sections"]) == {"-0.3", "0.2"}
+
     def test_section_outside_life_interval_fails(self, tmp_path):
         cfg = write_config(tmp_path, R=2.0, g="z", c=1.0)
         proc = run("analyze", cfg, "--sections", "1.0")
@@ -130,6 +136,8 @@ class TestAnalyzeValidation:
             {"R": 2.0, "g": "z", "c": 1.0, "f": "1"},  # both f and c
             {"R": 2.0, "g": "z", "c": 1.0, "mode": "fast"},  # unknown field
             {"R": 2.0, "g": "z", "c": 1.0, "N": 7},  # N too small
+            {"R": 2.0, "g": "z", "c": 1.0, "N": 8},  # N below quadrature's 16
+            {"R": 2.0, "g": "z", "c": 1.0, "N": 17},  # N odd
             {"R": 2.0, "g": "z", "c": 1.0, "N": True},  # N not an int
         ],
     )

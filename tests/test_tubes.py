@@ -150,6 +150,17 @@ class TestClosureDefect:
         direct = flux_vector(data).as_array()
         assert np.max(np.abs(np.asarray(report) - direct)) < 1e-10
 
+    @pytest.mark.parametrize("text, n_points", [("z + 0.1/z", None), ("z", 64)])
+    def test_tube_takes_defect_and_flux_from_the_public_entry_points(self, text, n_points):
+        # MinimalTube integrates the loops once; the two public functions
+        # must give the very same numbers
+        from tubeflux import flux_vector
+
+        data = tube_from_gauss(holo(text), 1.3)
+        tube = MinimalTube(data, n_points=n_points)
+        assert np.array_equal(tube.defect, period_defect(data, n_points=n_points))
+        assert tube.flux == flux_vector(data, n_points=n_points)
+
 
 class TestCatenoidBand:
     def test_life_interval(self, catenoid):
