@@ -3,13 +3,23 @@
 Quadrature on circles is the uniform trapezoid rule, which is spectrally
 accurate for integrands analytic in a neighbourhood of the circle.  When no
 node count is given, integrals start at N=1024 and double until two
-successive estimates agree, capped at N=65536.
+successive estimates agree, capped at N=65536.  Path integrals use 32-node
+Gauss-Legendre panels, doubling from 1 to 256 panels per leg.  One routine,
+``_refine``, does all of this doubling; it refines a vector of estimates
+that share one sample per level, and each estimate stops at its own level.
+
+The univalence probe counts zeros and preimages by the argument principle
+on two circles.  It works level-major: at each trapezoid level it samples g
+and g' once and sums, from that one sample, every target still refining --
+the zero count and the PROBE_TARGETS sampled values of g -- where a
+target-major probe would run one adaptive integral per target.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -180,24 +190,51 @@ def _check_rho(h, rho):
             f"({ann.inner_radius} .. {ann.R})")
 
 
-def _trapezoid_circle(h, rho, n):
+def _circle_levels(h, rho, n_points):
+    """Validate a circle quadrature of h at radius rho; (first, last) node counts.
+
+    An explicit ``n_points`` (even, >= 16) is a single level; otherwise the
+    node count doubles from DEFAULT_N up to MAX_N.
+    """
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    _check_rho(h, rho)
+    if n_points is None:
+        return DEFAULT_N, MAX_N
+    if n_points < 16 or n_points % 2:
+        raise ValueError("n_points must be even and at least 16")
+    return int(n_points), int(n_points)
+
+
+def _circle_nodes(rho, n):
     theta = 2.0 * math.pi * np.arange(n) / n
-    zeta = rho * np.exp(1j * theta)
-    vals = h(zeta)
-    return (TWO_PI_I / n) * np.sum(zeta * vals)
+    return rho * np.exp(1j * theta)
 
 
-def _refine(quad, n, n_max, tol):
-    """Double the resolution n of quad(n) until two successive estimates
-    differ by less than ``tol`` relative to the magnitude, capped at n_max."""
-    prev = quad(n)
-    while n < n_max:
-        n *= 2
-        cur = quad(n)
-        if abs(cur - prev) < tol * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-    return prev
+def _circle_sum(zeta, vals):
+    """Trapezoid rule for the integral over the circle sampled at the nodes zeta."""
+    return (TWO_PI_I / len(zeta)) * np.sum(zeta * vals)
+
+
+def _refine(quad, k, n, n_max, tol):
+    """Double the resolution n until each of k estimates settles, capped at n_max.
+
+    ``quad(n, live)`` returns the estimates at resolution n of the components
+    whose indices are listed in ``live``; an estimate of None ends that
+    component, which keeps None.  A component freezes at the first level whose
+    estimate differs from the one before by less than ``tol`` relative to its
+    magnitude; one that never settles keeps its estimate at n_max.
+    """
+    est, live = [None] * k, list(range(k))
+    while live:
+        still = []
+        for i, cur in zip(live, quad(n, live)):
+            if cur is not None and n < n_max and (
+                    est[i] is None or not abs(cur - est[i]) < tol * (1.0 + abs(cur))):
+                still.append(i)
+            est[i] = cur
+        live, n = still, 2 * n
+    return est
 
 
 def circle_integral(h, rho, n_points=None, tol=QUAD_TOL):
@@ -207,14 +244,13 @@ def circle_integral(h, rho, n_points=None, tol=QUAD_TOL):
     otherwise the node count doubles from 1024 until two successive estimates
     differ by less than ``tol`` (relative to the magnitude), capped at 65536.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    _check_rho(h, rho)
-    if n_points is not None:
-        if n_points < 16 or n_points % 2:
-            raise ValueError("n_points must be even and at least 16")
-        return _trapezoid_circle(h, rho, int(n_points))
-    return _refine(lambda n: _trapezoid_circle(h, rho, n), DEFAULT_N, MAX_N, tol)
+    n0, n_max = _circle_levels(h, rho, n_points)
+
+    def quad(n, live):
+        zeta = _circle_nodes(rho, n)
+        return [_circle_sum(zeta, h(zeta))]
+
+    return _refine(quad, 1, n0, n_max, tol)[0]
 
 
 def laurent_coeff(h, k, rho=1.0, n_points=None):
@@ -242,15 +278,6 @@ def _gl_nodes(n=32):
         x, w = np.polynomial.legendre.leggauss(n)
         _GL_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)  # on [0, 1]
     return _GL_CACHE[n]
-
-
-def _segment_quad(h, gamma, dgamma, panels):
-    x, w = _gl_nodes()
-    t = (np.arange(panels)[:, None] + x[None, :]) / panels
-    t = t.ravel()
-    vals = h(gamma(t)) * dgamma(t)
-    weights = np.tile(w, panels) / panels
-    return np.sum(vals * weights)
 
 
 def _canonical_legs(z0, z1):
@@ -283,11 +310,43 @@ def _canonical_legs(z0, z1):
     return legs
 
 
-def _path_quad(h, z0, z1, tol=1e-12):
-    total = 0.0 + 0.0j
-    for gamma, dgamma in _canonical_legs(complex(z0), complex(z1)):
-        total += _refine(lambda p: _segment_quad(h, gamma, dgamma, p), 1, 256, tol)
-    return total
+def _check_ends(annulus, z0, ends):
+    if annulus is None:
+        return
+    for name, pt in [("start", z0)] + [("end", z1) for z1 in ends]:
+        if not annulus.contains(pt):
+            raise ValueError(f"path {name} point {pt} is not inside the annulus")
+
+
+def _path_integrals(h, z0, ends, tol=1e-12):
+    """Integrals of h along the canonical paths from z0 to each point of ends.
+
+    The legs of all paths refine together: each panel level evaluates h once,
+    on the Gauss-Legendre nodes of every leg still refining, and each leg
+    stops at its own level (1 to 256 panels).
+    """
+    z0 = complex(z0)
+    ends = [complex(z1) for z1 in ends]
+    _check_ends(getattr(h, "annulus", None), z0, ends)
+    legs, owner = [], []
+    for j, z1 in enumerate(ends):
+        for leg in _canonical_legs(z0, z1):
+            legs.append(leg)
+            owner.append(j)
+    x, w = _gl_nodes()
+
+    def quad(panels, live):
+        t = ((np.arange(panels)[:, None] + x[None, :]) / panels).ravel()
+        weights = np.tile(w, panels) / panels
+        vals = h(np.concatenate([legs[i][0](t) for i in live]))
+        m = len(t)
+        return [np.sum(vals[j * m:(j + 1) * m] * legs[i][1](t) * weights)
+                for j, i in enumerate(live)]
+
+    totals = [0.0 + 0.0j] * len(ends)
+    for j, est in zip(owner, _refine(quad, len(legs), 1, 256, tol)):
+        totals[j] += est
+    return totals
 
 
 def path_integral(F, z0, z1):
@@ -302,10 +361,8 @@ def path_integral(F, z0, z1):
     ann = None
     for c in comps:
         ann = _merge_annuli(ann, getattr(c, "annulus", None))
-    for name, pt in (("start", complex(z0)), ("end", complex(z1))):
-        if ann is not None and not ann.contains(pt):
-            raise ValueError(f"path {name} point {pt} is not inside the annulus")
-    return np.array([_path_quad(c, z0, z1) for c in comps], dtype=complex)
+    _check_ends(ann, complex(z0), [complex(z1)])
+    return np.array([_path_integrals(c, z0, [z1])[0] for c in comps], dtype=complex)
 
 
 # --- univalence probe ------------------------------------------------------
@@ -323,29 +380,75 @@ class ProbeReport:
     notes: list = field(default_factory=list)
 
 
-def _integer_winding(g, gprime, rho, w=None, tries=4, notes=None):
-    """Winding number of g - w over |z|=rho via the argument principle.
+def _winding_level(g, gprime, rho, ws, n, live):
+    """Argument-principle sums of g'/(g - w) over |z| = rho at n nodes, for the
+    targets ws[i], i in live, from one sample of g and g'.
 
-    Retries at slightly perturbed radii when the quadrature refuses to settle
-    near an integer (g nearly vanishing on the circle).  Returns None when
-    every try is inconclusive.
+    A target's sum is None when g - w vanishes at a node (or when the sample
+    itself cannot be evaluated), and when w is not finite.
     """
-    shifted = g if w is None else g - w
-    integrand = gprime / shifted
+    zeta = _circle_nodes(rho, n)
+    try:
+        dv, gv = gprime(zeta), g(zeta)
+    except (EvalDomainError, ZeroDivisionError):
+        return [None] * len(live)
+    sums = []
+    for i in live:
+        w = ws[i]
+        if w is not None and not np.isfinite(w):
+            sums.append(None)
+            continue
+        with np.errstate(all="ignore"):  # an overflow shows as a non-finite sum
+            den = gv if w is None else gv - w
+            sums.append(None if np.any(den == 0) else _circle_sum(zeta, dv / den))
+    return sums
+
+
+def _settled_integer(est):
+    """The integer an argument-principle sum settles on, or None."""
+    if est is None:
+        return None
+    val = est / TWO_PI_I
+    if not np.isfinite(val):
+        return None
+    n = round(val.real)
+    return n if abs(val - n) < 1e-4 else None
+
+
+def _windings(g, gprime, rho, ws, tries=4):
+    """Winding numbers of g - w over |z| = rho for each target w of ws (None: g).
+
+    Level-major: every try samples g and g' once per trapezoid level and sums
+    each target still refining from that sample.  A target that does not
+    settle near an integer retries at a slightly perturbed radius.  Returns,
+    per target, the radii whose try did not settle and the winding (None
+    when no try settled), or the ValueError of a retry radius that left the
+    annulus, for the caller to raise when it reaches that target.
+    """
+    missed = [[] for _ in ws]
+    wind = [None] * len(ws)
+    live = list(range(len(ws)))
     r = rho
     for attempt in range(tries):
+        if not live:
+            break
         try:
-            val = circle_integral(integrand, r, tol=1e-8) / TWO_PI_I
-        except (EvalDomainError, ZeroDivisionError):
-            val = None
-        if val is not None:
-            n = round(val.real)
-            if abs(val - n) < 1e-4:
-                return n
-        if notes is not None:
-            notes.append(f"winding at rho={r:.6g} inconclusive, perturbing")
+            _check_rho(g, r)
+        except ValueError as exc:
+            for j in live:
+                wind[j] = exc
+            break
+        quad = partial(_winding_level, g, gprime, r, [ws[j] for j in live])
+        ests = _refine(quad, len(live), DEFAULT_N, MAX_N, 1e-8)
+        still = []
+        for j, est in zip(live, ests):
+            wind[j] = _settled_integer(est)
+            if wind[j] is None:
+                missed[j].append(r)
+                still.append(j)
+        live = still
         r = rho * (1.0 + 2.0e-3 * (attempt + 1))
-    return None
+    return list(zip(missed, wind))
 
 
 def _sample_points(annulus, margin, n):
@@ -397,17 +500,23 @@ def _newton_roots(g, gprime, w, annulus, margin):
     return roots
 
 
-def _zero_excess(g, gprime, annulus, w=None, notes=None):
-    """Zeros minus poles of g - w between the circles |z| = R^(+-(1-PROBE_MARGIN)).
+def _zero_excesses(g, gprime, annulus, ws):
+    """Zeros minus poles of g - w between the circles |z| = R^(+-(1-PROBE_MARGIN)),
+    for each target w of ws (None: g itself).
 
-    Both windings are always attempted, so ``notes`` records every retry;
-    returns None when either of them does not settle.
+    Both windings of every target are always attempted.  Yields, in target
+    order, the retry notes and the excess, or None when either winding does
+    not settle.
     """
-    w_out = _integer_winding(g, gprime, annulus.R ** (1.0 - PROBE_MARGIN), w=w, notes=notes)
-    w_in = _integer_winding(g, gprime, annulus.R ** (PROBE_MARGIN - 1.0), w=w, notes=notes)
-    if w_out is None or w_in is None:
-        return None
-    return w_out - w_in
+    outer = _windings(g, gprime, annulus.R ** (1.0 - PROBE_MARGIN), ws)
+    inner = _windings(g, gprime, annulus.R ** (PROBE_MARGIN - 1.0), ws)
+    for (miss_out, w_out), (miss_in, w_in) in zip(outer, inner):
+        for w in (w_out, w_in):
+            if isinstance(w, ValueError):
+                raise w
+        notes = [f"winding at rho={r:.6g} inconclusive, perturbing"
+                 for r in miss_out + miss_in]
+        yield notes, (None if w_out is None or w_in is None else w_out - w_in)
 
 
 def univalence_probe(g, annulus=None):
@@ -422,25 +531,31 @@ def univalence_probe(g, annulus=None):
     if annulus is None:
         raise ValueError("univalence_probe needs an annulus")
     gprime = g.derivative()
-    notes = []
+    points = _sample_points(annulus, PROBE_MARGIN, PROBE_TARGETS)
+    values = []
+    for zt in points:
+        try:
+            values.append(g(zt))
+        except EvalDomainError:
+            values.append(None)
+    excesses = _zero_excesses(
+        g, gprime, annulus, [None] + [w for w in values if w is not None])
 
-    zero_count = _zero_excess(g, gprime, annulus, notes=notes)
+    notes, zero_count = next(excesses)
     if zero_count is None:
         omits = "inconclusive"
     else:
         omits = "passed" if zero_count == 0 else "violated"
 
-    targets = _sample_points(annulus, PROBE_MARGIN, PROBE_TARGETS)
     verdict = "passed"
     witness = None
     counted = 0
-    for zt in targets:
-        try:
-            w = g(zt)
-        except EvalDomainError:
+    for zt, w in zip(points, values):
+        if w is None:
             notes.append(f"sample point {zt:.6g} not evaluable")
             continue
-        count = _zero_excess(g, gprime, annulus, w=w, notes=notes)
+        retries, count = next(excesses)
+        notes += retries
         if count is None:
             notes.append(f"target {w:.6g} skipped (winding unsettled)")
             continue

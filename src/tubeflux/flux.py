@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import circle_integral, univalence_probe
+from .contour import (
+    QUAD_TOL, _circle_levels, _circle_nodes, _circle_sum, _refine, univalence_probe,
+)
 
 __all__ = [
     "FluxVector", "Tilt", "Lifetime", "LifetimeReport",
@@ -74,9 +76,36 @@ class FluxVector:
         return np.array([self.J1, self.J2, self.J3])
 
 
-def _loop_integrals(F, rho, n_points):
-    """Loop integrals oint phi_k over |z| = rho: Re is the period defect, Im the flux."""
-    return np.array([circle_integral(phi, rho, n_points=n_points) for phi in F])
+# the triple from one sample of g and f, with the operations of the enneper_F
+# trees in their order, so the values match the trees bit for bit
+_TRIPLE = (
+    lambda g, f: (1 - g * g) * f,
+    lambda g, f: ((g * g + 1) * 1j) * f,
+    lambda g, f: (g * 2) * f,
+)
+
+
+def _loop_integrals(data, rho, n_points):
+    """Loop integrals oint phi_k over |z| = rho: Re is the period defect, Im the flux.
+
+    Each level evaluates g and f once and reduces the components still
+    refining one at a time; each component keeps the estimate of the level
+    where it settled, as circle_integral would give it.
+    """
+    # rho is checked against the annulus the three components share
+    n0, n_max = _circle_levels(data.F[0], rho, n_points)
+
+    def quad(n, live):
+        zeta = _circle_nodes(rho, n)
+        g, f = data.g(zeta), data.f(zeta)
+        sums = []
+        for k in live:
+            with np.errstate(all="ignore"):
+                phi = _TRIPLE[k](g, f)
+            sums.append(_circle_sum(zeta, phi))
+        return sums
+
+    return np.array(_refine(quad, 3, n0, n_max, QUAD_TOL))
 
 
 def _flux_from_loops(loops) -> FluxVector:
@@ -93,12 +122,12 @@ def _flux_from_loops(loops) -> FluxVector:
         raise ValueError(
             f"vertical flux J3={J[2]:.6g} is not positive; "
             "data is not co-oriented tube data")
-    return FluxVector(*J)
+    return FluxVector(*J.tolist())
 
 
 def flux_vector(data, rho=1.0, n_points=None) -> FluxVector:
     """Q = Im oint F over the circle |z| = rho (rho-independent for tube data)."""
-    return _flux_from_loops(_loop_integrals(data.F, rho, n_points))
+    return _flux_from_loops(_loop_integrals(data, rho, n_points))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .contour import Annulus, HoloFn, a0
 from .elliptic import EllipticParams, theta1, theta1_prime, theta3, theta3_prime
@@ -137,6 +136,8 @@ def calibrate_candidate(q, n_points=None) -> SlitMapCandidate:
     quadrature error; the solve is kept because it is the defining property,
     the identity only explains why it is cheap.
     """
+    from scipy.optimize import brentq  # heavy to import, and only calibration needs it
+
     params = q if isinstance(q, EllipticParams) else EllipticParams(float(q))
     base = slit_annulus_map(params)
     mean_g = complex(a0(base.g, rho=1.0, n_points=n_points))

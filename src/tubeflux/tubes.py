@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .contour import (
-    Annulus, HoloFn, _merge_annuli, _zero_excess, a0, path_integral,
+    Annulus, HoloFn, _merge_annuli, _path_integrals, _zero_excesses, a0, path_integral,
 )
 from .flux import _flux_from_loops, _loop_integrals
 
@@ -93,7 +93,7 @@ def period_defect(data: WeierstrassData, n_points=None):
     badly closure fails.  It is the real part of the same loop integrals
     whose imaginary part is the flux (see flux.flux_vector).
     """
-    return _loop_integrals(data.F, 1.0, n_points).real
+    return _loop_integrals(data, 1.0, n_points).real
 
 
 def a0_pair(g: HoloFn, rho=1.0, n_points=None):
@@ -135,8 +135,7 @@ def flux_from_means(g: HoloFn, c: float, rho=1.0):
 
 def _omission_check(g: HoloFn, annulus: Annulus):
     """Fail loudly when g has zeros (or a zero/pole imbalance) in the annulus."""
-    notes = []
-    excess = _zero_excess(g, g.derivative(), annulus, notes=notes)
+    notes, excess = next(_zero_excesses(g, g.derivative(), annulus, [None]))
     if excess is None:
         raise NotATubeError(
             "cannot certify that the Gauss map omits zero: winding integrals "
@@ -194,7 +193,7 @@ class MinimalTube:
         if not self.annulus.contains(self.z0):
             raise ValueError(f"base point {z0} is outside the annulus")
 
-        loops = _loop_integrals(data.F, 1.0, n_points)
+        loops = _loop_integrals(data, 1.0, n_points)
         self.defect = loops.real
         try:
             self.flux = _flux_from_loops(loops)
@@ -227,8 +226,7 @@ class MinimalTube:
 
     def _fit_profile(self):
         pts = _fit_points(self.annulus)
-        u3 = np.array([path_integral(self.data.F[2:], self.z0, complex(z))[0].real
-                       for z in pts])
+        u3 = np.array([u.real for u in _path_integrals(self.data.F[2], self.z0, pts)])
         lr = np.log(np.abs(pts))
         A = np.column_stack([np.ones_like(lr), lr])
         (m, s), *_ = np.linalg.lstsq(A, u3, rcond=None)

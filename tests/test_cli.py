@@ -2,18 +2,35 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tubeflux
+
 CLI = [sys.executable, "-m", "tubeflux.cli"]
+# the child interpreters import the same tubeflux as this one
+SRC = str(Path(tubeflux.__file__).resolve().parent.parent)
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run(*args, cwd=None):
     return subprocess.run(
-        CLI + [str(a) for a in args], capture_output=True, text=True, cwd=cwd
+        CLI + [str(a) for a in args], capture_output=True, text=True, cwd=cwd, env=ENV
     )
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only calibration needs brentq; analyze and modulus should not pay for it
+    code = "import sys, tubeflux.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def write_config(tmp_path, name="config.json", **fields):

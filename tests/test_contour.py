@@ -216,3 +216,36 @@ class TestUnivalenceProbe:
         report = univalence_probe(holo("z - 1.2"))
         assert report.omits_zero == "violated"
         assert report.zero_count == 1
+
+    def test_division_by_zero_ends_only_that_try(self):
+        # g vanishes at a node of the outer winding circle: the zero count
+        # retries at a perturbed radius, and every preimage count still settles
+        report = univalence_probe(HoloFn.var(ANN) - ANN.R ** 0.98)
+        assert report.notes == ["winding at rho=1.97247 inconclusive, perturbing"]
+        assert report.omits_zero == "violated"
+        assert report.zero_count == 1
+        assert report.univalent == "passed"
+        assert report.n_targets == 32
+
+    def test_overflowing_windings_are_inconclusive(self):
+        # exp(400 z) overflows on the outer winding circle, so the winding
+        # estimates there are NaN: unsettled, never rounded
+        report = univalence_probe(holo("exp(400*z)"))
+        assert report.omits_zero == "inconclusive"
+        assert report.zero_count is None
+        assert report.univalent == "inconclusive"
+        assert report.n_targets == 0
+        assert report.notes[:4] == [
+            f"winding at rho={r:.6g} inconclusive, perturbing"
+            for r in (1.97247, 1.97641, 1.98036, 1.9843)]
+        assert report.notes[-1] == "no preimage count settled"
+
+    def test_non_finite_target_is_skipped_after_every_retry(self):
+        # exp(800 z) overflows at some of the sampled target points
+        report = univalence_probe(holo("exp(800*z)"))
+        assert report.univalent == "inconclusive"
+        j = report.notes.index("target inf-infj skipped (winding unsettled)")
+        retries = report.notes[j - 8:j]
+        assert all(note.endswith("inconclusive, perturbing") for note in retries)
+        assert retries[0] == "winding at rho=1.97247 inconclusive, perturbing"
+        assert retries[4].startswith(f"winding at rho={ANN.R ** -0.98:.6g} ")

@@ -59,6 +59,16 @@ class TestFluxMeasurement:
         assert Q.J1 == 0.0 and Q.J2 == 0.0
         assert abs(Q.J3 - 2.0 * math.pi) < 1e-12
 
+    def test_measured_components_are_plain_floats(self, slit_tube):
+        Q = flux_vector(slit_tube(0.1).data)
+        assert [type(x) for x in (Q.J1, Q.J2, Q.J3)] == [float, float, float]
+
+    def test_bound_disagreement_prints_plain_floats(self, slit_tube):
+        # at q = 0.82 the two closed forms of the bound drift apart
+        with pytest.raises(ArithmeticError, match="closed forms disagree") as err:
+            lifetime_bound(slit_tube(0.82).flux)
+        assert "np.float64" not in str(err.value)
+
     def test_negative_orientation_is_rejected(self):
         data = WeierstrassData(holo("-1/(2*z^2)"), holo("z"), ANN)
         with pytest.raises(ValueError, match="co-oriented"):
