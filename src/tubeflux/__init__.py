@@ -15,7 +15,7 @@ from .expr import ExprError, ExprSyntaxError
 from .flux import FluxVector, Lifetime, LifetimeReport, Tilt, flux_vector, \
     lifetime, lifetime_bound, lifetime_report, tilt_params
 from .modulus import CrossingWitness, ModulusEstimate, RingDomain, \
-    circle_family_module, comparison_ring, comparison_ring_module, \
+    circle_family_module, comparison_ring_module, \
     crossing_witness, grid_module_estimate, joining_family_module, \
     max_log_radius, mobius_to_annulus
 from .slitmap import CalibrationError, FamilyBalanceError, OmissionViolation, \
@@ -37,7 +37,7 @@ __all__ = [
     "FluxVector", "Lifetime", "LifetimeReport", "Tilt", "flux_vector",
     "lifetime", "lifetime_bound", "lifetime_report", "tilt_params",
     "CrossingWitness", "ModulusEstimate", "RingDomain",
-    "circle_family_module", "comparison_ring", "comparison_ring_module",
+    "circle_family_module", "comparison_ring_module",
     "crossing_witness", "grid_module_estimate", "joining_family_module",
     "max_log_radius", "mobius_to_annulus",
     "CalibrationError", "FamilyBalanceError", "OmissionViolation",

@@ -3,10 +3,13 @@
 Quadrature on circles is the uniform trapezoid rule, which is spectrally
 accurate for integrands analytic in a neighbourhood of the circle.  When no
 node count is given, integrals start at N=1024 and double until two
-successive estimates agree, capped at N=65536.  Path integrals use 32-node
-Gauss-Legendre panels, doubling from 1 to 256 panels per leg.  One routine,
-``_refine``, does all of this doubling; it refines a vector of estimates
-that share one sample per level, and each estimate stops at its own level.
+successive estimates agree, capped at N=65536.  An integrand may return a
+stack of k rows, one per component (the Weierstrass data returns its three);
+circle_integral then gives k integrals from one sample per level.  Path
+integrals use 32-node Gauss-Legendre panels, doubling from 1 to 256 panels
+per leg.  One routine, ``_refine``, does all of this doubling; it refines a
+vector of estimates that share one sample per level, and each estimate
+stops at its own level.
 
 The univalence probe counts zeros and preimages by the argument principle
 on two circles.  It works level-major: at each trapezoid level it samples g
@@ -24,14 +27,13 @@ from functools import partial
 import numpy as np
 
 from .expr import (
-    Const, Div, EvalDomainError, ExprError, Mul, Opaque, Var,
+    Add, Const, Div, EvalDomainError, Mul, Neg, Opaque, Pow, Sub, Var,
     differentiate, evaluate, parse, to_string,
 )
 
 __all__ = [
-    "Annulus", "HoloFn", "ProbeReport", "parse_holo_expr",
-    "circle_integral", "laurent_coeff", "a0", "path_integral",
-    "univalence_probe",
+    "Annulus", "HoloFn", "ProbeReport", "circle_integral", "laurent_coeff",
+    "a0", "path_integral", "univalence_probe",
 ]
 
 TWO_PI_I = 2j * math.pi
@@ -140,17 +142,14 @@ class HoloFn:
         return HoloFn(op(a, b), ann)
 
     def __add__(self, other):
-        from .expr import Add
         return self._binary(other, Add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        from .expr import Sub
         return self._binary(other, Sub)
 
     def __rsub__(self, other):
-        from .expr import Sub
         return self._binary(other, Sub, swap=True)
 
     def __mul__(self, other):
@@ -165,19 +164,12 @@ class HoloFn:
         return self._binary(other, Div, swap=True)
 
     def __neg__(self):
-        from .expr import Neg
         return HoloFn(Neg(self.node), self.annulus)
 
     def __pow__(self, k):
-        from .expr import Pow
         if not isinstance(k, int):
             raise TypeError("only integer powers are supported")
         return HoloFn(Pow(self.node, k), self.annulus)
-
-
-def parse_holo_expr(text, annulus):
-    """Parse grammar text into a HoloFn on the given annulus."""
-    return HoloFn.parse(text, annulus)
 
 
 # --- circle quadrature -----------------------------------------------------
@@ -188,22 +180,6 @@ def _check_rho(h, rho):
         raise ValueError(
             f"radius {rho} is not strictly inside the annulus "
             f"({ann.inner_radius} .. {ann.R})")
-
-
-def _circle_levels(h, rho, n_points):
-    """Validate a circle quadrature of h at radius rho; (first, last) node counts.
-
-    An explicit ``n_points`` (even, >= 16) is a single level; otherwise the
-    node count doubles from DEFAULT_N up to MAX_N.
-    """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    _check_rho(h, rho)
-    if n_points is None:
-        return DEFAULT_N, MAX_N
-    if n_points < 16 or n_points % 2:
-        raise ValueError("n_points must be even and at least 16")
-    return int(n_points), int(n_points)
 
 
 def _circle_nodes(rho, n):
@@ -237,20 +213,39 @@ def _refine(quad, k, n, n_max, tol):
     return est
 
 
-def circle_integral(h, rho, n_points=None, tol=QUAD_TOL):
+def circle_integral(h, rho, n_points=None):
     """Integral of h over the circle |z| = rho, counterclockwise.
 
     With explicit ``n_points`` (even, >= 16) a single trapezoid pass is used;
     otherwise the node count doubles from 1024 until two successive estimates
-    differ by less than ``tol`` (relative to the magnitude), capped at 65536.
+    differ by less than QUAD_TOL (relative to the magnitude), capped at 65536.
+    When h returns a (k, n) stack for n nodes, the result is the array of k
+    integrals, each kept at the level where it settled.
     """
-    n0, n_max = _circle_levels(h, rho, n_points)
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    _check_rho(h, rho)
+    if n_points is None:
+        n0, n_max = DEFAULT_N, MAX_N
+    elif n_points < 16 or n_points % 2:
+        raise ValueError("n_points must be even and at least 16")
+    else:
+        n0 = n_max = int(n_points)
+
+    def sample(n):
+        zeta = _circle_nodes(rho, n)
+        return zeta, h(zeta)
+
+    first = sample(n0)  # its shape tells how many components h has
 
     def quad(n, live):
-        zeta = _circle_nodes(rho, n)
-        return [_circle_sum(zeta, h(zeta))]
+        zeta, vals = first if n == n0 else sample(n)
+        vals = np.reshape(vals, (-1, n))
+        return [_circle_sum(zeta, vals[i]) for i in live]
 
-    return _refine(quad, 1, n0, n_max, tol)[0]
+    if np.ndim(first[1]) == 1:
+        return _refine(quad, 1, n0, n_max, QUAD_TOL)[0]
+    return np.array(_refine(quad, len(first[1]), n0, n_max, QUAD_TOL))
 
 
 def laurent_coeff(h, k, rho=1.0, n_points=None):
@@ -263,21 +258,16 @@ def laurent_coeff(h, k, rho=1.0, n_points=None):
     return circle_integral(weighted, rho, n_points=n_points) / TWO_PI_I
 
 
-def a0(h, rho=1.0, n_points=None):
+def a0(h, rho=1.0):
     """Mean of h over the circle |z|=rho: the k=0 Laurent coefficient."""
-    return laurent_coeff(h, 0, rho, n_points=n_points)
+    return laurent_coeff(h, 0, rho)
 
 
 # --- path integrals --------------------------------------------------------
 
-_GL_CACHE = {}
-
-
-def _gl_nodes(n=32):
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)  # on [0, 1]
-    return _GL_CACHE[n]
+# 32-node Gauss-Legendre rule on [0, 1]
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+GL_NODES, GL_WEIGHTS = 0.5 * (GL_NODES + 1.0), 0.5 * GL_WEIGHTS
 
 
 def _canonical_legs(z0, z1):
@@ -318,7 +308,7 @@ def _check_ends(annulus, z0, ends):
             raise ValueError(f"path {name} point {pt} is not inside the annulus")
 
 
-def _path_integrals(h, z0, ends, tol=1e-12):
+def _path_integrals(h, z0, ends):
     """Integrals of h along the canonical paths from z0 to each point of ends.
 
     The legs of all paths refine together: each panel level evaluates h once,
@@ -333,18 +323,17 @@ def _path_integrals(h, z0, ends, tol=1e-12):
         for leg in _canonical_legs(z0, z1):
             legs.append(leg)
             owner.append(j)
-    x, w = _gl_nodes()
 
     def quad(panels, live):
-        t = ((np.arange(panels)[:, None] + x[None, :]) / panels).ravel()
-        weights = np.tile(w, panels) / panels
+        t = ((np.arange(panels)[:, None] + GL_NODES[None, :]) / panels).ravel()
+        weights = np.tile(GL_WEIGHTS, panels) / panels
         vals = h(np.concatenate([legs[i][0](t) for i in live]))
         m = len(t)
         return [np.sum(vals[j * m:(j + 1) * m] * legs[i][1](t) * weights)
                 for j, i in enumerate(live)]
 
     totals = [0.0 + 0.0j] * len(ends)
-    for j, est in zip(owner, _refine(quad, len(legs), 1, 256, tol)):
+    for j, est in zip(owner, _refine(quad, len(legs), 1, 256, 1e-12)):
         totals[j] += est
     return totals
 
@@ -415,28 +404,27 @@ def _settled_integer(est):
     return n if abs(val - n) < 1e-4 else None
 
 
-def _windings(g, gprime, rho, ws, tries=4):
+def _windings(g, gprime, rho, ws):
     """Winding numbers of g - w over |z| = rho for each target w of ws (None: g).
 
     Level-major: every try samples g and g' once per trapezoid level and sums
     each target still refining from that sample.  A target that does not
-    settle near an integer retries at a slightly perturbed radius.  Returns,
-    per target, the radii whose try did not settle and the winding (None
-    when no try settled), or the ValueError of a retry radius that left the
-    annulus, for the caller to raise when it reaches that target.
+    settle near an integer retries at a slightly perturbed radius, up to four
+    radii, while the radius stays inside the annulus.  Returns, per target,
+    the notes of its unsettled tries and the winding (None when no try
+    settled).
     """
-    missed = [[] for _ in ws]
+    notes = [[] for _ in ws]
     wind = [None] * len(ws)
     live = list(range(len(ws)))
     r = rho
-    for attempt in range(tries):
+    for attempt in range(4):
         if not live:
             break
-        try:
-            _check_rho(g, r)
-        except ValueError as exc:
+        if g.annulus is not None and not g.annulus.radius_inside(r):
             for j in live:
-                wind[j] = exc
+                notes[j].append(f"retry radius rho={r:.6g} leaves the annulus, "
+                                "winding left unsettled")
             break
         quad = partial(_winding_level, g, gprime, r, [ws[j] for j in live])
         ests = _refine(quad, len(live), DEFAULT_N, MAX_N, 1e-8)
@@ -444,11 +432,11 @@ def _windings(g, gprime, rho, ws, tries=4):
         for j, est in zip(live, ests):
             wind[j] = _settled_integer(est)
             if wind[j] is None:
-                missed[j].append(r)
+                notes[j].append(f"winding at rho={r:.6g} inconclusive, perturbing")
                 still.append(j)
         live = still
         r = rho * (1.0 + 2.0e-3 * (attempt + 1))
-    return list(zip(missed, wind))
+    return list(zip(notes, wind))
 
 
 def _sample_points(annulus, margin, n):
@@ -504,19 +492,14 @@ def _zero_excesses(g, gprime, annulus, ws):
     """Zeros minus poles of g - w between the circles |z| = R^(+-(1-PROBE_MARGIN)),
     for each target w of ws (None: g itself).
 
-    Both windings of every target are always attempted.  Yields, in target
+    Both windings of every target are always attempted.  Returns, in target
     order, the retry notes and the excess, or None when either winding does
     not settle.
     """
     outer = _windings(g, gprime, annulus.R ** (1.0 - PROBE_MARGIN), ws)
     inner = _windings(g, gprime, annulus.R ** (PROBE_MARGIN - 1.0), ws)
-    for (miss_out, w_out), (miss_in, w_in) in zip(outer, inner):
-        for w in (w_out, w_in):
-            if isinstance(w, ValueError):
-                raise w
-        notes = [f"winding at rho={r:.6g} inconclusive, perturbing"
-                 for r in miss_out + miss_in]
-        yield notes, (None if w_out is None or w_in is None else w_out - w_in)
+    return [(notes_out + notes_in, None if w_out is None or w_in is None else w_out - w_in)
+            for (notes_out, w_out), (notes_in, w_in) in zip(outer, inner)]
 
 
 def univalence_probe(g, annulus=None):
@@ -538,10 +521,9 @@ def univalence_probe(g, annulus=None):
             values.append(g(zt))
         except EvalDomainError:
             values.append(None)
-    excesses = _zero_excesses(
+    (notes, zero_count), *excesses = _zero_excesses(
         g, gprime, annulus, [None] + [w for w in values if w is not None])
-
-    notes, zero_count = next(excesses)
+    excesses = iter(excesses)
     if zero_count is None:
         omits = "inconclusive"
     else:

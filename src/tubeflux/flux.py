@@ -1,11 +1,12 @@
 """Flow vector, tilt angle, and life-time bounds for minimal tubes.
 
 The flow vector Q = Im oint F is constant across the sections of a tube, so
-one pass of loop integrals recovers it; their real parts are the period
-defect of tubes.py, which MinimalTube takes from the same pass.  Everything
-downstream of Q is elementary trigonometry in the (J1 + i J2, J3) plane: the
-tilt angle alpha is the angle between Q and the time axis, and the life-time
-bound is
+one circle_integral of the Weierstrass data, which gives the three loop
+integrals of F from one sample of g and f per level, recovers it; their
+real parts are the period defect of tubes.py, which MinimalTube takes from
+the same pass.  Everything downstream of Q is elementary trigonometry in
+the (J1 + i J2, J3) plane: the tilt angle alpha is the angle between Q and
+the time axis, and the life-time bound is
 
     pi |Q| cos(alpha) / ln tan(pi/4 + alpha/2)  =  pi J3 / arcsinh(tan alpha),
 
@@ -20,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import (
-    QUAD_TOL, _circle_levels, _circle_nodes, _circle_sum, _refine, univalence_probe,
-)
+from .contour import circle_integral, univalence_probe
 
 __all__ = [
     "FluxVector", "Tilt", "Lifetime", "LifetimeReport",
@@ -76,38 +75,6 @@ class FluxVector:
         return np.array([self.J1, self.J2, self.J3])
 
 
-# the triple from one sample of g and f, with the operations of the enneper_F
-# trees in their order, so the values match the trees bit for bit
-_TRIPLE = (
-    lambda g, f: (1 - g * g) * f,
-    lambda g, f: ((g * g + 1) * 1j) * f,
-    lambda g, f: (g * 2) * f,
-)
-
-
-def _loop_integrals(data, rho, n_points):
-    """Loop integrals oint phi_k over |z| = rho: Re is the period defect, Im the flux.
-
-    Each level evaluates g and f once and reduces the components still
-    refining one at a time; each component keeps the estimate of the level
-    where it settled, as circle_integral would give it.
-    """
-    # rho is checked against the annulus the three components share
-    n0, n_max = _circle_levels(data.F[0], rho, n_points)
-
-    def quad(n, live):
-        zeta = _circle_nodes(rho, n)
-        g, f = data.g(zeta), data.f(zeta)
-        sums = []
-        for k in live:
-            with np.errstate(all="ignore"):
-                phi = _TRIPLE[k](g, f)
-            sums.append(_circle_sum(zeta, phi))
-        return sums
-
-    return np.array(_refine(quad, 3, n0, n_max, QUAD_TOL))
-
-
 def _flux_from_loops(loops) -> FluxVector:
     """Q = Im of the loop integrals, with quadrature dust snapped to zero.
 
@@ -127,7 +94,7 @@ def _flux_from_loops(loops) -> FluxVector:
 
 def flux_vector(data, rho=1.0, n_points=None) -> FluxVector:
     """Q = Im oint F over the circle |z| = rho (rho-independent for tube data)."""
-    return _flux_from_loops(_loop_integrals(data, rho, n_points))
+    return _flux_from_loops(circle_integral(data, rho, n_points))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .contour import Annulus, HoloFn, a0
 __all__ = [
     "RingDomain", "ModulusEstimate", "MobiusToAnnulus", "CrossingWitness",
     "circle_family_module", "joining_family_module", "mobius_to_annulus",
-    "comparison_ring", "comparison_ring_module", "max_log_radius",
+    "comparison_ring_module", "max_log_radius",
     "grid_module_estimate", "crossing_witness",
 ]
 
@@ -186,9 +186,6 @@ class RingDomain:
         )
 
 
-comparison_ring = RingDomain.comparison
-
-
 @dataclass(frozen=True)
 class ModulusEstimate:
     value: float
@@ -214,17 +211,18 @@ _MAX_CELLS = 30_000_000
 _CG_RTOL = 1e-10
 
 
-def _bisect_cut(domain, za, zb, iters=45):
-    """Fraction of the segment za->zb (inside -> not inside) still inside."""
-    lo = np.zeros(za.shape)
-    hi = np.ones(za.shape)
+def _bisect(stays, lo, hi, iters):
+    """Bisect the brackets [lo, hi] elementwise, iters halvings each.
+
+    ``stays(mid)`` is True where the midpoint is on lo's side of the root,
+    so it replaces lo there and hi elsewhere.  Returns the final (lo, hi).
+    """
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        zm = za + (zb - za) * mid
-        m_in = domain.inside(zm)
-        lo = np.where(m_in, mid, lo)
-        hi = np.where(m_in, hi, mid)
-    return np.maximum(hi, _THETA_MIN)
+        keep = stays(mid)
+        lo = np.where(keep, mid, lo)
+        hi = np.where(keep, hi, mid)
+    return lo, hi
 
 
 def _grid_energy(domain: RingDomain, h: float):
@@ -244,7 +242,8 @@ def _grid_energy(domain: RingDomain, h: float):
             "coarsen h or shrink the domain")
     hx = (x1 - x0) / (nx - 1)
     hy = (y1 - y0) / (ny - 1)
-    X, Y = np.meshgrid(x0 + hx * np.arange(nx), y0 + hy * np.arange(ny))
+    # linspace pins the far edges at x1 and y1, where x0 + hx*(nx-1) can round below
+    X, Y = np.meshgrid(np.linspace(x0, x1, nx), np.linspace(y0, y1, ny))
     Z = X + 1j * Y
 
     fst = domain.first(Z)
@@ -324,8 +323,11 @@ def _grid_energy(domain: RingDomain, h: float):
             cut = ins[sa] & (fst[sb] | snd[sb])
             if not cut.any():
                 continue
-            theta = _bisect_cut(domain, Z[sa][cut], Z[sb][cut])
-            c = base * tw[cut] / theta
+            # fraction of the segment za -> zb (inside -> not inside) still inside
+            za, zb = Z[sa][cut], Z[sb][cut]
+            _, theta = _bisect(lambda t: domain.inside(za + (zb - za) * t),
+                               np.zeros(za.shape), np.ones(za.shape), 45)
+            c = base * tw[cut] / np.maximum(theta, _THETA_MIN)
             i = index[sa][cut]
             val = potential[sb][cut]
             np.add.at(diag, i, c)
@@ -390,57 +392,45 @@ class CrossingWitness:
     residual2: float
 
 
-def _bisect_angle(fn, lo, hi, iters=80):
-    flo = fn(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if (fm <= 0.0) == (flo <= 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def crossing_witness(g: HoloFn, rho: float, lam: float, n_scan=512) -> CrossingWitness:
+def crossing_witness(g: HoloFn, rho: float, lam: float) -> CrossingWitness:
     """Angles where the section trace crosses the two balance loci.
 
     Finds t1 with Re g(rho e^{i t1}) = lam and t2 with Re(1/g)(rho e^{i t2})
-    = -lam by sign scanning plus bisection.  Both crossings exist whenever
-    the means a0[g] = lam, a0[1/g] = -lam hold: a continuous function whose
-    circle mean is zero changes sign.  Geometrically, the curve g(C_rho)
-    meets the line Re w = lam, and meets the circle |w + 1/(2 lam)| =
-    1/(2 lam) (which is Re(1/w) = -lam rewritten).
+    = -lam by sign scanning at 512 angles plus bisection.  Both crossings
+    exist whenever the means a0[g] = lam, a0[1/g] = -lam hold: a continuous
+    function whose circle mean is zero changes sign.  Geometrically, the
+    curve g(C_rho) meets the line Re w = lam, and meets the circle
+    |w + 1/(2 lam)| = 1/(2 lam) (which is Re(1/w) = -lam rewritten).
     """
-    t = 2.0 * math.pi * (np.arange(n_scan) + 0.5) / n_scan
-    zs = rho * np.exp(1j * t)
+    t = 2.0 * math.pi * (np.arange(512) + 0.5) / 512
 
-    def locate(vals, fn, label):
-        s = np.sign(vals)
-        brackets = [(t[k], t[k + 1]) for k in np.nonzero(s[:-1] * s[1:] <= 0.0)[0]]
+    def locate(fn, label):
+        s = np.sign(fn(t))
+        k = np.nonzero(s[:-1] * s[1:] <= 0.0)[0]
+        lo, hi = t[k], t[k + 1]
         if s[-1] * s[0] <= 0.0:
-            brackets.append((t[-1], t[0] + 2.0 * math.pi))
-        if not brackets:
+            lo, hi = np.append(lo, t[-1]), np.append(hi, t[0] + 2.0 * math.pi)
+        if not lo.size:
             m = complex(a0(g, rho=rho))
             minv = complex(a0(1 / g, rho=rho))
             raise ValueError(
                 f"no sign change for {label} at rho={rho}: the balance "
                 f"residuals are a0[g]-lam={m - lam:.3e}, "
                 f"a0[1/g]+lam={minv + lam:.3e}")
+        # all brackets at once; lo keeps the sign fn has at the bracket's start
+        neg = fn(lo) <= 0.0
+        lo, hi = _bisect(lambda mid: (fn(mid) <= 0.0) == neg, lo, hi, 80)
+        roots = (0.5 * (lo + hi)) % (2.0 * math.pi)
         # near the rims some crossings sit on the near-pole stretch of the
-        # trace, where the residual floor is |d/dt| * eps; keep the cleanest
-        best = None
-        for lo, hi in brackets:
-            root = _bisect_angle(fn, lo, hi) % (2.0 * math.pi)
-            resid = abs(fn(root))
-            if best is None or resid < best[1]:
-                best = (root, resid)
-        return best
+        # trace, where the residual floor is |d/dt| * eps; keep the cleanest,
+        # the first one on ties.  Each residual is evaluated alone: the theta
+        # comb sizes its sum to the whole argument array, so a batched value
+        # can differ in the last bits and flip a near-tie.
+        resid = [abs(fn(root)) for root in roots]
+        best = int(np.argmin(resid))
+        return float(roots[best]), float(resid[best])
 
-    vals1 = np.real(g(zs)) - lam
-    t1, r1 = locate(vals1, lambda tt: float(np.real(g(rho * np.exp(1j * tt)))) - lam,
-                    "Re g = lam")
-    vals2 = np.real(1.0 / g(zs)) + lam
-    t2, r2 = locate(vals2, lambda tt: float(np.real(1.0 / g(rho * np.exp(1j * tt)))) + lam,
+    t1, r1 = locate(lambda tt: np.real(g(rho * np.exp(1j * tt))) - lam, "Re g = lam")
+    t2, r2 = locate(lambda tt: np.real(1.0 / g(rho * np.exp(1j * tt))) + lam,
                     "Re 1/g = -lam")
     return CrossingWitness(t1=t1, t2=t2, residual1=r1, residual2=r2)

@@ -124,7 +124,7 @@ def boundary_reality(cand: SlitMapCandidate, n: int = 256) -> dict:
     return {"abs": worst_abs, "rel": worst_rel}
 
 
-def calibrate_candidate(q, n_points=None) -> SlitMapCandidate:
+def calibrate_candidate(q) -> SlitMapCandidate:
     """Scale the two-slit map so a0[g] = lambda and a0[1/g] = -lambda.
 
     With g = s g0 the two means are s A and B/s where A = a0[g0] and
@@ -140,8 +140,8 @@ def calibrate_candidate(q, n_points=None) -> SlitMapCandidate:
 
     params = q if isinstance(q, EllipticParams) else EllipticParams(float(q))
     base = slit_annulus_map(params)
-    mean_g = complex(a0(base.g, rho=1.0, n_points=n_points))
-    mean_inv = complex(a0(1 / base.g, rho=1.0, n_points=n_points))
+    mean_g = complex(a0(base.g))
+    mean_inv = complex(a0(1 / base.g))
     A, B = mean_g.real, mean_inv.real
     drift = max(abs(mean_g.imag), abs(mean_inv.imag))
     if drift > 1e-9 * (1.0 + abs(A) + abs(B)):
@@ -197,7 +197,7 @@ class SweepResult:
         return [(r.q, r.R, r.lam, r.lnR, r.lnR0, r.ratio) for r in self.rows]
 
 
-def conjecture_sweep(q_grid, n_points=None) -> SweepResult:
+def conjecture_sweep(q_grid) -> SweepResult:
     """Calibrate a candidate per q and compare ln R with ln R0(lambda).
 
     Rows keep the input order (they are independent; any parallel execution
@@ -213,7 +213,7 @@ def conjecture_sweep(q_grid, n_points=None) -> SweepResult:
     rows, failures = [], []
     for q in qs:
         try:
-            cand = calibrate_candidate(q, n_points=n_points)
+            cand = calibrate_candidate(q)
         except (CalibrationError, ValueError, ArithmeticError) as exc:
             failures.append((q, f"{type(exc).__name__}: {exc}"))
             continue
@@ -268,7 +268,7 @@ def _family_mean_inv(lam, a, kappa, R):
     return mean, ("in_ring" if ring else "clear")
 
 
-def joukowski_family(lam: float, R: float, tol: float = 1e-9):
+def joukowski_family(lam: float, R: float):
     """Try to balance g = lam + a(z + kappa/z) on K_R; no instance exists.
 
     a0[g] = lam holds for every (a, kappa).  The other balance a0[1/g] =
@@ -303,7 +303,7 @@ def joukowski_family(lam: float, R: float, tol: float = 1e-9):
             res = abs(mean + lam)
             if placement == "in_ring":
                 n_ring += 1
-                if res < tol and (best_violating is None or res < best_violating[0]):
+                if res < 1e-9 and (best_violating is None or res < best_violating[0]):
                     best_violating = (res, a, kap)
                 continue
             if best is None or res < best[0]:

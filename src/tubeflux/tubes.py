@@ -10,6 +10,12 @@ real periods of F vanish.  If additionally the third coordinate is a radial
 log profile, the level sections are compact circles and the image is a tube:
 a surface living over an interval of the time axis.
 
+The triple is written once, in ``_triple``.  Applied to the HoloFns f and g
+it builds the expression trees of enneper_F; applied to one sample of g and
+one of f it gives the values of those trees bit for bit, and that is how
+WeierstrassData evaluates itself for quadrature (``data(z)``, a (3, ...)
+stack), so circle_integral(data, rho) returns the three loop integrals.
+
 The constructor route that matters in practice fixes the vertical component
 first: tube_from_gauss sets f = c/(2zg) so that F3 = c/z exactly, and closure
 of the periods then reduces to a statement about the two circle means a0[g]
@@ -27,9 +33,10 @@ from functools import cached_property
 import numpy as np
 
 from .contour import (
-    Annulus, HoloFn, _merge_annuli, _path_integrals, _zero_excesses, a0, path_integral,
+    GL_NODES, GL_WEIGHTS, Annulus, HoloFn, _merge_annuli, _path_integrals, _zero_excesses,
+    a0, circle_integral, path_integral,
 )
-from .flux import _flux_from_loops, _loop_integrals
+from .flux import _flux_from_loops
 
 __all__ = [
     "NotATubeError", "WeierstrassData", "MinimalTube",
@@ -70,14 +77,21 @@ class WeierstrassData:
     def F(self):
         return enneper_F(self)
 
+    def __call__(self, z):
+        """The triple at z, stacked on a new first axis, from one sample of g and f."""
+        g, f = self.g(z), self.f(z)
+        with np.errstate(all="ignore"):
+            return np.stack(_triple(g, f))
+
+
+def _triple(g, f):
+    """The isotropic triple of g and f, for HoloFns (trees) and samples (arrays) alike."""
+    return (1 - g * g) * f, ((g * g + 1) * 1j) * f, (g * 2) * f
+
 
 def enneper_F(data: WeierstrassData):
     """The isotropic triple ((1-g^2)f, i(1+g^2)f, 2gf) as composed expressions."""
-    f, g = data.f, data.g
-    phi1 = (1 - g * g) * f
-    phi2 = 1j * (1 + g * g) * f
-    phi3 = 2 * g * f
-    return (phi1, phi2, phi3)
+    return _triple(data.g, data.f)
 
 
 def isotropy_defect(F, z):
@@ -93,12 +107,12 @@ def period_defect(data: WeierstrassData, n_points=None):
     badly closure fails.  It is the real part of the same loop integrals
     whose imaginary part is the flux (see flux.flux_vector).
     """
-    return _loop_integrals(data, 1.0, n_points).real
+    return circle_integral(data, 1.0, n_points).real
 
 
-def a0_pair(g: HoloFn, rho=1.0, n_points=None):
+def a0_pair(g: HoloFn, rho=1.0):
     """The circle means (a0[g], a0[1/g]) that control closure and flux."""
-    return a0(g, rho=rho, n_points=n_points), a0(1 / g, rho=rho, n_points=n_points)
+    return a0(g, rho=rho), a0(1 / g, rho=rho)
 
 
 def defect_from_means(g: HoloFn, c: float, rho=1.0):
@@ -135,7 +149,7 @@ def flux_from_means(g: HoloFn, c: float, rho=1.0):
 
 def _omission_check(g: HoloFn, annulus: Annulus):
     """Fail loudly when g has zeros (or a zero/pole imbalance) in the annulus."""
-    notes, excess = next(_zero_excesses(g, g.derivative(), annulus, [None]))
+    [(notes, excess)] = _zero_excesses(g, g.derivative(), annulus, [None])
     if excess is None:
         raise NotATubeError(
             "cannot certify that the Gauss map omits zero: winding integrals "
@@ -168,11 +182,11 @@ def tube_from_gauss(g: HoloFn, c: float, annulus: Annulus | None = None,
 # --- the tube object -------------------------------------------------------
 
 # deterministic sample of the annulus interior for the height-profile fit
-def _fit_points(annulus: Annulus, n_radii=8, n_angles=6):
+def _fit_points(annulus: Annulus):
     R = annulus.R
-    radii = R ** np.linspace(-0.9, 0.9, n_radii)
+    radii = R ** np.linspace(-0.9, 0.9, 8)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    angles = 2.0 * math.pi * ((np.arange(n_angles) * golden + 0.13) % 1.0)
+    angles = 2.0 * math.pi * ((np.arange(6) * golden + 0.13) % 1.0)
     return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
 
 
@@ -193,7 +207,7 @@ class MinimalTube:
         if not self.annulus.contains(self.z0):
             raise ValueError(f"base point {z0} is outside the annulus")
 
-        loops = _loop_integrals(data, 1.0, n_points)
+        loops = circle_integral(data, 1.0, n_points)
         self.defect = loops.real
         try:
             self.flux = _flux_from_loops(loops)
@@ -278,19 +292,15 @@ def section_polyline(tube: MinimalTube, tau: float, n_points=256):
     rho = math.exp((tau - m) / s)
 
     anchor = tube._raw_immerse(rho)
-    # one 32-node panel per arc step, all steps evaluated in one array call
-    from .contour import _gl_nodes
-    x, w = _gl_nodes()
+    # one 32-node panel per arc step, all steps sampled in one array call
     t_edges = np.linspace(0.0, 2.0 * math.pi, n_points + 1)
     t0 = t_edges[:-1, None]
     dt = (2.0 * math.pi / n_points)
-    t_nodes = t0 + dt * x[None, :]
+    t_nodes = t0 + dt * GL_NODES[None, :]
     z_nodes = rho * np.exp(1j * t_nodes)
     dz = 1j * z_nodes * dt
-    steps = np.empty((n_points, 3))
-    for k, phi in enumerate(tube.data.F):
-        vals = phi(z_nodes.ravel()).reshape(t_nodes.shape)
-        steps[:, k] = np.real(np.sum(vals * dz * w[None, :], axis=1))
+    vals = tube.data(z_nodes.ravel()).reshape((3,) + t_nodes.shape)
+    steps = np.real(np.sum(vals * dz * GL_WEIGHTS, axis=2)).T
     pts = np.empty((n_points + 1, 3))
     pts[0] = anchor
     pts[1:] = anchor + np.cumsum(steps, axis=0)

@@ -227,6 +227,17 @@ class TestUnivalenceProbe:
         assert report.univalent == "passed"
         assert report.n_targets == 32
 
+    def test_retry_radius_outside_the_annulus_leaves_the_count_unsettled(self):
+        # the outer circle R^0.98 hits the zero of g, and on a thin annulus
+        # its first retry radius R^0.98 * 1.002 already lies past the rim
+        ann = Annulus(1.1)
+        report = univalence_probe(HoloFn.var(ann) - ann.R ** 0.98)
+        assert report.omits_zero == "inconclusive"
+        assert report.zero_count is None
+        assert report.notes == [
+            "winding at rho=1.09791 inconclusive, perturbing",
+            "retry radius rho=1.1001 leaves the annulus, winding left unsettled"]
+
     def test_overflowing_windings_are_inconclusive(self):
         # exp(400 z) overflows on the outer winding circle, so the winding
         # estimates there are NaN: unsettled, never rounded

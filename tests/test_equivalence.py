@@ -1,4 +1,4 @@
-"""Probe reports and slit tubes frozen before the one-sample refactor.
+"""Results frozen before a refactor, and the sharing of one sample of g and f.
 
 goldens/probe_and_tube.json holds every ProbeReport field (notes included)
 and the MinimalTube defect, flux, profile, profile residual and life of
@@ -7,18 +7,31 @@ evaluated its own integrand tree.  Sampling g (and f) once per quadrature
 level performs the same floating-point operations in the same order, so the
 numbers must agree exactly; a change that alters the arithmetic on purpose
 re-freezes this file.
+
+goldens/witness_and_ring.json holds crossing witnesses from the scalar,
+one-bracket-at-a-time bisection and a grid estimate from the loop-built
+grid axes.  The batched bisection evaluates g on all brackets at once, and
+the theta comb sizes its sum to the whole argument array, so the angles
+agree to 1e-12 rather than bit for bit; the grid estimate agrees exactly.
 """
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tubeflux import Annulus, HoloFn, univalence_probe
+from tubeflux import (
+    Annulus, HoloFn, RingDomain, WeierstrassData, circle_integral, crossing_witness,
+    grid_module_estimate, tube_from_gauss, univalence_probe,
+)
 from tubeflux.contour import _path_integrals, path_integral
 from tubeflux.tubes import _fit_points
 
-FROZEN = json.loads((Path(__file__).parent / "goldens" / "probe_and_tube.json").read_text())
+GOLDENS = Path(__file__).parent / "goldens"
+FROZEN = json.loads((GOLDENS / "probe_and_tube.json").read_text())
+WITNESS_AND_RING = json.loads((GOLDENS / "witness_and_ring.json").read_text())
 
 
 def probe_fields(report):
@@ -66,3 +79,47 @@ def test_batched_profile_paths_equal_single_path_integrals(slit_tube, q):
     single = [path_integral(tube.data.F[2:], tube.z0, z)[0] for z in pts]
     assert len(pts) == 48
     assert batched == single
+
+
+def weierstrass_data(kind, candidate):
+    ann = Annulus(2.0)
+    if kind == "gauss":
+        return tube_from_gauss(HoloFn.parse("z + 0.2/z", ann), 1.5)
+    if kind == "explicit":
+        return WeierstrassData(f=HoloFn.parse("exp(z)/z", ann),
+                               g=HoloFn.parse("z - 0.3/z^2", ann), annulus=ann)
+    return tube_from_gauss(candidate(0.1).g, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["gauss", "explicit", "slit"])
+def test_one_sample_equals_the_triple_trees(candidate, kind):
+    data = weierstrass_data(kind, candidate)
+    R = data.annulus.R
+    z = (R ** np.linspace(-0.9, 0.9, 7)[:, None]
+         * np.exp(1j * np.linspace(0.0, 6.2, 40)[None, :])).ravel()
+    assert np.array_equal(data(z), [phi(z) for phi in data.F])
+
+
+@pytest.mark.parametrize("kind", ["gauss", "explicit", "slit"])
+def test_stacked_circle_integral_equals_one_call_per_component(candidate, kind):
+    data = weierstrass_data(kind, candidate)
+    stacked = circle_integral(data, 1.0)
+    assert stacked.shape == (3,)
+    assert np.array_equal(stacked, [circle_integral(phi, 1.0) for phi in data.F])
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_AND_RING["witness"]))
+def test_crossing_witness_keeps_its_crossings(candidate, case):
+    q, u = (float(part.split("=")[1]) for part in case.split())
+    cand = candidate(q)
+    w = crossing_witness(cand.g, cand.annulus.R ** u, cand.lam)
+    t1, t2, _, _ = WITNESS_AND_RING["witness"][case]
+    assert abs(w.t1 - t1) <= 1e-12 and abs(w.t2 - t2) <= 1e-12
+    assert w.residual1 < 1e-10 and w.residual2 < 1e-10
+
+
+def test_ring_estimate_is_unchanged():
+    est = grid_module_estimate(RingDomain.from_json({"kind": "annulus", "ratio": math.e}), 0.04)
+    want = WITNESS_AND_RING["ring_e_h0.04"]
+    assert (est.value, est.indicator, est.truncation_sensitivity, est.dof) == (
+        want["value"], want["indicator"], want["truncation_sensitivity"], want["dof"])

@@ -154,6 +154,13 @@ class TestGridEstimator:
         assert est.truncation_sensitivity is not None
         assert est.truncation_sensitivity < 0.05
 
+    def test_slit_comparison_domain_whose_box_edge_rounds(self):
+        # x0 + h*(nx-1) rounds below lambda = 0.825, which used to leave the
+        # second plate without a grid column ("unresolved")
+        est = grid_module_estimate(RingDomain.comparison(0.825), 0.2)
+        exact = comparison_ring_module(0.825)
+        assert abs(est.value - exact) <= 0.02 * exact
+
     def test_unresolved_gap_is_reported(self):
         dom = RingDomain.from_json({"kind": "annulus", "ratio": 1.01})
         with pytest.raises(ValueError, match="refine the grid"):

@@ -75,6 +75,11 @@ class TestSynthesis:
         with pytest.raises(NotATubeError):
             tube_from_gauss(holo("z - 1.2"), 1.0)
 
+    def test_unsettled_omission_check_is_rejected(self):
+        ann = Annulus(1.1)
+        with pytest.raises(NotATubeError, match="cannot certify .* leaves the annulus"):
+            tube_from_gauss(HoloFn.var(ann) - ann.R ** 0.98, 1.0)
+
     def test_annulus_mismatch_between_f_and_g(self):
         f = HoloFn.parse("1", Annulus(2.0))
         g = HoloFn.parse("z", Annulus(3.0))
