@@ -11,7 +11,9 @@ The comparison ring D(lambda) = {Re z < lambda} minus the closed disk
 pi/arcsinh(lambda); a Mobius map straightens it onto a round annulus.  The
 grid estimator discretizes any ring domain as a resistor network (5-point
 stencil, fractional boundary arms) and returns the Dirichlet energy of the
-discrete potential, which is the conductance.
+discrete potential, which is the conductance, checked against the current
+through each plate.  Conjugate gradients solve the network, preconditioned
+by one V-cycle of a multigrid that merges 2x2 blocks of nodes per level.
 """
 
 from __future__ import annotations
@@ -124,8 +126,14 @@ class RingDomain:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValueError("domain descriptor must be an object with a 'kind'")
         kind = obj["kind"]
+
+        def number(key, default):
+            x = float(obj.get(key, default))
+            if math.isfinite(x):
+                return x
+            raise ValueError(f"{kind} descriptor needs a finite {key}, got {x!r}")
         if kind == "annulus":
-            ratio = float(obj.get("ratio", 0.0))
+            ratio = number("ratio", 0.0)
             if not ratio > 1.0:
                 raise ValueError(f"annulus descriptor needs ratio > 1, got {ratio!r}")
             pad = 0.25
@@ -138,13 +146,13 @@ class RingDomain:
                 exact_module=joining_family_module(ratio),
             )
         if kind == "D":
-            lam = float(obj.get("lambda", 0.0))
+            lam = number("lambda", 0.0)
             if not lam > 0.0:
                 raise ValueError(f"D descriptor needs lambda > 0, got {lam!r}")
             return cls.comparison(lam)
         if kind == "box_conductor":
-            w = float(obj.get("width", 1.0))
-            hgt = float(obj.get("height", 1.0))
+            w = number("width", 1.0)
+            hgt = number("height", 1.0)
             if w <= 0.0 or hgt <= 0.0:
                 raise ValueError("box_conductor needs positive width and height")
             pad = 0.05
@@ -207,8 +215,14 @@ _THETA_MIN = 1e-3
 # killer take the process down mid-assembly
 _MAX_CELLS = 30_000_000
 
-# relative residual at which conjugate gradients stops
+# relative residual at which conjugate gradients stops, and the largest
+# relative gap then allowed between the energy and either plate current
 _CG_RTOL = 1e-10
+_CURRENT_RTOL = 1e-6
+
+# the V-cycle's damped-Jacobi weight, and its largest level solved directly
+_OMEGA = 2.0 / 3.0
+_COARSEST = 2000
 
 
 def _bisect(stays, lo, hi, iters):
@@ -225,13 +239,14 @@ def _bisect(stays, lo, hi, iters):
     return lo, hi
 
 
-def _grid_energy(domain: RingDomain, h: float):
-    """Conductance of the resistor network at spacing ~h.
+def _assemble(domain: RingDomain, h: float):
+    """The resistor network at spacing ~h, as the system A u = rhs.
 
     5-point stencil with finite-volume weights: interior edges carry hy/hx or
     hx/hy, edges whose transverse cell is cut by an insulating boundary carry
     half, and edges crossing a conductor boundary become arms of conductance
-    base/theta, theta the inside fraction found by bisection.
+    base/theta, theta the inside fraction found by bisection.  Returns A, rhs,
+    the dof mask (dofs in row-major order) and the inner and fixed edges.
     """
     x0, x1, y0, y1 = domain.box
     nx = max(int(round((x1 - x0) / h)) + 1, 4)
@@ -278,11 +293,7 @@ def _grid_energy(domain: RingDomain, h: float):
     ndof = int(ins.sum())
     index = np.full(ins.shape, -1, dtype=np.int64)
     index[ins] = np.arange(ndof)
-    potential = np.zeros(ins.shape)
-    potential[snd] = 1.0
 
-    diag = np.zeros(ndof)
-    rhs = np.zeros(ndof)
     inner_edges = []  # (dof, dof, conductance)
     fixed_edges = []  # (dof, conductance, boundary value)
 
@@ -312,12 +323,7 @@ def _grid_energy(domain: RingDomain, h: float):
         tw = transverse(mid, dperp)
 
         both = ins[a] & ins[b]
-        if both.any():
-            c = base * tw[both]
-            ia, ib = index[a][both], index[b][both]
-            inner_edges.append((ia, ib, c))
-            np.add.at(diag, ia, c)
-            np.add.at(diag, ib, c)
+        inner_edges.append((index[a][both], index[b][both], base * tw[both]))
 
         for sa, sb in ((a, b), (b, a)):
             cut = ins[sa] & (fst[sb] | snd[sb])
@@ -328,35 +334,74 @@ def _grid_energy(domain: RingDomain, h: float):
             _, theta = _bisect(lambda t: domain.inside(za + (zb - za) * t),
                                np.zeros(za.shape), np.ones(za.shape), 45)
             c = base * tw[cut] / np.maximum(theta, _THETA_MIN)
-            i = index[sa][cut]
-            val = potential[sb][cut]
-            np.add.at(diag, i, c)
-            np.add.at(rhs, i, c * val)
-            fixed_edges.append((i, c, val))
+            fixed_edges.append((index[sa][cut], c, snd[sb][cut].astype(float)))
 
-    if ndof == 0:
-        raise ValueError(f"no degrees of freedom at h={h}")
-    if inner_edges:
-        ia, ib, c = zip(*inner_edges)
-        off = sp.coo_matrix(
-            (-np.concatenate(c + c), (np.concatenate(ia + ib), np.concatenate(ib + ia))),
-            shape=(ndof, ndof)).tocsr()
-    else:
-        off = sp.csr_matrix((ndof, ndof))
-    A = off + sp.diags(diag)
-    M = sp.diags(1.0 / np.maximum(diag, 1e-300))
-    u, info = spla.cg(A, rhs, rtol=_CG_RTOL, atol=0.0, maxiter=50 * max(nx, ny), M=M)
+    ia, ib, c = inner_edges = tuple(map(np.concatenate, zip(*inner_edges)))
+    i, cf, val = fixed_edges = tuple(map(np.concatenate, zip(*fixed_edges)))
+    diag = np.bincount(ia, c, ndof) + np.bincount(ib, c, ndof) + np.bincount(i, cf, ndof)
+    off = sp.coo_matrix((np.concatenate([-c, -c]), (np.concatenate([ia, ib]),
+                                                    np.concatenate([ib, ia]))),
+                        shape=(ndof, ndof)).tocsr()
+    return off + sp.diags(diag), np.bincount(i, cf * val, ndof), ins, inner_edges, fixed_edges
+
+
+def _hierarchy(A, ins):
+    """Levels (A, 1/diag A, aggregate of each dof) and the coarsest LU.
+
+    Each level merges its dofs in 2x2 blocks of the grid ``ins`` halved once
+    per level; the next operator is P^T A P, P with one unit entry per row.
+    """
+    levels = []
+    r, c = np.nonzero(ins)
+    while A.shape[0] > _COARSEST:
+        key, agg = np.unique(r // 2 * ins.shape[1] + c // 2, return_inverse=True)
+        r, c = np.divmod(key, ins.shape[1])
+        P = sp.csr_matrix((np.ones(agg.size), (np.arange(agg.size), agg)),
+                          shape=(agg.size, key.size))
+        levels.append((A, 1.0 / A.diagonal(), agg))
+        A = (P.T @ A @ P).tocsr()
+    return levels, spla.splu(A.tocsc())
+
+
+def _vcycle(levels, coarse, r):
+    """One V-cycle on r from zero, damped Jacobi around the coarse correction:
+    symmetric positive definite in r, as conjugate gradients needs."""
+    if not levels:
+        return coarse.solve(r)
+    A, dinv, agg = levels[0]
+    u = _OMEGA * dinv * r
+    u += _vcycle(levels[1:], coarse, np.bincount(agg, weights=r - A @ u))[agg]
+    return u + _OMEGA * dinv * (r - A @ u)
+
+
+def _grid_energy(domain: RingDomain, h: float):
+    """Conductance of the network at spacing ~h, and its dof count.
+
+    The energy summed over the edges of the CG solution (relative residual
+    _CG_RTOL); either plate current that differs by _CURRENT_RTOL refuses it.
+    """
+    A, rhs, ins, inner, fixed = _assemble(domain, h)
+    levels, coarse = _hierarchy(A, ins)
+    M = spla.LinearOperator(A.shape, matvec=lambda r: _vcycle(levels, coarse, r))
+    maxiter = 50 * max(ins.shape)
+    u, info = spla.cg(A, rhs, rtol=_CG_RTOL, atol=0.0, maxiter=maxiter, M=M)
     if info != 0:
-        raise RuntimeError(f"conjugate gradient did not converge (info={info})")
+        res = np.linalg.norm(rhs - A @ u) / np.linalg.norm(rhs)
+        raise RuntimeError(f"conjugate gradient did not converge (info={info}) after "
+                           f"{info} iterations of maxiter={maxiter}; dof={A.shape[0]}, "
+                           f"h={h:g}, relative residual {res:.3e}")
 
-    energy = 0.0
-    for ia, ib, c in inner_edges:
-        du = u[ia] - u[ib]
-        energy += float(np.sum(c * du * du))
-    for i, c, val in fixed_edges:
-        du = u[i] - val
-        energy += float(np.sum(c * du * du))
-    return energy, ndof
+    (ia, ib, c), (i, cf, val) = inner, fixed
+    du, dv = u[ia] - u[ib], u[i] - val
+    energy = float(np.sum(c * du * du) + np.sum(cf * dv * dv))
+    # into the first plate (potential 0), out of the second (potential 1)
+    currents = (float(np.sum(cf * dv, where=val == 0.0)),
+                -float(np.sum(cf * dv, where=val == 1.0)))
+    if any(abs(cur - energy) > _CURRENT_RTOL * energy for cur in currents):
+        raise RuntimeError(
+            f"conductance {energy!r} disagrees with the plate currents "
+            f"{currents[0]!r} and {currents[1]!r} at h={h:g}")
+    return energy, A.shape[0]
 
 
 def grid_module_estimate(domain: RingDomain, h: float) -> ModulusEstimate:

@@ -264,6 +264,16 @@ class TestModulus:
         assert proc.returncode == 1
         assert "domain error" in proc.stderr
 
+    @pytest.mark.parametrize("text", ['{"kind": "annulus", "ratio": 1e400}',
+                                      '{"kind": "box_conductor", "width": 1e400}'])
+    def test_non_finite_parameter(self, tmp_path, text):
+        dom = tmp_path / "dom.json"
+        dom.write_text(text)
+        proc = run("modulus", "--domain", dom, "--h", 0.1)
+        assert proc.returncode == 1
+        assert "domain error" in proc.stderr and "finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_step_validation(self, tmp_path):
         dom = tmp_path / "dom.json"
         dom.write_text(json.dumps({"kind": "box_conductor", "width": 1.0, "height": 1.0}))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from tubeflux import (
     RingDomain,
@@ -16,6 +17,8 @@ from tubeflux import (
     max_log_radius,
     mobius_to_annulus,
 )
+from tubeflux import modulus
+from tubeflux.modulus import _assemble, _grid_energy, _hierarchy, _vcycle
 
 
 class TestClosedForms:
@@ -116,6 +119,8 @@ class TestDomainDescriptors:
             RingDomain.from_json({"kind": "box_conductor", "width": 0.0, "height": 1.0})
         with pytest.raises(ValueError, match="unknown domain kind"):
             RingDomain.from_json({"kind": "pretzel"})
+        with pytest.raises(ValueError, match="finite height"):
+            RingDomain.from_json({"kind": "box_conductor", "height": float("nan")})
 
 
 class TestGridEstimator:
@@ -171,6 +176,54 @@ class TestGridEstimator:
         dom = RingDomain.from_json({"kind": "annulus", "ratio": 535.0})
         with pytest.raises(ValueError, match="coarsen h"):
             grid_module_estimate(dom, 0.1)
+
+
+class TestGridSolver:
+    """The V-cycle-preconditioned conjugate gradient solve of the network."""
+
+    @pytest.mark.parametrize("domain, h", [
+        (RingDomain.comparison(1.0), 0.2),
+        (RingDomain.from_json({"kind": "annulus", "ratio": math.e}), 0.08),
+        (RingDomain.from_json({"kind": "box_conductor", "width": 2.0, "height": 1.0}), 0.1),
+    ])
+    def test_energy_matches_a_direct_solve(self, monkeypatch, domain, h):
+        energy, _ = _grid_energy(domain, h)
+        monkeypatch.setattr(modulus.spla, "cg",
+                            lambda A, b, **kw: (spla.spsolve(A.tocsc(), b), 0))
+        direct, _ = _grid_energy(domain, h)
+        assert abs(energy - direct) <= 1e-12 * direct
+
+    def test_preconditioner_is_symmetric_positive(self):
+        A, _, ins, _, _ = _assemble(RingDomain.comparison(1.0), 0.2)
+        levels, coarse = _hierarchy(A, ins)
+        assert len(levels) >= 2  # a real V-cycle, not only the direct solve
+        x, y = np.random.default_rng(6).standard_normal((2, A.shape[0]))
+        xMx, yMy = x @ _vcycle(levels, coarse, x), y @ _vcycle(levels, coarse, y)
+        assert xMx > 0.0 and yMy > 0.0
+        xMy, yMx = x @ _vcycle(levels, coarse, y), y @ _vcycle(levels, coarse, x)
+        assert abs(xMy - yMx) <= 1e-12 * math.sqrt(xMx * yMy)
+
+    def test_few_iterations_on_the_slit_domain(self, monkeypatch):
+        # Jacobi preconditioning took 1,041 here; the count grows like h^-1
+        cg, iters = modulus.spla.cg, []
+        monkeypatch.setattr(modulus.spla, "cg", lambda *a, **kw: cg(
+            *a, callback=lambda xk: iters.append(1), **kw))
+        _grid_energy(RingDomain.comparison(1.0), 0.1)
+        assert 0 < len(iters) <= 60
+
+    def test_unconverged_solve_reports_its_state(self, monkeypatch):
+        cg = modulus.spla.cg
+        monkeypatch.setattr(modulus.spla, "cg", lambda *a, **kw: cg(*a, **{**kw, "maxiter": 2}))
+        with pytest.raises(RuntimeError, match=r"\(info=2\) after 2 iterations of "
+                           r"maxiter=\d+; dof=\d+, h=0.2, relative residual \d"):
+            _grid_energy(RingDomain.comparison(1.0), 0.2)
+
+    def test_energy_off_the_plate_currents_is_refused(self, monkeypatch):
+        cg = modulus.spla.cg
+        monkeypatch.setattr(modulus.spla, "cg",
+                            lambda *a, **kw: (cg(*a, **{**kw, "maxiter": 2})[0], 0))
+        with pytest.raises(RuntimeError, match="disagrees with the plate currents"):
+            _grid_energy(RingDomain.comparison(1.0), 0.2)
 
 
 class TestCrossingWitness:
