@@ -3,7 +3,10 @@
 Quadrature on circles is the uniform trapezoid rule, which is spectrally
 accurate for integrands analytic in a neighbourhood of the circle.  When no
 node count is given, integrals start at N=1024 and double until two
-successive estimates agree, capped at N=65536.  An integrand may return a
+successive estimates agree (or differ by less than the rounding level of
+the sum, where QUAD_TOL is out of reach), capped at N=65536.  The levels
+nest, so each doubling evaluates the integrand on its new nodes only
+(Trefethen & Weideman, SIAM Rev. 2014).  An integrand may return a
 stack of k rows, one per component (the Weierstrass data returns its three);
 circle_integral then gives k integrals from one sample per level.  Path
 integrals use 32-node Gauss-Legendre panels, doubling from 1 to 256 panels
@@ -41,6 +44,8 @@ TWO_PI_I = 2j * math.pi
 DEFAULT_N = 1024
 MAX_N = 2 ** 16
 QUAD_TOL = 1e-11
+# a circle sum's rounding level is ROUND_EPS * (2 pi/n) sum |zeta h(zeta)|
+ROUND_EPS = 4.0 * np.finfo(float).eps
 
 # the probe's winding circles sit this fraction of ln R inside the rims
 PROBE_MARGIN = 0.02
@@ -187,26 +192,43 @@ def _circle_nodes(rho, n):
     return rho * np.exp(1j * theta)
 
 
-def _circle_sum(zeta, vals):
-    """Trapezoid rule for the integral over the circle sampled at the nodes zeta."""
-    return (TWO_PI_I / len(zeta)) * np.sum(zeta * vals)
+def _nested(h, rho):
+    """``sample(n)``: the n nodes on |z| = rho and h there.  When n doubles,
+    only the new odd nodes are evaluated: the even ones are the previous
+    level's bit for bit, so a pointwise h gives the sample of a fresh call."""
+    last = []
+
+    def sample(n):
+        zeta = _circle_nodes(rho, n)
+        if last and 2 * len(last[0]) == n:
+            new = h(zeta[1::2])
+            vals = np.empty(np.shape(new)[:-1] + (n,), np.result_type(last[1], new))
+            vals[..., ::2], vals[..., 1::2] = last[1], new
+        else:
+            vals = h(zeta)
+        last[:] = zeta, vals
+        return zeta, vals
+
+    return sample
 
 
 def _refine(quad, k, n, n_max, tol):
     """Double the resolution n until each of k estimates settles, capped at n_max.
 
     ``quad(n, live)`` returns the estimates at resolution n of the components
-    whose indices are listed in ``live``; an estimate of None ends that
-    component, which keeps None.  A component freezes at the first level whose
-    estimate differs from the one before by less than ``tol`` relative to its
-    magnitude; one that never settles keeps its estimate at n_max.
+    whose indices are listed in ``live``, and their floors; an estimate of
+    None ends that component, which keeps None.  A component freezes at the
+    first level whose estimate differs from the one before by less than
+    ``tol`` relative to its magnitude, or by less than its floor (a circle
+    sum's rounding level; 0 elsewhere); one that never settles keeps its
+    estimate at n_max.
     """
     est, live = [None] * k, list(range(k))
     while live:
         still = []
-        for i, cur in zip(live, quad(n, live)):
-            if cur is not None and n < n_max and (
-                    est[i] is None or not abs(cur - est[i]) < tol * (1.0 + abs(cur))):
+        for i, cur, floor in zip(live, *quad(n, live)):
+            if cur is not None and n < n_max and (est[i] is None or not abs(
+                    cur - est[i]) < max(tol * (1.0 + abs(cur)), floor)):
                 still.append(i)
             est[i] = cur
         live, n = still, 2 * n
@@ -218,7 +240,8 @@ def circle_integral(h, rho, n_points=None):
 
     With explicit ``n_points`` (even, >= 16) a single trapezoid pass is used;
     otherwise the node count doubles from 1024 until two successive estimates
-    differ by less than QUAD_TOL (relative to the magnitude), capped at 65536.
+    differ by less than QUAD_TOL (relative to the magnitude) or than the sum's
+    rounding level, capped at 65536, evaluating h on the new nodes only.
     When h returns a (k, n) stack for n nodes, the result is the array of k
     integrals, each kept at the level where it settled.
     """
@@ -232,16 +255,14 @@ def circle_integral(h, rho, n_points=None):
     else:
         n0 = n_max = int(n_points)
 
-    def sample(n):
-        zeta = _circle_nodes(rho, n)
-        return zeta, h(zeta)
-
+    sample = _nested(h, rho)
     first = sample(n0)  # its shape tells how many components h has
 
     def quad(n, live):
         zeta, vals = first if n == n0 else sample(n)
-        vals = np.reshape(vals, (-1, n))
-        return [_circle_sum(zeta, vals[i]) for i in live]
+        terms = [zeta * row for row in np.reshape(vals, (-1, n))[live]]
+        return ([(TWO_PI_I / n) * np.sum(w) for w in terms],
+                [ROUND_EPS * (2.0 * math.pi / n) * np.sum(np.abs(w)) for w in terms])
 
     if np.ndim(first[1]) == 1:
         return _refine(quad, 1, n0, n_max, QUAD_TOL)[0]
@@ -330,7 +351,7 @@ def _path_integrals(h, z0, ends):
         vals = h(np.concatenate([legs[i][0](t) for i in live]))
         m = len(t)
         return [np.sum(vals[j * m:(j + 1) * m] * legs[i][1](t) * weights)
-                for j, i in enumerate(live)]
+                for j, i in enumerate(live)], [0.0] * len(live)
 
     totals = [0.0 + 0.0j] * len(ends)
     for j, est in zip(owner, _refine(quad, len(legs), 1, 256, 1e-12)):
@@ -367,20 +388,20 @@ class ProbeReport:
     witness: tuple | None = None
     n_targets: int = 0
     notes: list = field(default_factory=list)
+    zero_notes: list = field(default_factory=list)  # the zero count's own retries
 
 
-def _winding_level(g, gprime, rho, ws, n, live):
-    """Argument-principle sums of g'/(g - w) over |z| = rho at n nodes, for the
-    targets ws[i], i in live, from one sample of g and g'.
+def _winding_level(sample, ws, n, live):
+    """Argument-principle sums of g'/(g - w) at n nodes of a circle, for the
+    targets ws[i], i in live, from the sample (g', g) = sample(n)[1].
 
     A target's sum is None when g - w vanishes at a node (or when the sample
     itself cannot be evaluated), and when w is not finite.
     """
-    zeta = _circle_nodes(rho, n)
     try:
-        dv, gv = gprime(zeta), g(zeta)
+        zeta, (dv, gv) = sample(n)
     except (EvalDomainError, ZeroDivisionError):
-        return [None] * len(live)
+        return [None] * len(live), [0.0] * len(live)
     sums = []
     for i in live:
         w = ws[i]
@@ -389,8 +410,8 @@ def _winding_level(g, gprime, rho, ws, n, live):
             continue
         with np.errstate(all="ignore"):  # an overflow shows as a non-finite sum
             den = gv if w is None else gv - w
-            sums.append(None if np.any(den == 0) else _circle_sum(zeta, dv / den))
-    return sums
+            sums.append(None if np.any(den == 0) else (TWO_PI_I / n) * np.sum(zeta * (dv / den)))
+    return sums, [0.0] * len(live)
 
 
 def _settled_integer(est):
@@ -426,7 +447,8 @@ def _windings(g, gprime, rho, ws):
                 notes[j].append(f"retry radius rho={r:.6g} leaves the annulus, "
                                 "winding left unsettled")
             break
-        quad = partial(_winding_level, g, gprime, r, [ws[j] for j in live])
+        sample = _nested(lambda z: np.array([gprime(z), g(z)]), r)
+        quad = partial(_winding_level, sample, [ws[j] for j in live])
         ests = _refine(quad, len(live), DEFAULT_N, MAX_N, 1e-8)
         still = []
         for j, est in zip(live, ests):
@@ -521,8 +543,9 @@ def univalence_probe(g, annulus=None):
             values.append(g(zt))
         except EvalDomainError:
             values.append(None)
-    (notes, zero_count), *excesses = _zero_excesses(
+    (zero_notes, zero_count), *excesses = _zero_excesses(
         g, gprime, annulus, [None] + [w for w in values if w is not None])
+    notes = list(zero_notes)
     excesses = iter(excesses)
     if zero_count is None:
         omits = "inconclusive"
@@ -559,4 +582,5 @@ def univalence_probe(g, annulus=None):
         witness=witness,
         n_targets=counted,
         notes=notes,
+        zero_notes=zero_notes,
     )

@@ -7,6 +7,8 @@ remaining sum over rows converges like q^(2|n|), so a 200-term cap keeps
 absolute error under 1e-12 for q <= 0.9.  The theta functions use the
 modular-flipped Gaussian-comb form instead of the q-series, which keeps them
 cancellation-free for nearly real arguments all the way up the nome range.
+The comb sums each point on its own, so a theta value does not depend, even
+in its last bit, on the other points evaluated with it.
 """
 
 from __future__ import annotations
@@ -117,36 +119,28 @@ def _lattice_constant(t):
     return total
 
 
-def wp(u, params):
-    """Weierstrass P at u (scalar or ndarray) on the lattice Z + i*t*Z."""
-    t = params.t
+def _lattice_rows(u, t, fn, name):
+    """_row_sum of fn at u reduced to the fundamental cell, refusing lattice
+    points, and a function that gives the result u's shape (complex for 0-d)."""
     arr = np.asarray(u, dtype=complex)
-    scalar = arr.ndim == 0
-    v = _reduce(arr.reshape(-1) if not scalar else arr.reshape(1), t)
+    v = _reduce(arr.reshape(-1), t)
     dist = np.abs(v)
     if np.any(dist < POLE_TOL):
-        bad = complex(np.asarray(arr).reshape(-1)[int(np.argmin(dist))])
-        raise LatticePointError(f"P evaluated within {POLE_TOL} of a lattice point (u={bad})")
-    out = math.pi ** 2 * _row_sum(v, t, _sin_m2) - _lattice_constant(t)
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.shape(u))
+        bad = complex(arr.reshape(-1)[int(np.argmin(dist))])
+        raise LatticePointError(f"{name} evaluated within {POLE_TOL} of a lattice point (u={bad})")
+    return _row_sum(v, t, fn), lambda out: complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def wp(u, params):
+    """Weierstrass P at u (scalar or ndarray) on the lattice Z + i*t*Z."""
+    rows, shaped = _lattice_rows(u, params.t, _sin_m2, "P")
+    return shaped(math.pi ** 2 * rows - _lattice_constant(params.t))
 
 
 def wp_prime(u, params):
     """Derivative of P; same conventions and guards as wp."""
-    t = params.t
-    arr = np.asarray(u, dtype=complex)
-    scalar = arr.ndim == 0
-    v = _reduce(arr.reshape(-1) if not scalar else arr.reshape(1), t)
-    dist = np.abs(v)
-    if np.any(dist < POLE_TOL):
-        bad = complex(np.asarray(arr).reshape(-1)[int(np.argmin(dist))])
-        raise LatticePointError(f"P' evaluated within {POLE_TOL} of a lattice point (u={bad})")
-    out = -2.0 * math.pi ** 3 * _row_sum(v, t, _cos_sin_m3)
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.shape(u))
+    rows, shaped = _lattice_rows(u, params.t, _cos_sin_m3, "P'")
+    return shaped(-2.0 * math.pi ** 3 * rows)
 
 
 def _theta_nulls(q):
@@ -177,26 +171,36 @@ def _gauss_comb(v, q, half_step, deriv):
     0 * inf from q'^(n^2) against sinh overflow, and -- unlike the direct
     series -- no cancellation for nearly real v as q -> 1.  Gaussians decay
     in O(sqrt(t)) lattice steps, so a handful of terms suffice at every q.
+
+    Each point walks out from its nearest tooth m0 (d = v - pi*m0): the ratio
+    to the next tooth out starts at exp((+-2d - pi)/t) and shrinks by
+    exp(-2 pi/t) a step, until the Gaussians fall below 1e-18 of the largest
+    (~exp(y^2/(pi t))).  Three complex exps a point, and no batch dependence.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"nome must satisfy 0 < q < 1, got {q}")
     t = -math.log(q) / math.pi
     arr = np.asarray(v, dtype=complex)
-    x = arr.real
-    # keep every Gaussian down to 1e-18 relative to the largest (~exp(y^2/(pi t)))
-    width = math.sqrt(math.pi * t * 42.0 + float(np.max(arr.imag ** 2, initial=0.0)))
-    lo = math.floor((float(np.min(x, initial=0.0)) - width) / math.pi - half_step)
-    hi = math.ceil((float(np.max(x, initial=0.0)) + width) / math.pi - half_step)
-    total = np.zeros(arr.shape, dtype=complex)
-    for n in range(lo, hi + 1):
-        m = n + half_step
-        sign = 1.0 if not half_step else (1.0 if n % 2 == 0 else -1.0)
-        d = arr - math.pi * m
-        term = np.exp(-d * d / (math.pi * t))
-        if deriv:
-            term = term * (-2.0 * d / (math.pi * t))
-        total = total + sign * term
-    return total / math.sqrt(t)
+    # a 0-d input goes through the array loops too: numpy's scalar complex
+    # multiply rounds differently
+    n0 = np.rint(arr.real.reshape(-1) / math.pi - half_step)
+    d = arr.reshape(-1) - math.pi * (n0 + half_step)
+    reach = np.ceil(np.sqrt(math.pi * t * 42.0 + d.imag ** 2) / math.pi + 0.5)
+    hi = lo = np.exp(-d * d / (math.pi * t))
+    up, down = np.exp((2.0 * d - math.pi) / t), np.exp((-2.0 * d - math.pi) / t)
+    if half_step:  # s(m) alternates in sign, starting from s(m0)
+        hi = lo = np.where(n0 % 2.0 == 0.0, hi, -hi)
+        up, down = -up, -down
+    kappa = math.exp(-2.0 * math.pi / t)
+    total = hi * d if deriv else hi
+    for k in range(1, int(reach.max(initial=0.0)) + 1):
+        hi, lo = hi * up, lo * down
+        up, down = up * kappa, down * kappa
+        step = hi * (d - math.pi * k) + lo * (d + math.pi * k) if deriv else hi + lo
+        total = total + step if reach.min() >= k else np.where(reach >= k, total + step, total)
+    if deriv:
+        total = total * (-2.0 / (math.pi * t))
+    return (total / math.sqrt(t)).reshape(arr.shape)
 
 
 def theta1(v, q):

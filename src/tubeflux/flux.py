@@ -157,10 +157,12 @@ def lifetime_report(tube, probe=None) -> LifetimeReport:
 
     The bound needs a univalent Gauss map; if the probe reports a violation
     the verdict is withheld and the report says why.  Pass a precomputed
-    ProbeReport to skip the (comparatively expensive) probe.
+    ProbeReport to skip the (comparatively expensive) probe; without one, the
+    probe that tube_from_gauss ran (``tube.data.probe``) is used when there is
+    one.
     """
     if probe is None:
-        probe = univalence_probe(tube.data.g, tube.annulus)
+        probe = tube.data.probe or univalence_probe(tube.data.g, tube.annulus)
     life = lifetime(tube)
     bound = lifetime_bound(tube.flux)
     if probe.univalent == "violated":

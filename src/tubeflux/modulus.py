@@ -128,10 +128,14 @@ class RingDomain:
         kind = obj["kind"]
 
         def number(key, default):
-            x = float(obj.get(key, default))
+            raw = obj.get(key, default)
+            try:
+                x = float(raw)
+            except (TypeError, ValueError):  # null, a list, an object, a word
+                x = math.nan
             if math.isfinite(x):
                 return x
-            raise ValueError(f"{kind} descriptor needs a finite {key}, got {x!r}")
+            raise ValueError(f"{kind} descriptor needs a finite {key}, got {raw!r}")
         if kind == "annulus":
             ratio = number("ratio", 0.0)
             if not ratio > 1.0:
@@ -429,6 +433,10 @@ def grid_module_estimate(domain: RingDomain, h: float) -> ModulusEstimate:
 
 # --- boundary crossing witnesses -------------------------------------------
 
+# crossing residuals closer than this many ulps of |t| |d fn/dt| + |lam| tie
+_TIE_EPS = 4.0 * np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class CrossingWitness:
     t1: float
@@ -437,42 +445,49 @@ class CrossingWitness:
     residual2: float
 
 
+def _crossings(fn, lam):
+    """Roots of fn on [0, 2 pi) in bracket order (one per sign change among
+    512 scan angles), their residuals |fn|, and which tie with the smallest:
+    near the rims the residual floor is |d fn/dt| * eps, so residuals within
+    _TIE_EPS (|t| |d fn/dt| + |lam|) of it tie (slope from the scan bracket).
+    None when the scan finds no sign change."""
+    t = 2.0 * math.pi * (np.arange(512) + 0.5) / 512
+    f = fn(t)
+    k = np.nonzero(np.sign(f) * np.sign(np.roll(f, -1)) <= 0.0)[0]
+    if not k.size:
+        return None
+    lo, hi = t[k], np.append(t[1:], t[0] + 2.0 * math.pi)[k]
+    # all brackets at once; lo keeps the sign fn has at the bracket's start
+    neg = f[k] <= 0.0
+    lo, hi = _bisect(lambda mid: (fn(mid) <= 0.0) == neg, lo, hi, 80)
+    roots = (0.5 * (lo + hi)) % (2.0 * math.pi)
+    resid = np.abs(fn(roots))
+    slope = np.abs(np.roll(f, -1) - f)[k] * (512 / (2.0 * math.pi))
+    return roots, resid, resid <= resid.min() + _TIE_EPS * (roots * slope + abs(lam))
+
+
 def crossing_witness(g: HoloFn, rho: float, lam: float) -> CrossingWitness:
     """Angles where the section trace crosses the two balance loci.
 
     Finds t1 with Re g(rho e^{i t1}) = lam and t2 with Re(1/g)(rho e^{i t2})
-    = -lam by sign scanning at 512 angles plus bisection.  Both crossings
+    = -lam by sign scanning at 512 angles plus bisection, and reports the
+    first root whose residual ties with the smallest.  Both crossings
     exist whenever the means a0[g] = lam, a0[1/g] = -lam hold: a continuous
     function whose circle mean is zero changes sign.  Geometrically, the
     curve g(C_rho) meets the line Re w = lam, and meets the circle
     |w + 1/(2 lam)| = 1/(2 lam) (which is Re(1/w) = -lam rewritten).
     """
-    t = 2.0 * math.pi * (np.arange(512) + 0.5) / 512
-
     def locate(fn, label):
-        s = np.sign(fn(t))
-        k = np.nonzero(s[:-1] * s[1:] <= 0.0)[0]
-        lo, hi = t[k], t[k + 1]
-        if s[-1] * s[0] <= 0.0:
-            lo, hi = np.append(lo, t[-1]), np.append(hi, t[0] + 2.0 * math.pi)
-        if not lo.size:
+        found = _crossings(fn, lam)
+        if found is None:
             m = complex(a0(g, rho=rho))
             minv = complex(a0(1 / g, rho=rho))
             raise ValueError(
                 f"no sign change for {label} at rho={rho}: the balance "
                 f"residuals are a0[g]-lam={m - lam:.3e}, "
                 f"a0[1/g]+lam={minv + lam:.3e}")
-        # all brackets at once; lo keeps the sign fn has at the bracket's start
-        neg = fn(lo) <= 0.0
-        lo, hi = _bisect(lambda mid: (fn(mid) <= 0.0) == neg, lo, hi, 80)
-        roots = (0.5 * (lo + hi)) % (2.0 * math.pi)
-        # near the rims some crossings sit on the near-pole stretch of the
-        # trace, where the residual floor is |d/dt| * eps; keep the cleanest,
-        # the first one on ties.  Each residual is evaluated alone: the theta
-        # comb sizes its sum to the whole argument array, so a batched value
-        # can differ in the last bits and flip a near-tie.
-        resid = [abs(fn(root)) for root in roots]
-        best = int(np.argmin(resid))
+        roots, resid, tied = found
+        best = int(np.argmax(tied))
         return float(roots[best]), float(resid[best])
 
     t1, r1 = locate(lambda tt: np.real(g(rho * np.exp(1j * tt))) - lam, "Re g = lam")

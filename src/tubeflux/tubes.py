@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .contour import (
-    GL_NODES, GL_WEIGHTS, Annulus, HoloFn, _merge_annuli, _path_integrals, _zero_excesses,
-    a0, circle_integral, path_integral,
+    GL_NODES, GL_WEIGHTS, Annulus, HoloFn, ProbeReport, _merge_annuli, _path_integrals,
+    a0, circle_integral, path_integral, univalence_probe,
 )
 from .flux import _flux_from_loops
 
@@ -65,6 +65,8 @@ class WeierstrassData:
     g: HoloFn
     annulus: Annulus
     flux_constant: float | None = None
+    # tube_from_gauss's univalence probe, which lifetime_report reuses
+    probe: ProbeReport | None = field(default=None, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         merged = _merge_annuli(self.f.annulus, self.g.annulus)
@@ -147,36 +149,32 @@ def flux_from_means(g: HoloFn, c: float, rho=1.0):
     ])
 
 
-def _omission_check(g: HoloFn, annulus: Annulus):
-    """Fail loudly when g has zeros (or a zero/pole imbalance) in the annulus."""
-    [(notes, excess)] = _zero_excesses(g, g.derivative(), annulus, [None])
-    if excess is None:
-        raise NotATubeError(
-            "cannot certify that the Gauss map omits zero: winding integrals "
-            f"did not settle ({'; '.join(notes) or 'no diagnostics'})")
-    if excess != 0:
-        raise NotATubeError(
-            f"Gauss map has zero/pole excess {excess} inside the annulus; "
-            "the data cannot describe a tube")
-
-
 def tube_from_gauss(g: HoloFn, c: float, annulus: Annulus | None = None,
                     check_omission=True) -> WeierstrassData:
     """Weierstrass data with f = c/(2zg), so the vertical flux is 2 pi c exactly.
 
-    g must omit zero on the annulus (checked by winding unless the caller
-    already knows); c > 0 sets the vertical scale.
+    g must omit zero on the annulus; c > 0 sets the vertical scale.  Unless
+    the caller already knows, the zero count of univalence_probe checks it,
+    and the whole probe report is kept on the data (``data.probe``), so that
+    lifetime_report does not probe the same circles again.
     """
     ann = _merge_annuli(annulus, g.annulus)
     if ann is None:
         raise ValueError("tube_from_gauss needs an annulus")
     if not (c > 0.0):
         raise ValueError(f"flux constant must be positive, got c={c}")
-    if check_omission:
-        _omission_check(g, ann)
+    probe = univalence_probe(g, ann) if check_omission else None
+    if probe is not None and probe.zero_count is None:
+        raise NotATubeError(
+            "cannot certify that the Gauss map omits zero: winding integrals "
+            f"did not settle ({'; '.join(probe.zero_notes) or 'no diagnostics'})")
+    if probe is not None and probe.zero_count != 0:
+        raise NotATubeError(
+            f"Gauss map has zero/pole excess {probe.zero_count} inside the annulus; "
+            "the data cannot describe a tube")
     z = HoloFn.var(ann)
     f = (0.5 * c) / (z * g)
-    return WeierstrassData(f=f, g=g, annulus=ann, flux_constant=c)
+    return WeierstrassData(f=f, g=g, annulus=ann, flux_constant=c, probe=probe)
 
 
 # --- the tube object -------------------------------------------------------

@@ -265,7 +265,9 @@ class TestModulus:
         assert "domain error" in proc.stderr
 
     @pytest.mark.parametrize("text", ['{"kind": "annulus", "ratio": 1e400}',
-                                      '{"kind": "box_conductor", "width": 1e400}'])
+                                      '{"kind": "box_conductor", "width": 1e400}',
+                                      '{"kind": "annulus", "ratio": null}',
+                                      '{"kind": "box_conductor", "width": [1]}'])
     def test_non_finite_parameter(self, tmp_path, text):
         dom = tmp_path / "dom.json"
         dom.write_text(text)

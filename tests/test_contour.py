@@ -15,6 +15,7 @@ from tubeflux import (
     path_integral,
     univalence_probe,
 )
+from tubeflux import contour, tube_from_gauss
 from tubeflux.expr import ExprError
 
 ANN = Annulus(2.0)
@@ -75,6 +76,47 @@ class TestCircleIntegral:
         fixed = circle_integral(h, 1.0, n_points=512)
         auto = circle_integral(h, 1.0)
         assert abs(fixed - auto) < 1e-12
+
+
+def count_levels(monkeypatch):
+    """Record the node count of every circle sample taken from here on."""
+    levels, nodes = [], contour._circle_nodes
+
+    def counted(rho, n):
+        levels.append(n)
+        return nodes(rho, n)
+
+    monkeypatch.setattr(contour, "_circle_nodes", counted)
+    return levels
+
+
+class TestNestedLevels:
+    """Each doubling samples h on the new nodes only; the sums are unchanged."""
+
+    @pytest.mark.parametrize("q", [0.1, 0.72])
+    def test_reuse_equals_one_level_where_it_settled(self, candidate, monkeypatch, q):
+        levels = count_levels(monkeypatch)
+        g = candidate(q).g
+        for h in (g, 1 / g):
+            levels.clear()
+            got = circle_integral(h, 1.0)
+            assert got == circle_integral(h, 1.0, n_points=max(levels))
+
+    @pytest.mark.parametrize("q", [0.0025, 0.1, 0.33])
+    def test_slit_loop_integrals_keep_their_levels(self, candidate, monkeypatch, q):
+        data = tube_from_gauss(candidate(q).g, 1.0, check_omission=False)
+        levels = count_levels(monkeypatch)
+        circle_integral(data, 1.0)
+        assert levels == [1024, 2048]
+
+    def test_noise_limited_loop_integrals_stop_at_the_rounding_floor(
+            self, candidate, monkeypatch):
+        # at q = 0.72 the phi_2 deltas (2e-11 .. 6e-11) never meet QUAD_TOL
+        # but sit below the sum's rounding level (about 1.2e-10 per eps)
+        data = tube_from_gauss(candidate(0.72).g, 1.0, check_omission=False)
+        levels = count_levels(monkeypatch)
+        circle_integral(data, 1.0)
+        assert max(levels) <= 4096
 
 
 class TestLaurentCoefficients:

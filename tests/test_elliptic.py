@@ -65,13 +65,18 @@ class TestThetaValues:
                 assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref)), (q, v, kind)
 
     def test_vector_evaluation_matches_scalar(self):
-        # the summation window adapts to the whole batch, so agreement is
-        # to roundoff rather than bit-exact
-        q = 0.4
-        vs = np.array([0.3 + 0.1j, -1.2 + 0.4j, 2.0 + 0.0j])
-        batch = theta1(vs, q)
-        singles = np.array([theta1(v, q) for v in vs])
-        assert np.allclose(batch, singles, rtol=1e-14, atol=1e-14)
+        # each point is summed on its own, so batching changes no bit; the
+        # points span several teeth and reach above the strip, where the
+        # number of teeth varies within the batch
+        rng = np.random.default_rng(7)
+        for q in (0.0025, 0.1, 0.72, 0.95):
+            t = -math.log(q) / math.pi
+            vs = rng.uniform(-4.0, 4.0, 40) + 1j * math.pi * t * rng.uniform(-0.5, 3.0, 40)
+            for fn in (theta1, theta3, theta1_prime, theta3_prime):
+                batch = fn(vs, q)
+                assert list(batch) == [fn(complex(v), q) for v in vs], (q, fn.__name__)
+                assert list(batch) == [fn(np.asarray(v), q) for v in vs], (q, fn.__name__)
+                assert np.array_equal(fn(vs.reshape(5, 8), q), batch.reshape(5, 8))
 
     def test_scalar_input_returns_complex(self):
         assert isinstance(theta3(0.2, 0.3), complex)

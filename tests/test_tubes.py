@@ -21,8 +21,11 @@ from tubeflux import (
     joukowski_map,
     period_defect,
     section_polyline,
+    lifetime_report,
     tube_from_gauss,
+    univalence_probe,
 )
+from tubeflux import flux, tubes
 
 ANN = Annulus(2.0)
 
@@ -77,8 +80,27 @@ class TestSynthesis:
 
     def test_unsettled_omission_check_is_rejected(self):
         ann = Annulus(1.1)
-        with pytest.raises(NotATubeError, match="cannot certify .* leaves the annulus"):
+        with pytest.raises(NotATubeError, match="cannot certify .* leaves the annulus") as info:
             tube_from_gauss(HoloFn.var(ann) - ann.R ** 0.98, 1.0)
+        # the zero count's own retry notes, as when the check ran alone
+        assert str(info.value) == (
+            "cannot certify that the Gauss map omits zero: winding integrals did not "
+            "settle (winding at rho=1.09791 inconclusive, perturbing; retry radius "
+            "rho=1.1001 leaves the annulus, winding left unsettled)")
+
+    def test_tube_and_report_probe_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return univalence_probe(*args)
+
+        monkeypatch.setattr(tubes, "univalence_probe", counted)
+        monkeypatch.setattr(flux, "univalence_probe", counted)
+        data = tube_from_gauss(holo("z + 0.2/z"), 1.0)
+        rep = lifetime_report(MinimalTube(data))
+        assert len(calls) == 1 and rep.probe is data.probe
+        assert data.probe.zero_count == 0 and rep.hypothesis == "ok"
 
     def test_annulus_mismatch_between_f_and_g(self):
         f = HoloFn.parse("1", Annulus(2.0))
