@@ -7,13 +7,13 @@ layer estimates conformal modules of ring domains and constructs the
 two-slit candidate maps that are expected to saturate the annulus bound.
 """
 
-from .contour import Annulus, HoloFn, ProbeReport, a0, circle_integral, \
-    laurent_coeff, path_integral, univalence_probe
+from .contour import Annulus, HoloFn, ProbeReport, a0, a0_pair, \
+    circle_integral, laurent_coeff, path_integral, univalence_probe
 from .elliptic import EllipticParams, LatticePointError, theta1, \
     theta1_prime, theta3, theta3_prime, wp, wp_prime
 from .expr import ExprError, ExprSyntaxError
-from .flux import FluxVector, Lifetime, LifetimeReport, Tilt, flux_vector, \
-    lifetime, lifetime_bound, lifetime_report, tilt_params
+from .flux import FluxVector, Lifetime, LifetimeReport, flux_vector, \
+    lifetime, lifetime_bound, lifetime_report
 from .modulus import CrossingWitness, ModulusEstimate, RingDomain, \
     circle_family_module, comparison_ring_module, \
     crossing_witness, grid_module_estimate, joining_family_module, \
@@ -22,20 +22,20 @@ from .slitmap import CalibrationError, FamilyBalanceError, OmissionViolation, \
     SlitMapCandidate, SweepResult, SweepRow, boundary_reality, \
     calibrate_candidate, conjecture_sweep, joukowski_family, joukowski_map, \
     slit_annulus_map
-from .tubes import MinimalTube, NotATubeError, WeierstrassData, a0_pair, \
+from .tubes import MinimalTube, NotATubeError, WeierstrassData, \
     defect_from_means, enneper_F, flux_from_means, immerse, isotropy_defect, \
     period_defect, section_polyline, tube_from_gauss
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Annulus", "HoloFn", "ProbeReport", "a0", "circle_integral",
+    "Annulus", "HoloFn", "ProbeReport", "a0", "a0_pair", "circle_integral",
     "laurent_coeff", "path_integral", "univalence_probe",
     "EllipticParams", "LatticePointError", "theta1", "theta1_prime",
     "theta3", "theta3_prime", "wp", "wp_prime",
     "ExprError", "ExprSyntaxError",
-    "FluxVector", "Lifetime", "LifetimeReport", "Tilt", "flux_vector",
-    "lifetime", "lifetime_bound", "lifetime_report", "tilt_params",
+    "FluxVector", "Lifetime", "LifetimeReport", "flux_vector",
+    "lifetime", "lifetime_bound", "lifetime_report",
     "CrossingWitness", "ModulusEstimate", "RingDomain",
     "circle_family_module", "comparison_ring_module",
     "crossing_witness", "grid_module_estimate", "joining_family_module",
@@ -44,7 +44,7 @@ __all__ = [
     "SlitMapCandidate", "SweepResult", "SweepRow", "boundary_reality",
     "calibrate_candidate", "conjecture_sweep", "joukowski_family",
     "joukowski_map", "slit_annulus_map",
-    "MinimalTube", "NotATubeError", "WeierstrassData", "a0_pair",
+    "MinimalTube", "NotATubeError", "WeierstrassData",
     "defect_from_means", "enneper_F", "flux_from_means", "immerse",
     "isotropy_defect", "period_defect", "section_polyline",
     "tube_from_gauss",

@@ -215,15 +215,14 @@ def cmd_analyze(args) -> int:
         return _emit(report, args.out, status=2)
 
     rep = lifetime_report(tube)
-    probe = rep.probe
     report = {
         "config": echo,
         "verdict": "tube" if rep.hypothesis != "univalence violated"
                    else "not a tube",
         "defect": [float(d) for d in tube.defect],
         "closed": tube.is_closed,
-        "univalent": probe.univalent if probe is not None else "inconclusive",
-        "omits_zero": probe.omits_zero if probe is not None else "inconclusive",
+        "univalent": rep.probe.univalent,
+        "omits_zero": rep.probe.omits_zero,
         "Q": [tube.flux.J1, tube.flux.J2, tube.flux.J3],
         "alpha": tube.flux.alpha,
         "tan_alpha": abs(tube.flux.w),

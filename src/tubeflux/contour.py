@@ -6,13 +6,13 @@ node count is given, integrals start at N=1024 and double until two
 successive estimates agree (or differ by less than the rounding level of
 the sum, where QUAD_TOL is out of reach), capped at N=65536.  The levels
 nest, so each doubling evaluates the integrand on its new nodes only
-(Trefethen & Weideman, SIAM Rev. 2014).  An integrand may return a
-stack of k rows, one per component (the Weierstrass data returns its three);
-circle_integral then gives k integrals from one sample per level.  Path
-integrals use 32-node Gauss-Legendre panels, doubling from 1 to 256 panels
-per leg.  One routine, ``_refine``, does all of this doubling; it refines a
-vector of estimates that share one sample per level, and each estimate
-stops at its own level.
+(Trefethen & Weideman, SIAM Rev. 2014).  Path integrals use 32-node
+Gauss-Legendre panels, doubling from 1 to 256 panels per leg.  Circle and
+path integrands may return a stack of k rows (the Weierstrass triple, or
+a0_pair's [g, 1/g]), giving k integrals from one sample per level.  One
+routine, ``_refine``, does all of this doubling; it refines a vector of
+estimates that share one sample per level, and each estimate stops at its
+own level.
 
 The univalence probe counts zeros and preimages by the argument principle
 on two circles.  It works level-major: at each trapezoid level it samples g
@@ -31,12 +31,12 @@ import numpy as np
 
 from .expr import (
     Add, Const, Div, EvalDomainError, Mul, Neg, Opaque, Pow, Sub, Var,
-    differentiate, evaluate, parse, to_string,
+    _first_bad, differentiate, evaluate, parse, to_string,
 )
 
 __all__ = [
     "Annulus", "HoloFn", "ProbeReport", "circle_integral", "laurent_coeff",
-    "a0", "path_integral", "univalence_probe",
+    "a0", "a0_pair", "path_integral", "univalence_probe",
 ]
 
 TWO_PI_I = 2j * math.pi
@@ -110,12 +110,8 @@ class HoloFn:
         return cls(Var(), annulus)
 
     @classmethod
-    def constant(cls, value, annulus):
-        return cls(Const(complex(value)), annulus)
-
-    @classmethod
     def from_callable(cls, name, fn, annulus, deriv=None):
-        """Wrap a vectorised numeric callable; ``deriv`` is a node or node factory."""
+        """Wrap a vectorised numeric callable; ``deriv`` is its derivative's node."""
         return cls(Opaque(name, fn, deriv), annulus)
 
     def __call__(self, z):
@@ -284,6 +280,21 @@ def a0(h, rho=1.0):
     return laurent_coeff(h, 0, rho)
 
 
+def a0_pair(g, rho=1.0):
+    """The circle means (a0[g], a0[1/g]), from one sample [g, 1/g] per level."""
+    _check_rho(g, rho)
+
+    def pair(zeta):
+        v = g(zeta)
+        bad = _first_bad(v == 0, zeta)  # the check evaluating 1/g makes
+        if bad is not None:
+            raise EvalDomainError("division by zero", bad)
+        with np.errstate(all="ignore"):
+            return np.stack([v, 1 / v])
+
+    return tuple(laurent_coeff(pair, 0, rho))
+
+
 # --- path integrals --------------------------------------------------------
 
 # 32-node Gauss-Legendre rule on [0, 1]
@@ -333,8 +344,9 @@ def _path_integrals(h, z0, ends):
     """Integrals of h along the canonical paths from z0 to each point of ends.
 
     The legs of all paths refine together: each panel level evaluates h once,
-    on the Gauss-Legendre nodes of every leg still refining, and each leg
-    stops at its own level (1 to 256 panels).
+    on the Gauss-Legendre nodes of every leg still refining, and each
+    component of each leg stops at its own level (1 to 256 panels).  When h
+    returns a (k, n) stack for n nodes, each path's integral is an array of k.
     """
     z0 = complex(z0)
     ends = [complex(z1) for z1 in ends]
@@ -345,34 +357,40 @@ def _path_integrals(h, z0, ends):
             legs.append(leg)
             owner.append(j)
 
-    def quad(panels, live):
+    def sample(panels, used):
         t = ((np.arange(panels)[:, None] + GL_NODES[None, :]) / panels).ravel()
+        # with no legs, one value at z0 still tells how many components h has
+        z = np.concatenate([legs[i][0](t) for i in used]) if used else np.array([z0])
+        return t, h(z)
+
+    first = sample(1, range(len(legs)))
+    stacked = np.ndim(first[1]) > 1
+    k = len(first[1]) if stacked else 1
+
+    def quad(panels, live):  # estimate e is component e % k of leg e // k
+        used = sorted({e // k for e in live})
+        t, vals = first if panels == 1 else sample(panels, used)
+        vals = np.reshape(vals, (k, len(used), -1))
         weights = np.tile(GL_WEIGHTS, panels) / panels
-        vals = h(np.concatenate([legs[i][0](t) for i in live]))
-        m = len(t)
-        return [np.sum(vals[j * m:(j + 1) * m] * legs[i][1](t) * weights)
-                for j, i in enumerate(live)], [0.0] * len(live)
+        return [np.sum(vals[e % k, used.index(e // k)] * legs[e // k][1](t) * weights)
+                for e in live], [0.0] * len(live)
 
-    totals = [0.0 + 0.0j] * len(ends)
-    for j, est in zip(owner, _refine(quad, len(legs), 1, 256, 1e-12)):
-        totals[j] += est
-    return totals
+    totals = np.zeros((len(ends), k), dtype=complex)
+    for e, est in enumerate(_refine(quad, k * len(legs), 1, 256, 1e-12)):
+        totals[owner[e // k], e % k] += est
+    return list(totals) if stacked else list(totals[:, 0])
 
 
-def path_integral(F, z0, z1):
-    """Integrate a component triple along the canonical arc-then-radial path.
+def path_integral(h, z0, z1):
+    """Integrate h along the canonical arc-then-radial path from z0 to z1.
 
-    Both endpoints must lie strictly inside the common annulus; the canonical
-    path then stays inside automatically.  The arc takes the shorter angular
-    gap, with the half-turn tie resolved counterclockwise, so multivalued
-    primitives are reproducible.
+    Both endpoints must lie strictly inside h's annulus; the canonical path
+    then stays inside automatically.  The arc takes the shorter angular gap,
+    with the half-turn tie resolved counterclockwise, so multivalued
+    primitives are reproducible.  A stacked h (WeierstrassData) gives one
+    integral per row.
     """
-    comps = list(F)
-    ann = None
-    for c in comps:
-        ann = _merge_annuli(ann, getattr(c, "annulus", None))
-    _check_ends(ann, complex(z0), [complex(z1)])
-    return np.array([_path_integrals(c, z0, [z1])[0] for c in comps], dtype=complex)
+    return _path_integrals(h, z0, [z1])[0]
 
 
 # --- univalence probe ------------------------------------------------------

@@ -113,9 +113,8 @@ class Opaque:
     """Numeric leaf: a named callable with an optional derivative hook.
 
     ``fn`` maps a complex ndarray to a complex ndarray.  ``deriv`` is either
-    None (differentiation raises), a node, or a zero-argument callable
-    producing a node on first use.  Lets series-backed functions live in the
-    same trees as parsed expressions.
+    None (differentiation raises) or the derivative's node.  Lets
+    series-backed functions live in the same trees as parsed expressions.
     """
     name: str
     fn: object
@@ -276,12 +275,8 @@ def differentiate(node):
     if isinstance(node, Opaque):
         if node.deriv is None:
             raise ExprError(f"no derivative available for {node.name}")
-        d = node.deriv
-        return d() if callable(d) and not isinstance(d, _NODE_TYPES) else d
+        return node.deriv
     raise ExprError(f"unknown node {node!r}")
-
-
-_NODE_TYPES = (Const, Var, Add, Sub, Mul, Div, Neg, Pow, Exp, Log, Opaque)
 
 
 # --- printing --------------------------------------------------------------

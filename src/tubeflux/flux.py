@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import circle_integral, univalence_probe
+from .contour import ProbeReport, circle_integral, univalence_probe
 
 __all__ = [
-    "FluxVector", "Tilt", "Lifetime", "LifetimeReport",
-    "flux_vector", "tilt_params", "lifetime", "lifetime_bound",
+    "FluxVector", "Lifetime", "LifetimeReport",
+    "flux_vector", "lifetime", "lifetime_bound",
     "lifetime_report",
 ]
 
@@ -98,18 +98,6 @@ def flux_vector(data, rho=1.0, n_points=None) -> FluxVector:
 
 
 @dataclass(frozen=True)
-class Tilt:
-    w: complex
-    alpha: float
-    theta: float
-
-
-def tilt_params(Q: FluxVector) -> Tilt:
-    """Tilt data of the flow vector: w = (J1+iJ2)/J3, alpha = arctan|w|, theta = arg w."""
-    return Tilt(w=Q.w, alpha=Q.alpha, theta=Q.theta)
-
-
-@dataclass(frozen=True)
 class Lifetime:
     measured: float
     from_flux: float
@@ -149,7 +137,7 @@ class LifetimeReport:
     satisfied: bool | None
     margin: float | None
     hypothesis: str
-    probe: object = None
+    probe: ProbeReport
 
 
 def lifetime_report(tube, probe=None) -> LifetimeReport:

@@ -26,7 +26,7 @@ import scipy.ndimage as ndi
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .contour import Annulus, HoloFn, a0
+from .contour import Annulus, HoloFn, a0_pair
 
 __all__ = [
     "RingDomain", "ModulusEstimate", "MobiusToAnnulus", "CrossingWitness",
@@ -480,8 +480,7 @@ def crossing_witness(g: HoloFn, rho: float, lam: float) -> CrossingWitness:
     def locate(fn, label):
         found = _crossings(fn, lam)
         if found is None:
-            m = complex(a0(g, rho=rho))
-            minv = complex(a0(1 / g, rho=rho))
+            m, minv = a0_pair(g, rho=rho)
             raise ValueError(
                 f"no sign change for {label} at rho={rho}: the balance "
                 f"residuals are a0[g]-lam={m - lam:.3e}, "

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contour import Annulus, HoloFn, a0
+from .contour import Annulus, HoloFn, a0_pair
 from .elliptic import EllipticParams, theta1, theta1_prime, theta3, theta3_prime
 from .expr import Opaque
 from .modulus import max_log_radius
@@ -103,17 +103,20 @@ def slit_annulus_map(params: EllipticParams) -> SlitMapCandidate:
                             slit_neg=-a_geo, slit_pos=1.0 / a_geo)
 
 
-def boundary_reality(cand: SlitMapCandidate, n: int = 256) -> dict:
+RIM_SAMPLES = 256
+
+
+def boundary_reality(cand: SlitMapCandidate) -> dict:
     """Worst deviation of the rim traces from the real axis.
 
-    Samples midpoints of n equal arcs on each rim (avoiding the lattice
-    points, where the map degenerates to 0 or infinity) and reports the
-    largest |Im g| and largest |Im g|/(1+|g|).  The relative figure is the
+    Samples midpoints of RIM_SAMPLES equal arcs on each rim (avoiding the
+    lattice points, where the map degenerates to 0 or infinity) and reports
+    the largest |Im g| and largest |Im g|/(1+|g|).  The relative figure is the
     meaningful one near the rim pole, where |g| is enormous and the absolute
     imaginary part is pure cancellation noise.
     """
     R = cand.params.ring_radius
-    t = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+    t = 2.0 * math.pi * (np.arange(RIM_SAMPLES) + 0.5) / RIM_SAMPLES
     worst_abs = 0.0
     worst_rel = 0.0
     for rho in (R, 1.0 / R):
@@ -140,8 +143,7 @@ def calibrate_candidate(q) -> SlitMapCandidate:
 
     params = q if isinstance(q, EllipticParams) else EllipticParams(float(q))
     base = slit_annulus_map(params)
-    mean_g = complex(a0(base.g))
-    mean_inv = complex(a0(1 / base.g))
+    mean_g, mean_inv = map(complex, a0_pair(base.g))
     A, B = mean_g.real, mean_inv.real
     drift = max(abs(mean_g.imag), abs(mean_inv.imag))
     if drift > 1e-9 * (1.0 + abs(A) + abs(B)):

@@ -14,13 +14,14 @@ The triple is written once, in ``_triple``.  Applied to the HoloFns f and g
 it builds the expression trees of enneper_F; applied to one sample of g and
 one of f it gives the values of those trees bit for bit, and that is how
 WeierstrassData evaluates itself for quadrature (``data(z)``, a (3, ...)
-stack), so circle_integral(data, rho) returns the three loop integrals.
+stack), so circle_integral and path_integral each give all three integrals.
 
 The constructor route that matters in practice fixes the vertical component
 first: tube_from_gauss sets f = c/(2zg) so that F3 = c/z exactly, and closure
 of the periods then reduces to a statement about the two circle means a0[g]
-and a0[1/g].  Both the quadrature route and the mean/residue route to the
-period defect are implemented; they must agree, and tests hold them to it.
+and a0[1/g] (contour.a0_pair).  Both the quadrature route and the
+mean/residue route to the period defect are implemented; they must agree,
+and tests hold them to it.
 """
 
 from __future__ import annotations
@@ -34,14 +35,14 @@ import numpy as np
 
 from .contour import (
     GL_NODES, GL_WEIGHTS, Annulus, HoloFn, ProbeReport, _merge_annuli, _path_integrals,
-    a0, circle_integral, path_integral, univalence_probe,
+    a0_pair, circle_integral, path_integral, univalence_probe,
 )
 from .flux import _flux_from_loops
 
 __all__ = [
     "NotATubeError", "WeierstrassData", "MinimalTube",
     "enneper_F", "isotropy_defect", "period_defect",
-    "a0_pair", "defect_from_means", "flux_from_means",
+    "defect_from_means", "flux_from_means",
     "tube_from_gauss", "immerse", "section_polyline",
 ]
 
@@ -110,11 +111,6 @@ def period_defect(data: WeierstrassData, n_points=None):
     whose imaginary part is the flux (see flux.flux_vector).
     """
     return circle_integral(data, 1.0, n_points).real
-
-
-def a0_pair(g: HoloFn, rho=1.0):
-    """The circle means (a0[g], a0[1/g]) that control closure and flux."""
-    return a0(g, rho=rho), a0(1 / g, rho=rho)
 
 
 def defect_from_means(g: HoloFn, c: float, rho=1.0):
@@ -245,10 +241,6 @@ class MinimalTube:
         resid = float(np.max(np.abs(u3 - (m + s * lr))))
         return float(m), float(s), resid
 
-    def _raw_immerse(self, z):
-        vals = path_integral(self.data.F, self.z0, complex(z))
-        return vals.real
-
     def u3(self, z):
         """Fitted height m + s ln|z| (use immerse for the integrated value)."""
         m, s = self.profile
@@ -272,7 +264,7 @@ def immerse(tube: MinimalTube, z):
     if not tube.is_closed:
         warnings.warn("period defect above tolerance: immersion is path-dependent",
                       stacklevel=2)
-    return tube._raw_immerse(z)
+    return path_integral(tube.data, tube.z0, z).real
 
 
 def section_polyline(tube: MinimalTube, tau: float, n_points=256):
@@ -289,7 +281,7 @@ def section_polyline(tube: MinimalTube, tau: float, n_points=256):
     m, s = tube.profile
     rho = math.exp((tau - m) / s)
 
-    anchor = tube._raw_immerse(rho)
+    anchor = path_integral(tube.data, tube.z0, rho).real
     # one 32-node panel per arc step, all steps sampled in one array call
     t_edges = np.linspace(0.0, 2.0 * math.pi, n_points + 1)
     t0 = t_edges[:-1, None]

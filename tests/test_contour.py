@@ -10,13 +10,14 @@ from tubeflux import (
     Annulus,
     HoloFn,
     a0,
+    a0_pair,
     circle_integral,
     laurent_coeff,
     path_integral,
     univalence_probe,
 )
 from tubeflux import contour, tube_from_gauss
-from tubeflux.expr import ExprError
+from tubeflux.expr import EvalDomainError, ExprError
 
 ANN = Annulus(2.0)
 
@@ -151,43 +152,68 @@ class TestLaurentCoefficients:
 
 class TestPathIntegral:
     def test_radial_leg_accumulates_log(self):
-        F = (holo("0"), holo("0"), holo("1/z"))
         for rho in (1.5, 0.8):
-            out = path_integral(F, 1.0, rho)
-            assert abs(out[0]) < 1e-12 and abs(out[1]) < 1e-12
-            assert abs(out[2] - math.log(rho)) < 1e-12
+            out = path_integral(holo("1/z"), 1.0, rho)
+            assert abs(out - math.log(rho)) < 1e-12
 
     def test_constant_field_gives_displacement(self):
-        F = (holo("1"), holo("0"), holo("0"))
-        out = path_integral(F, 1.0, 1.0j)
-        assert abs(out[0] - (1.0j - 1.0)) < 1e-12
+        out = path_integral(holo("1"), 1.0, 1.0j)
+        assert abs(out - (1.0j - 1.0)) < 1e-12
 
     def test_half_turn_tie_goes_counterclockwise(self):
         # 1 -> -1 along the upper arc picks up half the residue of 1/z
-        F = (holo("1/z"), holo("0"), holo("0"))
-        out = path_integral(F, 1.0, -1.0)
-        assert abs(out[0] - cmath.pi * 1j) < 1e-11
+        out = path_integral(holo("1/z"), 1.0, -1.0)
+        assert abs(out - cmath.pi * 1j) < 1e-11
 
     def test_two_half_loops_recover_the_residue(self):
-        F = (holo("1/z"), holo("0"), holo("0"))
-        total = path_integral(F, 1.0, -1.0)[0] + path_integral(F, -1.0, 1.0)[0]
-        direct = circle_integral(holo("1/z"), 1.0)
+        h = holo("1/z")
+        total = path_integral(h, 1.0, -1.0) + path_integral(h, -1.0, 1.0)
+        direct = circle_integral(h, 1.0)
         assert abs(total - direct) < 1e-10
-        assert abs(total - 2j * math.pi * laurent_coeff(holo("1/z"), -1)) < 1e-10
+        assert abs(total - 2j * math.pi * laurent_coeff(h, -1)) < 1e-10
 
     def test_path_independence_for_exact_fields(self):
         # d(z^2/2) has no period: 1 -> z along any canonical route
-        F = (holo("z"), holo("0"), holo("0"))
         for z1 in (1.3 + 0.4j, -0.9j, -1.2 + 0.1j):
-            out = path_integral(F, 1.0, z1)
-            assert abs(out[0] - (z1 * z1 - 1.0) / 2.0) < 1e-11
+            out = path_integral(holo("z"), 1.0, z1)
+            assert abs(out - (z1 * z1 - 1.0) / 2.0) < 1e-11
 
     def test_endpoints_must_be_inside(self):
-        F = (holo("1"), holo("0"), holo("0"))
         with pytest.raises(ValueError, match="not inside the annulus"):
-            path_integral(F, 1.0, 4.0)
+            path_integral(holo("1"), 1.0, 4.0)
         with pytest.raises(ValueError):
-            path_integral(F, 0.1, 1.0)
+            path_integral(holo("1"), 0.1, 1.0)
+
+    def test_stacked_integrand_gives_one_integral_per_row(self):
+        h = holo("1/z")
+        out = path_integral(lambda z: np.stack([h(z), 2.0 * h(z)]), 1.0, 1.5)
+        assert out.shape == (2,)
+        assert abs(out[0] - math.log(1.5)) < 1e-12
+        assert abs(out[1] - 2.0 * math.log(1.5)) < 1e-12
+
+    def test_empty_path_gives_zeros_of_the_integrand_shape(self):
+        data = tube_from_gauss(holo("z + 0.2/z"), 1.5)
+        out = path_integral(data, 1.0, 1.0)
+        assert out.shape == (3,) and not np.any(out)
+        assert path_integral(holo("z"), 1.0, 1.0) == 0.0
+
+
+class TestA0Pair:
+    @pytest.mark.parametrize("text", ["z + 0.2/z", "exp(z) + 3", "(z - 0.1)/(z + 0.3)"])
+    def test_pair_equals_two_separate_means(self, text):
+        g = holo(text)
+        for rho in (1.0, 0.7):
+            m, minv = a0_pair(g, rho)
+            assert m == a0(g, rho) and minv == a0(1 / g, rho)
+
+    def test_zero_on_the_circle_is_refused_with_its_point(self):
+        with pytest.raises(EvalDomainError, match="division by zero") as err:
+            a0_pair(holo("z - 1"))
+        assert err.value.z == 1.0
+
+    def test_radius_must_be_inside_the_annulus(self):
+        with pytest.raises(ValueError, match="not strictly inside"):
+            a0_pair(holo("z + 3"), rho=2.5)
 
 
 class TestHoloFnAlgebra:

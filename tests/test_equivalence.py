@@ -95,9 +95,21 @@ def test_batched_profile_paths_equal_single_path_integrals(slit_tube, q):
     tube = slit_tube(q)
     pts = _fit_points(tube.annulus)
     batched = _path_integrals(tube.data.F[2], tube.z0, pts)
-    single = [path_integral(tube.data.F[2:], tube.z0, z)[0] for z in pts]
+    single = [path_integral(tube.data.F[2], tube.z0, z) for z in pts]
     assert len(pts) == 48
     assert batched == single
+
+
+@pytest.mark.parametrize("kind", ["slit 0.1", "slit 0.72", "expr"])
+def test_stacked_path_integral_equals_one_per_component(slit_tube, kind):
+    if kind == "expr":
+        data = tube_from_gauss(HoloFn.parse("1.3*z - 0.1/z", Annulus(2.2)), 0.8)
+    else:
+        data = slit_tube(float(kind.split()[1])).data
+    R = data.annulus.R
+    for z in (R ** 0.5 * np.exp(0.7j), R ** -0.6 * np.exp(-2.1j), -R ** 0.3, 1.0j):
+        stacked = path_integral(data, 1.0, z)
+        assert list(stacked) == [path_integral(phi, 1.0, z) for phi in data.F]
 
 
 def weierstrass_data(kind, candidate):

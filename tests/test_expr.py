@@ -153,12 +153,6 @@ class TestDifferentiate:
         with pytest.raises(ExprError, match="blob"):
             differentiate(node)
 
-    def test_opaque_with_factory_derivative(self):
-        dnode = Opaque("dblob", lambda z: 2.0 * z, None)
-        node = Opaque("blob", lambda z: z * z, lambda: dnode)
-        d = differentiate(node)
-        assert evaluate(d, 3.0) == 6.0
-
 
 class TestRoundTrip:
     EXPRESSIONS = [

@@ -1,4 +1,4 @@
-"""Flow vectors, tilt parameters, and the closed-form life-span ceiling."""
+"""Flow vectors, tilt angles, and the closed-form life-span ceiling."""
 
 import math
 
@@ -16,7 +16,6 @@ from tubeflux import (
     lifetime,
     lifetime_bound,
     lifetime_report,
-    tilt_params,
     tube_from_gauss,
 )
 
@@ -36,10 +35,9 @@ class TestFluxVector:
 
     def test_three_four_five_tilt(self):
         Q = FluxVector(3.0, 4.0, 5.0)
-        tilt = tilt_params(Q)
         assert abs(abs(Q.w) - 1.0) < 1e-15
-        assert tilt.alpha == pytest.approx(math.pi / 4.0, abs=1e-15)
-        assert tilt.theta == pytest.approx(math.atan2(4.0, 3.0), abs=1e-15)
+        assert Q.alpha == pytest.approx(math.pi / 4.0, abs=1e-15)
+        assert Q.theta == pytest.approx(math.atan2(4.0, 3.0), abs=1e-15)
         assert Q.norm == pytest.approx(math.sqrt(50.0))
 
     def test_vertical_vector_has_no_tilt(self):
