@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .contour import Annulus, HoloFn
-from .expr import ExprError
+from .expr import EvalDomainError, ExprError
 from .flux import lifetime_report
 from .modulus import RingDomain, comparison_ring_module, grid_module_estimate, \
     max_log_radius
@@ -213,6 +213,9 @@ def cmd_analyze(args) -> int:
         if exc.defect is not None:
             report["defect"] = [float(d) for d in exc.defect]
         return _emit(report, args.out, status=2)
+    except EvalDomainError as exc:
+        _err(f"config error: {exc}")
+        return 1
 
     rep = lifetime_report(tube)
     report = {
@@ -262,10 +265,11 @@ def _write_csv(out: str, header: str, lines: list) -> int:
     return 0
 
 
-def _write_sidecar(out: str, failures) -> None:
+def _write_sidecar(out: str, column: str, failures) -> None:
+    """Log each failed row as ``<column>=<value>: <reason>``."""
     if not failures:
         return
-    text = "".join(f"q={q:.12g}: {reason}\n" for q, reason in failures)
+    text = "".join(f"{column}={x:.12g}: {reason}\n" for x, reason in failures)
     _write_atomic(out + ".errors.log", text)
     _err(f"{len(failures)} row(s) failed; see {out}.errors.log")
 
@@ -274,8 +278,8 @@ def cmd_sweep_bound(args) -> int:
     if args.steps < 1:
         _err("--steps must be at least 1")
         return 1
-    if not 0.0 < args.lambda_min <= args.lambda_max:
-        _err("need 0 < --lambda-min <= --lambda-max")
+    if not 0.0 < args.lambda_min <= args.lambda_max < math.inf:
+        _err("need 0 < --lambda-min <= --lambda-max < inf")
         return 1
     grid = np.linspace(args.lambda_min, args.lambda_max, args.steps)
     lines = []
@@ -289,7 +293,7 @@ def cmd_sweep_bound(args) -> int:
     bad = _write_csv(args.out, "lambda,lnR0,modD", lines)
     if bad:
         return bad
-    _write_sidecar(args.out, failures)
+    _write_sidecar(args.out, "lambda", failures)
     return 0
 
 
@@ -307,7 +311,7 @@ def cmd_sweep_conjecture(args) -> int:
     bad = _write_csv(args.out, "q,R,lambda,lnR,lnR0,ratio", lines)
     if bad:
         return bad
-    _write_sidecar(args.out, result.failures)
+    _write_sidecar(args.out, "q", result.failures)
     return 0
 
 

@@ -188,6 +188,19 @@ def _circle_nodes(rho, n):
     return rho * np.exp(1j * theta)
 
 
+def _finite(h):
+    """h, refusing a sample with a non-finite value at the first such point."""
+    def sample(z):
+        vals = h(z)
+        ok = np.isfinite(np.reshape(vals, (-1, len(z)))).all(axis=0)
+        bad = _first_bad(~ok, z)
+        if bad is not None:
+            raise EvalDomainError("non-finite integrand", bad)
+        return vals
+
+    return sample
+
+
 def _nested(h, rho):
     """``sample(n)``: the n nodes on |z| = rho and h there.  When n doubles,
     only the new odd nodes are evaluated: the even ones are the previous
@@ -239,7 +252,8 @@ def circle_integral(h, rho, n_points=None):
     differ by less than QUAD_TOL (relative to the magnitude) or than the sum's
     rounding level, capped at 65536, evaluating h on the new nodes only.
     When h returns a (k, n) stack for n nodes, the result is the array of k
-    integrals, each kept at the level where it settled.
+    integrals, each kept at the level where it settled.  A non-finite sample
+    raises EvalDomainError at its first such node.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -251,7 +265,7 @@ def circle_integral(h, rho, n_points=None):
     else:
         n0 = n_max = int(n_points)
 
-    sample = _nested(h, rho)
+    sample = _nested(_finite(h), rho)
     first = sample(n0)  # its shape tells how many components h has
 
     def quad(n, live):
@@ -347,11 +361,12 @@ def _path_integrals(h, z0, ends):
     on the Gauss-Legendre nodes of every leg still refining, and each
     component of each leg stops at its own level (1 to 256 panels).  When h
     returns a (k, n) stack for n nodes, each path's integral is an array of k.
+    A non-finite sample raises EvalDomainError at its first such node.
     """
     z0 = complex(z0)
     ends = [complex(z1) for z1 in ends]
     _check_ends(getattr(h, "annulus", None), z0, ends)
-    legs, owner = [], []
+    h, legs, owner = _finite(h), [], []
     for j, z1 in enumerate(ends):
         for leg in _canonical_legs(z0, z1):
             legs.append(leg)

@@ -56,6 +56,11 @@ def joining_family_module(ratio: float) -> float:
     return 2.0 * math.pi / math.log(ratio)
 
 
+def _check_lambda(lam):
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"need 0 < lambda < inf, got {lam}")
+
+
 @dataclass(frozen=True)
 class MobiusToAnnulus:
     map: HoloFn
@@ -71,8 +76,7 @@ def mobius_to_annulus(lam: float) -> MobiusToAnnulus:
     Re z = lambda to |w| = 1/l*^2.  The attached annulus records the image
     ring; the map itself is a rational function of the whole plane.
     """
-    if not lam > 0.0:
-        raise ValueError(f"need lambda > 0, got {lam}")
+    _check_lambda(lam)
     ls = math.sqrt(lam * lam + 1.0) - lam
     ratio = 1.0 / (ls * ls)
     z = HoloFn.var(Annulus(ratio))
@@ -86,8 +90,7 @@ def comparison_ring_module(lam: float) -> float:
     Same number as joining_family_module(1/lambda_star^2), since
     arcsinh(lambda) = -ln(lambda_star).
     """
-    if not lam > 0.0:
-        raise ValueError(f"need lambda > 0, got {lam}")
+    _check_lambda(lam)
     return math.pi / math.asinh(lam)
 
 
@@ -97,8 +100,7 @@ def max_log_radius(lam: float) -> float:
     ln R0(lambda) = pi^2/arcsinh(lambda), returned on the log scale so thin
     tilts (huge R0) stay representable.
     """
-    if not lam > 0.0:
-        raise ValueError(f"need lambda > 0, got {lam}")
+    _check_lambda(lam)
     return math.pi ** 2 / math.asinh(lam)
 
 
@@ -182,8 +184,7 @@ class RingDomain:
         extent 8 for lambda=1, 0.8% at 16, 0.26% at 32), so the default box
         extends 16 units past the conductors, scaled by the disk size.
         """
-        if not lam > 0.0:
-            raise ValueError(f"need lambda > 0, got {lam}")
+        _check_lambda(lam)
         c = 1.0 / (2.0 * lam)
         if box is None:
             ext = 16.0 * max(1.0, 1.0 / lam)
@@ -230,16 +231,21 @@ _COARSEST = 2000
 
 
 def _bisect(stays, lo, hi, iters):
-    """Bisect the brackets [lo, hi] elementwise, iters halvings each.
+    """Bisect the brackets [lo, hi] elementwise, at most iters halvings each.
 
     ``stays(mid)`` is True where the midpoint is on lo's side of the root,
-    so it replaces lo there and hi elsewhere.  Returns the final (lo, hi).
+    so it replaces lo there and hi elsewhere.  Stops at the first halving
+    that moves no bracket: the brackets then sit at adjacent (or equal)
+    floats, a fixed point of the halving, so the result is that of all iters
+    halvings bit for bit.  Returns the final (lo, hi).
     """
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         keep = stays(mid)
-        lo = np.where(keep, mid, lo)
-        hi = np.where(keep, hi, mid)
+        new_lo, new_hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return lo, hi
 
 
@@ -446,39 +452,59 @@ class CrossingWitness:
 
 
 def _crossings(fn, lam):
-    """Roots of fn on [0, 2 pi) in bracket order (one per sign change among
-    512 scan angles), their residuals |fn|, and which tie with the smallest:
-    near the rims the residual floor is |d fn/dt| * eps, so residuals within
-    _TIE_EPS (|t| |d fn/dt| + |lam|) of it tie (slope from the scan bracket).
-    None when the scan finds no sign change."""
+    """Roots of each row of a stacked fn on [0, 2 pi), and their residuals.
+
+    fn(t) returns a (k, n) stack for n angles.  A row's roots come one per
+    sign change among 512 scan angles, in bracket order; the brackets of all
+    rows are bisected together, so each halving, like the scan and the
+    residual call, samples fn once.  Returns one entry per row: None when its
+    scan finds no sign change, else its roots, their residuals |fn| and which
+    tie with the smallest.  Near the rims the residual floor is
+    |d fn/dt| * eps, so residuals within _TIE_EPS (|t| |d fn/dt| + |lam|) of
+    it tie (slope from the scan bracket).
+    """
     t = 2.0 * math.pi * (np.arange(512) + 0.5) / 512
     f = fn(t)
-    k = np.nonzero(np.sign(f) * np.sign(np.roll(f, -1)) <= 0.0)[0]
+    nxt = np.roll(f, -1, axis=1)
+    row, k = np.nonzero(np.sign(f) * np.sign(nxt) <= 0.0)
     if not k.size:
-        return None
+        return [None] * len(f)
+    col = np.arange(k.size)
     lo, hi = t[k], np.append(t[1:], t[0] + 2.0 * math.pi)[k]
-    # all brackets at once; lo keeps the sign fn has at the bracket's start
-    neg = f[k] <= 0.0
-    lo, hi = _bisect(lambda mid: (fn(mid) <= 0.0) == neg, lo, hi, 80)
+    # lo keeps the sign its row of fn has at the bracket's start
+    neg = f[row, k] <= 0.0
+    lo, hi = _bisect(lambda mid: (fn(mid)[row, col] <= 0.0) == neg, lo, hi, 80)
     roots = (0.5 * (lo + hi)) % (2.0 * math.pi)
-    resid = np.abs(fn(roots))
-    slope = np.abs(np.roll(f, -1) - f)[k] * (512 / (2.0 * math.pi))
-    return roots, resid, resid <= resid.min() + _TIE_EPS * (roots * slope + abs(lam))
+    resid = np.abs(fn(roots)[row, col])
+    slope = np.abs(nxt - f)[row, k] * (512 / (2.0 * math.pi))
+    tol = _TIE_EPS * (roots * slope + abs(lam))
+    found = []
+    for j in range(len(f)):
+        on = row == j
+        found.append((roots[on], resid[on], resid[on] <= resid[on].min() + tol[on])
+                     if on.any() else None)
+    return found
 
 
 def crossing_witness(g: HoloFn, rho: float, lam: float) -> CrossingWitness:
     """Angles where the section trace crosses the two balance loci.
 
     Finds t1 with Re g(rho e^{i t1}) = lam and t2 with Re(1/g)(rho e^{i t2})
-    = -lam by sign scanning at 512 angles plus bisection, and reports the
-    first root whose residual ties with the smallest.  Both crossings
-    exist whenever the means a0[g] = lam, a0[1/g] = -lam hold: a continuous
-    function whose circle mean is zero changes sign.  Geometrically, the
-    curve g(C_rho) meets the line Re w = lam, and meets the circle
-    |w + 1/(2 lam)| = 1/(2 lam) (which is Re(1/w) = -lam rewritten).
+    = -lam by sign scanning at 512 angles plus bisection, and reports for
+    each the first root whose residual ties with the smallest.  One sample
+    w = g(rho e^{it}) per step serves both loci, as the stack
+    [Re w - lam, Re(1/w) + lam].  Both crossings exist whenever the means
+    a0[g] = lam, a0[1/g] = -lam hold: a continuous function whose circle
+    mean is zero changes sign.  Geometrically, the curve g(C_rho) meets the
+    line Re w = lam, and meets the circle |w + 1/(2 lam)| = 1/(2 lam) (which
+    is Re(1/w) = -lam rewritten).
     """
-    def locate(fn, label):
-        found = _crossings(fn, lam)
+    def loci(tt):
+        w = g(rho * np.exp(1j * tt))
+        return np.stack([np.real(w) - lam, np.real(1.0 / w) + lam])
+
+    picks = []
+    for label, found in zip(("Re g = lam", "Re 1/g = -lam"), _crossings(loci, lam)):
         if found is None:
             m, minv = a0_pair(g, rho=rho)
             raise ValueError(
@@ -487,9 +513,6 @@ def crossing_witness(g: HoloFn, rho: float, lam: float) -> CrossingWitness:
                 f"a0[1/g]+lam={minv + lam:.3e}")
         roots, resid, tied = found
         best = int(np.argmax(tied))
-        return float(roots[best]), float(resid[best])
-
-    t1, r1 = locate(lambda tt: np.real(g(rho * np.exp(1j * tt))) - lam, "Re g = lam")
-    t2, r2 = locate(lambda tt: np.real(1.0 / g(rho * np.exp(1j * tt))) + lam,
-                    "Re 1/g = -lam")
+        picks.append((float(roots[best]), float(resid[best])))
+    (t1, r1), (t2, r2) = picks
     return CrossingWitness(t1=t1, t2=t2, residual1=r1, residual2=r2)

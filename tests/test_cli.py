@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import tubeflux
+from tubeflux import cli
+from tubeflux.slitmap import SweepResult
 
 CLI = [sys.executable, "-m", "tubeflux.cli"]
 # the child interpreters import the same tubeflux as this one
@@ -170,6 +172,17 @@ class TestAnalyzeValidation:
         assert proc.returncode == 1
         assert "bad expression" in proc.stderr
 
+    @pytest.mark.parametrize("f, message", [
+        ("1/(z-1)", "division by zero at z=(1+0j)"),
+        ("exp(800*z)/z^2", "non-finite integrand at z=(1+0j)"),
+    ])
+    def test_evaluation_error_is_a_one_line_config_error(self, tmp_path, f, message):
+        cfg = write_config(tmp_path, R=2, g="z", f=f)
+        proc = run("analyze", cfg)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"tubeflux: config error: {message}\n"
+
 
 class TestSweepBound:
     def test_single_row_matches_closed_forms(self, tmp_path):
@@ -201,6 +214,36 @@ class TestSweepBound:
                    "--steps", 2, "--out", out).returncode == 1
         assert run("sweep", "bound", "--lambda-min", 3, "--lambda-max", 2,
                    "--steps", 2, "--out", out).returncode == 1
+
+    @pytest.mark.parametrize("lo, hi", [(1, "inf"), ("inf", "inf"), (1, "nan"), ("nan", 2)])
+    def test_non_finite_range_is_refused(self, tmp_path, lo, hi):
+        out = tmp_path / "bound.csv"
+        proc = run("sweep", "bound", "--lambda-min", lo, "--lambda-max", hi,
+                   "--steps", 3, "--out", out)
+        assert proc.returncode == 1
+        assert "need 0 < --lambda-min <= --lambda-max < inf" in proc.stderr
+        assert not out.exists()
+
+
+def failing_row(*_):
+    raise ValueError("row refused")
+
+
+@pytest.mark.parametrize("sweep, column, patch", [
+    ("bound", "lambda", ("max_log_radius", failing_row)),
+    ("conjecture", "q", ("conjecture_sweep",
+                         lambda grid: SweepResult(rows=(), failures=(
+                             (float(grid[0]), "ValueError: row refused"),)))),
+])
+def test_sidecar_rows_carry_the_sweep_column(tmp_path, monkeypatch, capsys, sweep, column, patch):
+    monkeypatch.setattr(cli, *patch)
+    out = tmp_path / "t.csv"
+    kind = "lambda" if sweep == "bound" else "q"
+    assert cli.main(["sweep", sweep, f"--{kind}-min", "0.25", f"--{kind}-max", "0.25",
+                     "--steps", "1", "--out", str(out)]) == 0
+    log = Path(str(out) + ".errors.log").read_text()
+    assert log == f"{column}=0.25: ValueError: row refused\n"
+    assert "1 row(s) failed" in capsys.readouterr().err
 
 
 class TestSweepConjecture:

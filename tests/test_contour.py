@@ -78,6 +78,26 @@ class TestCircleIntegral:
         auto = circle_integral(h, 1.0)
         assert abs(fixed - auto) < 1e-12
 
+    def test_non_finite_sample_is_refused_at_its_first_point(self):
+        sizes = []
+
+        def nan_below(z):
+            sizes.append(len(z))
+            return np.where(z.imag < -0.5, np.nan, z)
+
+        with pytest.raises(EvalDomainError, match="non-finite integrand") as err:
+            circle_integral(nan_below, 1.0)
+        assert sizes == [1024]  # no doubling after the bad sample
+        theta = 2.0 * math.pi * np.arange(1024) / 1024
+        first = np.exp(1j * theta[np.argmax(np.sin(theta) < -0.5)])
+        assert err.value.z == first
+
+    def test_non_finite_row_of_a_stack_is_refused(self):
+        # exp(800 z) overflows on the unit circle near z = 1
+        h = holo("exp(800*z)/z^2")
+        with pytest.raises(EvalDomainError, match=r"non-finite integrand at z=\(1\+0j\)"):
+            circle_integral(lambda z: np.stack([z, h(z)]), 1.0)
+
 
 def count_levels(monkeypatch):
     """Record the node count of every circle sample taken from here on."""
@@ -190,6 +210,14 @@ class TestPathIntegral:
         assert out.shape == (2,)
         assert abs(out[0] - math.log(1.5)) < 1e-12
         assert abs(out[1] - 2.0 * math.log(1.5)) < 1e-12
+
+    def test_non_finite_sample_is_refused_with_its_point(self):
+        # exp(800 z) overflows past Re z = 0.887 on the radial leg 0.6 -> 1.5
+        with pytest.raises(EvalDomainError, match="non-finite integrand") as err:
+            path_integral(holo("exp(800*z)"), 0.6, 1.5)
+        assert 0.887 < err.value.z.real < 0.95 and err.value.z.imag == 0.0
+        with pytest.raises(EvalDomainError, match="non-finite integrand"):
+            path_integral(lambda z: np.stack([z, np.where(z.real > 1.2, np.inf, z)]), 1.0, 1.5)
 
     def test_empty_path_gives_zeros_of_the_integrand_shape(self):
         data = tube_from_gauss(holo("z + 0.2/z"), 1.5)

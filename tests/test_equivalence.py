@@ -19,6 +19,9 @@ grid axes.  Where two roots of a locus have residuals at rounding level, the
 pick follows the last bits: "witness" angles must be the pick to 1e-12 or
 another root tied with it, and "witness_pointwise_comb", frozen with the
 per-point comb and the tie rule of modulus._crossings, holds exactly.  The
+witness that samples g once per step for both loci, and bisects until no
+bracket moves, must equal the reference below, two loci each scanned,
+bisected 80 times and checked on its own, bit for bit.  The
 grid estimate was frozen from a Jacobi-preconditioned solve; the
 V-cycle-preconditioned solve agrees with it to 1e-12 and exactly with its
 own freeze, "ring_e_h0.04_vcycle".
@@ -35,8 +38,9 @@ from tubeflux import (
     Annulus, HoloFn, RingDomain, WeierstrassData, circle_integral, crossing_witness,
     grid_module_estimate, tube_from_gauss, univalence_probe,
 )
+from tubeflux import elliptic, modulus
 from tubeflux.contour import _path_integrals, path_integral
-from tubeflux.modulus import _crossings
+from tubeflux.modulus import _TIE_EPS, _assemble, _bisect, _crossings
 from tubeflux.tubes import _fit_points
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -145,14 +149,128 @@ def balance_loci(cand, u):
             lambda t: np.real(1.0 / g(rho * np.exp(1j * t))) + lam)
 
 
+def stacked_loci(cand, u):
+    return lambda t: np.stack([fn(t) for fn in balance_loci(cand, u)])
+
+
+def plain_bisect(stays, lo, hi, iters):
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        keep = stays(mid)
+        lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
+    return lo, hi
+
+
+def scan_brackets(fn):
+    t = 2.0 * math.pi * (np.arange(512) + 0.5) / 512
+    f = fn(t)
+    k = np.nonzero(np.sign(f) * np.sign(np.roll(f, -1)) <= 0.0)[0]
+    return t, f, k, t[k], np.append(t[1:], t[0] + 2.0 * math.pi)[k]
+
+
+def reference_crossings(fn, lam):
+    """One locus on its own: scan, 80 halvings and a residual call."""
+    t, f, k, lo, hi = scan_brackets(fn)
+    if not k.size:
+        return None
+    neg = f[k] <= 0.0
+    lo, hi = plain_bisect(lambda mid: (fn(mid) <= 0.0) == neg, lo, hi, 80)
+    roots = (0.5 * (lo + hi)) % (2.0 * math.pi)
+    resid = np.abs(fn(roots))
+    slope = np.abs(np.roll(f, -1) - f)[k] * (512 / (2.0 * math.pi))
+    return roots, resid, resid <= resid.min() + _TIE_EPS * (roots * slope + abs(lam))
+
+
+def reference_witness(cand, u):
+    picks = []
+    for fn in balance_loci(cand, u):
+        roots, resid, tied = reference_crossings(fn, cand.lam)
+        best = int(np.argmax(tied))
+        picks.append((float(roots[best]), float(resid[best])))
+    (t1, r1), (t2, r2) = picks
+    return [t1, t2, r1, r2]
+
+
+FAMILY_NOMES = np.geomspace(0.0025, 0.33, 30)  # test_10's family
+
+
+@pytest.mark.parametrize("q", FAMILY_NOMES[[0, 7, 14, 21, 29]])
+def test_witness_equals_two_loci_with_80_halvings(candidate, q):
+    cand = candidate(q)
+    for u in np.linspace(-0.7, 0.7, 20)[::4]:
+        w = crossing_witness(cand.g, cand.annulus.R ** u, cand.lam)
+        assert [w.t1, w.t2, w.residual1, w.residual2] == reference_witness(cand, u), u
+
+
+@pytest.mark.parametrize("q", [0.0025, 0.1, 0.33])
+def test_stacked_crossings_equal_one_locus_at_a_time(candidate, q):
+    cand = candidate(q)
+    for u in (-0.7, 0.0, 0.7):
+        for got, fn in zip(_crossings(stacked_loci(cand, u), cand.lam), balance_loci(cand, u)):
+            want = reference_crossings(fn, cand.lam)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def counting(fn, calls):
+    def counted(x, *args, **kwargs):
+        calls.append(len(x))
+        return fn(x, *args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("q", [0.0025, 0.1, 0.33])
+def test_early_stop_equals_all_halvings_on_witness_brackets(candidate, q):
+    cand = candidate(q)
+    for fn in balance_loci(cand, -0.7) + balance_loci(cand, 0.7):
+        _, f, k, lo, hi = scan_brackets(fn)
+        neg = f[k] <= 0.0
+        calls = []
+        stays = counting(lambda mid: (fn(mid) <= 0.0) == neg, calls)
+        got = _bisect(stays, lo, hi, 80)
+        assert len(calls) < 80  # the early stop did cut the loop short
+        want = plain_bisect(stays, lo, hi, 80)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("domain, h", [
+    (RingDomain.comparison(1.0), 0.1),
+    (RingDomain.from_json({"kind": "annulus", "ratio": math.e}), 0.04),
+])
+def test_early_stop_equals_all_halvings_on_grid_arms(monkeypatch, domain, h):
+    arms = []
+
+    def both(stays, lo, hi, iters):
+        calls = []
+        got = _bisect(counting(stays, calls), lo, hi, iters)
+        want = plain_bisect(stays, lo, hi, iters)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        arms.append((lo.size, len(calls), iters))
+        return got
+
+    monkeypatch.setattr(modulus, "_bisect", both)
+    _assemble(domain, h)
+    assert arms and all(size > 0 and calls <= iters for size, calls, iters in arms)
+
+
+def test_witness_samples_g_once_per_step_for_both_loci(candidate, monkeypatch):
+    # one scan, 47 halvings and one residual call, two combs a sample (the
+    # numerator and denominator thetas); two loci with 80 halvings each took 328
+    cand = candidate(0.1)
+    calls = []
+    monkeypatch.setattr(elliptic, "_gauss_comb",
+                        counting(elliptic._gauss_comb, calls))
+    crossing_witness(cand.g, 1.0, cand.lam)
+    assert len(calls) == 98
+
+
 @pytest.mark.parametrize("case", sorted(WITNESS_AND_RING["witness"]))
 def test_crossing_witness_keeps_its_crossings(candidate, case):
     q, u = (float(part.split("=")[1]) for part in case.split())
     cand = candidate(q)
     w = crossing_witness(cand.g, cand.annulus.R ** u, cand.lam)
     assert w.residual1 < 1e-10 and w.residual2 < 1e-10
-    for pick, old, fn in zip((w.t1, w.t2), WITNESS_AND_RING["witness"][case], balance_loci(cand, u)):
-        roots, resid, tied = _crossings(fn, cand.lam)
+    found = _crossings(stacked_loci(cand, u), cand.lam)
+    for pick, old, (roots, resid, tied) in zip((w.t1, w.t2), WITNESS_AND_RING["witness"][case], found):
         near = np.abs(roots - old) <= 1e-12
         assert abs(pick - old) <= 1e-12 or np.any(near & tied & (resid < 1e-10))
 
@@ -169,9 +287,10 @@ def test_crossing_witness_is_frozen(candidate, case):
 @pytest.mark.parametrize("q", [0.0025, 0.1, 0.33])
 def test_batched_crossing_residuals_equal_one_root_at_a_time(candidate, q):
     cand = candidate(q)
-    for fn in balance_loci(cand, -0.7) + balance_loci(cand, 0.7):
-        roots, resid, _ = _crossings(fn, cand.lam)
-        assert list(resid) == [abs(fn(roots[i:i + 1]))[0] for i in range(len(roots))]
+    for u in (-0.7, 0.7):
+        loci = stacked_loci(cand, u)
+        for j, (roots, resid, _) in enumerate(_crossings(loci, cand.lam)):
+            assert list(resid) == [abs(loci(roots[i:i + 1])[j])[0] for i in range(len(roots))]
 
 
 @pytest.fixture(scope="module")

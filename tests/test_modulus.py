@@ -45,6 +45,13 @@ class TestClosedForms:
         assert max_log_radius(1.0) == pytest.approx(11.1979806824, abs=1e-9)
         assert max_log_radius(math.sinh(math.pi)) == pytest.approx(math.pi, rel=1e-13)
 
+    @pytest.mark.parametrize("fn", [comparison_ring_module, max_log_radius,
+                                    mobius_to_annulus, RingDomain.comparison])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
+    def test_lambda_must_be_positive_and_finite(self, fn, lam):
+        with pytest.raises(ValueError, match=r"need 0 < lambda < inf"):
+            fn(lam)
+
     def test_comparison_equals_its_mapped_round_ring(self):
         # the slit ring and the round ring it maps to share one module
         rng = np.random.default_rng(23)
