@@ -192,10 +192,9 @@ def _finite(h):
     """h, refusing a sample with a non-finite value at the first such point."""
     def sample(z):
         vals = h(z)
-        ok = np.isfinite(np.reshape(vals, (-1, len(z)))).all(axis=0)
-        bad = _first_bad(~ok, z)
-        if bad is not None:
-            raise EvalDomainError("non-finite integrand", bad)
+        if not np.isfinite(vals).all():
+            ok = np.isfinite(np.reshape(vals, (-1, len(z)))).all(axis=0)
+            raise EvalDomainError("non-finite integrand", _first_bad(~ok, z))
         return vals
 
     return sample
