@@ -253,8 +253,8 @@ def test_early_stop_equals_all_halvings_on_grid_arms(monkeypatch, domain, h):
 
 
 def test_witness_samples_g_once_per_step_for_both_loci(candidate, monkeypatch):
-    # one scan, 47 halvings and one residual call, two combs a sample (the
-    # numerator and denominator thetas); two loci with 80 halvings each took 328
+    # one scan, 47 halvings and one residual call, two combs a sample (theta1
+    # and theta3); two loci with 80 halvings each took 2 * 82 * 2 = 328
     cand = candidate(0.1)
     calls = []
     monkeypatch.setattr(elliptic, "_gauss_comb",
