@@ -6,9 +6,10 @@
     tubeflux modulus --domain <descriptor.json> --h <spacing>
 
 Config schema for analyze: {"R": real, "g": string, "f"?: string,
-"c"?: real, "N"?: even int >= 16} with exactly one of f (explicit
-Weierstrass data) or c (synthesize f from the Gauss map at vertical flux
-2 pi c).
+"c"?: real, "N"?: int} with exactly one of f (explicit Weierstrass data) or
+c (synthesize f from the Gauss map at vertical flux 2 pi c).  R must be
+finite and exceed 1, c must be positive and finite, and N (trapezoid nodes
+for the loop integrals) must be even and within [16, 65536].
 
 Exit codes: 0 success; 1 I/O, argument or schema error; 2 hypothesis
 failure (the data does not close up to a tube, or univalence is violated) --
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .contour import Annulus, HoloFn
+from .contour import MAX_N, Annulus, HoloFn
 from .expr import EvalDomainError, ExprError
 from .flux import lifetime_report
 from .modulus import RingDomain, comparison_ring_module, grid_module_estimate, \
@@ -132,6 +133,17 @@ class SchemaError(ValueError):
     pass
 
 
+def _check_open(cfg, key: str, lo: float) -> None:
+    """Require lo < cfg[key] < inf; an integer too large for a float is inf."""
+    try:
+        x = float(cfg[key])
+    except OverflowError:
+        x = math.inf
+    if not lo < x < math.inf:
+        raise SchemaError(f"field {key!r} must be finite and exceed {lo:g}, "
+                          f"got {cfg[key]}")
+
+
 def _validate_spec(cfg) -> dict:
     if not isinstance(cfg, dict):
         raise SchemaError("config root must be a JSON object")
@@ -141,8 +153,7 @@ def _validate_spec(cfg) -> dict:
             raise SchemaError(f"unknown field {key!r}")
     if "R" not in cfg or not _is_number(cfg["R"]):
         raise SchemaError("field 'R' (real > 1) is required")
-    if float(cfg["R"]) <= 1.0:
-        raise SchemaError(f"field 'R' must exceed 1, got {cfg['R']}")
+    _check_open(cfg, "R", 1.0)
     if "g" not in cfg or not isinstance(cfg["g"], str):
         raise SchemaError("field 'g' (expression string) is required")
     has_f = "f" in cfg
@@ -153,10 +164,13 @@ def _validate_spec(cfg) -> dict:
         raise SchemaError("field 'f' must be an expression string")
     if has_c and not _is_number(cfg["c"]):
         raise SchemaError("field 'c' must be a real number")
+    if has_c:
+        _check_open(cfg, "c", 0.0)
     if "N" in cfg:
         n = cfg["N"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 16 or n % 2:
-            raise SchemaError("field 'N' must be an even integer >= 16")
+        if not isinstance(n, int) or isinstance(n, bool) or not 16 <= n <= MAX_N \
+                or n % 2:
+            raise SchemaError(f"field 'N' must be an even integer in [16, {MAX_N}]")
     return cfg
 
 
@@ -172,6 +186,9 @@ def _load_json(path: str):
     except json.JSONDecodeError as exc:
         _err(f"malformed JSON in {path}: {exc.msg} (line {exc.lineno}, "
              f"column {exc.colno})")
+        return None, 1
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        _err(f"malformed JSON in {path}: {exc}")
         return None, 1
 
 

@@ -45,11 +45,7 @@ __all__ = [
 
 
 class CalibrationError(RuntimeError):
-    """Balance calibration failed; carries the sampled residual curve."""
-
-    def __init__(self, message, curve=None):
-        super().__init__(message)
-        self.curve = curve or []
+    """Balance calibration failed; the message names q and the circle means."""
 
 
 @dataclass(frozen=True)
@@ -131,17 +127,15 @@ def calibrate_candidate(q) -> SlitMapCandidate:
     """Scale the two-slit map so a0[g] = lambda and a0[1/g] = -lambda.
 
     With g = s g0 the two means are s A and B/s where A = a0[g0] and
-    B = a0[1/g0], so the balance r(s) = s A + B/s = 0 is one real equation;
-    r is strictly monotone on s > 0 when A and B have opposite signs.  The
-    root is bracketed by doubling around s = 1 and polished with Brent's
-    method.  By the half-period identity B = -A, so the geometric
-    normalization is already balanced and the solve lands at s = 1 up to
-    quadrature error; the solve is kept because it is the defining property,
-    the identity only explains why it is cheap.
+    B = a0[1/g0], so the balance s A + B/s = 0 has the one positive root
+    s* = sqrt(-B/A) when A > 0 > B, and then lambda = s* A > 0.  Any other
+    sign pattern (means of one sign, the orientation A < 0 < B, or a NaN
+    mean) raises CalibrationError naming A and B.  By the half-period
+    identity B = -A, so s* = 1 up to quadrature error; the scale is kept
+    because balance is the defining property, the identity only explains
+    why it is close to 1.
     """
-    from scipy.optimize import brentq  # heavy to import, and only calibration needs it
-
-    params = q if isinstance(q, EllipticParams) else EllipticParams(float(q))
+    params = EllipticParams(float(q))
     base = slit_annulus_map(params)
     mean_g, mean_inv = map(complex, a0_pair(base.g))
     A, B = mean_g.real, mean_inv.real
@@ -150,28 +144,13 @@ def calibrate_candidate(q) -> SlitMapCandidate:
         raise CalibrationError(
             f"circle means are not real (imaginary drift {drift:.3e}); "
             f"the slit construction is broken at q={params.q}")
-
-    def r(s):
-        return s * A + B / s
-
-    lo, hi = 0.5, 2.0
-    for _ in range(200):
-        if r(lo) * r(hi) <= 0.0:
-            break
-        lo *= 0.5
-        hi *= 2.0
-    else:
-        curve = [(s, r(s)) for s in np.geomspace(1e-4, 1e4, 33)]
+    if not A > 0.0 > B:
         raise CalibrationError(
-            f"no sign change of the balance residual for q={params.q}: "
-            f"A={A:.6e}, B={B:.6e}", curve=curve)
-    s_star = brentq(r, lo, hi, xtol=1e-15, rtol=8.881784197001252e-16)
+            f"the balance needs a0[g0] > 0 > a0[1/g0] at q={params.q}, "
+            f"got A={A:.6e}, B={B:.6e}")
+    s_star = math.sqrt(-B / A)
     lam = s_star * A
-    if not lam > 0.0:
-        raise CalibrationError(
-            f"calibration landed at lambda={lam:.6e} <= 0 for q={params.q}; "
-            "the map orientation is wrong")
-    residual = abs(r(s_star)) / (1.0 + abs(lam))
+    residual = abs(s_star * A + B / s_star) / (1.0 + lam)
     return replace(base, g=base.g * s_star, scale=s_star,
                    slit_neg=base.slit_neg * s_star,
                    slit_pos=base.slit_pos * s_star,

@@ -27,8 +27,12 @@ def run(*args, cwd=None):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only calibration needs brentq; analyze and modulus should not pay for it
-    code = "import sys, tubeflux.cli; print('scipy.optimize' in sys.modules)"
+    # calibration takes its scale in closed form, so nothing needs scipy.optimize
+    code = ("import sys, tubeflux.cli\n"
+            "from tubeflux import calibrate_candidate, conjecture_sweep\n"
+            "calibrate_candidate(0.1)\n"
+            "conjecture_sweep([0.1])\n"
+            "print('scipy.optimize' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
@@ -158,13 +162,34 @@ class TestAnalyzeValidation:
             {"R": 2.0, "g": "z", "c": 1.0, "N": 8},  # N below quadrature's 16
             {"R": 2.0, "g": "z", "c": 1.0, "N": 17},  # N odd
             {"R": 2.0, "g": "z", "c": 1.0, "N": True},  # N not an int
+            {"R": 2.0, "g": "z", "c": 1.0, "N": 131072},  # N above MAX_N
+            {"R": math.nan, "g": "z", "c": 1.0},
+            {"R": math.inf, "g": "z", "c": 1.0},
+            {"R": 2.0, "g": "z", "c": 0},
+            {"R": 2.0, "g": "z", "c": -1},
+            {"R": 2.0, "g": "z", "c": math.nan},
+            {"R": 2.0, "g": "z", "c": math.inf},
         ],
     )
     def test_schema_violations(self, tmp_path, fields):
         cfg = write_config(tmp_path, **fields)
         proc = run("analyze", cfg)
         assert proc.returncode == 1
-        assert "config error" in proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("tubeflux: config error: ")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"R": 1e400, "g": "z", "c": 1}', "config error: field 'R' must be finite and exceed 1, got inf"),
+        ('{"R": 2, "g": "z", "c": 1' + "0" * 400 + "}", "config error: field 'c' must be finite and exceed 0"),
+        ('{"R": 2, "g": "z", "c": 1' + "0" * 5000 + "}", "malformed JSON in "),
+    ], ids=["overflowing float", "integer beyond float", "integer beyond the digit limit"])
+    def test_numbers_beyond_float_range_are_refused(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert cli.main(["analyze", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"tubeflux: {message}") and err.count("\n") == 1
 
     def test_unparseable_gauss_map(self, tmp_path):
         cfg = write_config(tmp_path, R=2.0, g="w + 1", c=1.0)

@@ -10,15 +10,21 @@ freezes its numbers under a new key and keeps the old ones at a stated
 tolerance.  The theta comb that sums each point on its own, from its nearest
 tooth by a multiplicative recurrence, rounds differently from the comb that
 summed one window for the whole argument array: the slit tubes move by at
-most 1.2e-11 (the q = 0.72 defect), so "tube" holds at an absolute 1e-10
-and "tube_pointwise_comb" exactly.  The probe reports did not move.
+most 1.2e-11 (the q = 0.72 defect), so "tube" holds at an absolute 1e-10.
+Calibrating by the closed-form root s* = sqrt(-B/A) instead of Brent's
+method moves the scale by at most one ulp, and the q = 0.33 tube by at most
+5.6e-15 (its defect), so "tube_pointwise_comb" holds at an absolute 1e-14
+and "tube_closed_form_scale" exactly.  The probe reports did not move.
 
 goldens/witness_and_ring.json holds crossing witnesses from the scalar,
 one-bracket-at-a-time bisection and a grid estimate from the loop-built
 grid axes.  Where two roots of a locus have residuals at rounding level, the
 pick follows the last bits: "witness" angles must be the pick to 1e-12 or
-another root tied with it, and "witness_pointwise_comb", frozen with the
-per-point comb and the tie rule of modulus._crossings, holds exactly.  The
+another root tied with it.  "witness_pointwise_comb", frozen with the
+per-point comb and the tie rule of modulus._crossings, holds at an absolute
+1e-14 since the closed-form scale (angles moved by at most 8.9e-16,
+residuals by 3.6e-15, no pick changed root), and
+"witness_closed_form_scale" holds exactly.  The
 witness that samples g once per step for both loci, and bisects until no
 bracket moves, must equal the reference below, two loci each scanned,
 bisected 80 times and checked on its own, bit for bit.  The
@@ -90,8 +96,16 @@ def test_slit_tube_is_unchanged(slit_tube, q):
 
 
 @pytest.mark.parametrize("q", [0.1, 0.33, 0.72])
+def test_slit_tube_keeps_its_pointwise_comb_values(slit_tube, q):
+    # the closed-form scale moves the q = 0.33 defect by 5.6e-15
+    got, want = tube_fields(slit_tube(q)), FROZEN["tube_pointwise_comb"][repr(q)]
+    for key, value in want.items():
+        assert np.allclose(got[key], value, rtol=0.0, atol=1e-14), key
+
+
+@pytest.mark.parametrize("q", [0.1, 0.33, 0.72])
 def test_slit_tube_is_frozen(slit_tube, q):
-    assert tube_fields(slit_tube(q)) == FROZEN["tube_pointwise_comb"][repr(q)]
+    assert tube_fields(slit_tube(q)) == FROZEN["tube_closed_form_scale"][repr(q)]
 
 
 @pytest.mark.parametrize("q", [0.1, 0.72])
@@ -276,12 +290,23 @@ def test_crossing_witness_keeps_its_crossings(candidate, case):
 
 
 @pytest.mark.parametrize("case", sorted(WITNESS_AND_RING["witness"]))
+def test_crossing_witness_keeps_its_pointwise_comb_values(candidate, case):
+    # the closed-form scale moves angles by 8.9e-16 and residuals by 3.6e-15
+    q, u = (float(part.split("=")[1]) for part in case.split())
+    cand = candidate(q)
+    w = crossing_witness(cand.g, cand.annulus.R ** u, cand.lam)
+    got = [w.t1, w.t2, w.residual1, w.residual2]
+    assert np.allclose(got, WITNESS_AND_RING["witness_pointwise_comb"][case],
+                       rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_AND_RING["witness"]))
 def test_crossing_witness_is_frozen(candidate, case):
     q, u = (float(part.split("=")[1]) for part in case.split())
     cand = candidate(q)
     w = crossing_witness(cand.g, cand.annulus.R ** u, cand.lam)
     assert [w.t1, w.t2, w.residual1, w.residual2] == \
-        WITNESS_AND_RING["witness_pointwise_comb"][case]
+        WITNESS_AND_RING["witness_closed_form_scale"][case]
 
 
 @pytest.mark.parametrize("q", [0.0025, 0.1, 0.33])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tubeflux import (
+    CalibrationError,
     EllipticParams,
     FamilyBalanceError,
     a0,
@@ -19,6 +20,7 @@ from tubeflux import (
     univalence_probe,
     wp,
 )
+from tubeflux import slitmap
 
 # calibrated slit levels, frozen from a converged run; the huge values at
 # large q are genuine (the slits run away from each other exponentially)
@@ -141,6 +143,30 @@ class TestCalibration:
         report = univalence_probe(candidate(0.3).g)
         assert report.univalent == "passed"
         assert report.omits_zero == "passed"
+
+    def test_scale_is_the_closed_form_root(self, monkeypatch):
+        original, means = slitmap.a0_pair, []
+
+        def recording(g):
+            means.append(original(g))
+            return means[-1]
+
+        monkeypatch.setattr(slitmap, "a0_pair", recording)
+        cand = calibrate_candidate(0.2)
+        (mean_g, mean_inv), = means
+        A, B = mean_g.real, mean_inv.real
+        assert cand.scale == math.sqrt(-B / A)
+        assert cand.lam == cand.scale * A
+
+    @pytest.mark.parametrize("pair, match", [
+        ((1.0 + 1e-3j, -1.0), "imaginary drift"),
+        ((0.5 + 0j, 0.25 + 0j), "A=5.000000e-01, B=2.500000e-01"),
+        ((-0.5 + 0j, 0.25 + 0j), "A=-5.000000e-01, B=2.500000e-01"),
+    ], ids=["drift", "same sign", "wrong orientation"])
+    def test_unbalanceable_means_are_refused(self, monkeypatch, pair, match):
+        monkeypatch.setattr(slitmap, "a0_pair", lambda g: pair)
+        with pytest.raises(CalibrationError, match=match):
+            calibrate_candidate(0.2)
 
 
 class TestSweep:
