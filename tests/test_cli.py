@@ -180,8 +180,10 @@ class TestAnalyzeValidation:
         assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("text, message", [
-        ('{"R": 1e400, "g": "z", "c": 1}', "config error: field 'R' must be finite and exceed 1, got inf"),
-        ('{"R": 2, "g": "z", "c": 1' + "0" * 400 + "}", "config error: field 'c' must be finite and exceed 0"),
+        ('{"R": 1e400, "g": "z", "c": 1}',
+         "config error: field 'R' must be finite and exceed 1, got inf"),
+        ('{"R": 2, "g": "z", "c": 1' + "0" * 400 + "}",
+         "config error: field 'c' must be finite and exceed 0"),
         ('{"R": 2, "g": "z", "c": 1' + "0" * 5000 + "}", "malformed JSON in "),
     ], ids=["overflowing float", "integer beyond float", "integer beyond the digit limit"])
     def test_numbers_beyond_float_range_are_refused(self, tmp_path, capsys, text, message):
