@@ -15,10 +15,14 @@ estimates that share one sample per level, and each estimate stops at its
 own level.
 
 The univalence probe counts zeros and preimages by the argument principle
-on two circles.  It works level-major: at each trapezoid level it samples g
-and g' once and sums, from that one sample, every target still refining --
-the zero count and the PROBE_TARGETS sampled values of g -- where a
-target-major probe would run one adaptive integral per target.
+on two circles.  It works level-major: at each trapezoid level it takes g
+and g' from one evaluation pass and sums, from that one sample, every
+target still refining -- the zero count and the PROBE_TARGETS values of g,
+themselves sampled in one call -- where a target-major probe would run one
+adaptive integral per target.  A winding sum stops at the 1e-8 relative
+test or as soon as it sits on an integer at two successive levels (see
+_windings), since the trapezoid error of an analytic integrand falls
+geometrically and the exact sum is an integer multiple of 2 pi i.
 """
 
 from __future__ import annotations
@@ -110,9 +114,10 @@ class HoloFn:
         return cls(Var(), annulus)
 
     @classmethod
-    def from_callable(cls, name, fn, annulus, deriv=None):
-        """Wrap a vectorised numeric callable; ``deriv`` is its derivative's node."""
-        return cls(Opaque(name, fn, deriv), annulus)
+    def from_callable(cls, name, fn, annulus, deriv=None, joint=None):
+        """Wrap a vectorised numeric callable; ``deriv`` is its derivative's node
+        and ``joint`` an optional callable giving (value, derivative) at once."""
+        return cls(Opaque(name, fn, deriv, joint), annulus)
 
     def __call__(self, z):
         return evaluate(self.node, z)
@@ -220,7 +225,7 @@ def _nested(h, rho):
     return sample
 
 
-def _refine(quad, k, n, n_max, tol):
+def _refine(quad, k, n, n_max, tol, settled=None):
     """Double the resolution n until each of k estimates settles, capped at n_max.
 
     ``quad(n, live)`` returns the estimates at resolution n of the components
@@ -228,17 +233,20 @@ def _refine(quad, k, n, n_max, tol):
     None ends that component, which keeps None.  A component freezes at the
     first level whose estimate differs from the one before by less than
     ``tol`` relative to its magnitude, or by less than its floor (a circle
-    sum's rounding level; 0 elsewhere); one that never settles keeps its
-    estimate at n_max.
+    sum's rounding level; 0 elsewhere), or, when ``settled`` is given, at
+    which ``settled(previous, current)`` holds (the windings' integer stop);
+    one that never settles keeps its estimate at n_max.
     """
     est, live = [None] * k, list(range(k))
     while live:
         still = []
         for i, cur, floor in zip(live, *quad(n, live)):
-            if cur is not None and n < n_max and (est[i] is None or not abs(
-                    cur - est[i]) < max(tol * (1.0 + abs(cur)), floor)):
-                still.append(i)
-            est[i] = cur
+            prev, est[i] = est[i], cur
+            if cur is None or n >= n_max or prev is not None and (
+                    abs(cur - prev) < max(tol * (1.0 + abs(cur)), floor)
+                    or settled is not None and settled(prev, cur)):
+                continue
+            still.append(i)
         live, n = still, 2 * n
     return est
 
@@ -446,26 +454,48 @@ def _winding_level(sample, ws, n, live):
     return sums, [0.0] * len(live)
 
 
-def _settled_integer(est):
-    """The integer an argument-principle sum settles on, or None."""
+# a winding sum also stops refining once it lies within WINDING_STOP of an
+# integer (in units of 2 pi i) and lay within WINDING_NEAR of the same
+# integer at the level before (see _windings)
+WINDING_STOP = 1e-6
+WINDING_NEAR = 1e-3
+
+
+def _settled_integer(est, tol=1e-4):
+    """The integer an argument-principle sum lies within tol of, or None."""
     if est is None:
         return None
     val = est / TWO_PI_I
     if not np.isfinite(val):
         return None
     n = round(val.real)
-    return n if abs(val - n) < 1e-4 else None
+    return n if abs(val - n) < tol else None
+
+
+def _on_integer(prev, cur):
+    """True when the winding sums of two successive levels sit on one integer."""
+    n = _settled_integer(cur, WINDING_STOP)
+    return n is not None and _settled_integer(prev, WINDING_NEAR) == n
 
 
 def _windings(g, gprime, rho, ws):
     """Winding numbers of g - w over |z| = rho for each target w of ws (None: g).
 
-    Level-major: every try samples g and g' once per trapezoid level and sums
-    each target still refining from that sample.  A target that does not
-    settle near an integer retries at a slightly perturbed radius, up to four
-    radii, while the radius stays inside the annulus.  Returns, per target,
-    the notes of its unsettled tries and the winding (None when no try
-    settled).
+    Level-major: every try takes g and g' from one evaluation pass per
+    trapezoid level and sums each target still refining from that sample.  A
+    sum stops when two successive levels agree to 1e-8 relative, or when it
+    sits on an integer: within WINDING_STOP of an integer n at this level
+    and within WINDING_NEAR of the same n at the level before.  The exact
+    sum is n (in units of 2 pi i), so its distance from n is its quadrature
+    error, and on an integrand analytic near the circle the trapezoid error
+    falls geometrically in the node count (Trefethen & Weideman, SIAM Rev.
+    56, 2014), each doubling roughly squaring it.  A sum seen falling from
+    1e-3 to 1e-6 of n cannot move to another integer at a later level; one
+    level near an integer alone could be an unresolved sum passing by.  A
+    target that does not settle within _settled_integer's 1e-4 of an
+    integer retries at a slightly perturbed radius, up to four radii, while
+    the radius stays inside the annulus.  Returns, per target, the notes of
+    its unsettled tries and the winding (None when no try settled).
     """
     notes = [[] for _ in ws]
     wind = [None] * len(ws)
@@ -479,9 +509,9 @@ def _windings(g, gprime, rho, ws):
                 notes[j].append(f"retry radius rho={r:.6g} leaves the annulus, "
                                 "winding left unsettled")
             break
-        sample = _nested(lambda z: np.array([gprime(z), g(z)]), r)
+        sample = _nested(lambda z: np.array(evaluate([gprime.node, g.node], z)), r)
         quad = partial(_winding_level, sample, [ws[j] for j in live])
-        ests = _refine(quad, len(live), DEFAULT_N, MAX_N, 1e-8)
+        ests = _refine(quad, len(live), DEFAULT_N, MAX_N, 1e-8, _on_integer)
         still = []
         for j, est in zip(live, ests):
             wind[j] = _settled_integer(est)
@@ -517,10 +547,10 @@ def _newton_roots(g, gprime, w, annulus, margin):
     z = (rr[:, None] * np.exp(1j * tt[None, :])).ravel()
     for _ in range(60):
         try:
-            fz = g(z) - w
-            dz = gprime(z)
+            gz, dz = evaluate([g.node, gprime.node], z)
         except EvalDomainError:
             break
+        fz = gz - w
         with np.errstate(all="ignore"):
             step = fz / dz
         step = np.where(np.isfinite(step), step, 0.0)
@@ -569,12 +599,15 @@ def univalence_probe(g, annulus=None):
         raise ValueError("univalence_probe needs an annulus")
     gprime = g.derivative()
     points = _sample_points(annulus, PROBE_MARGIN, PROBE_TARGETS)
-    values = []
-    for zt in points:
-        try:
-            values.append(g(zt))
-        except EvalDomainError:
-            values.append(None)
+    try:
+        values = [complex(w) for w in g(points)]
+    except EvalDomainError:  # one point at a time, to find those g refuses
+        values = []
+        for zt in points:
+            try:
+                values.append(g(zt))
+            except EvalDomainError:
+                values.append(None)
     (zero_notes, zero_count), *excesses = _zero_excesses(
         g, gprime, annulus, [None] + [w for w in values if w is not None])
     notes = list(zero_notes)

@@ -11,7 +11,9 @@ Grammar (whitespace insignificant)::
 Powers take integer exponents only and ``log`` is the principal branch.
 Trees are immutable.  Evaluation is vectorised over numpy arrays and
 deterministic; it fails loudly (carrying the offending point) instead of
-silently picking a branch or dividing by zero.
+silently picking a branch or dividing by zero.  One evaluation pass may
+serve several roots (a map and its derivative), and it evaluates each
+shared subtree once.
 """
 
 from __future__ import annotations
@@ -110,15 +112,20 @@ class Log:
 
 @dataclass(frozen=True)
 class Opaque:
-    """Numeric leaf: a named callable with an optional derivative hook.
+    """Numeric leaf: a named callable with optional derivative hooks.
 
     ``fn`` maps a complex ndarray to a complex ndarray.  ``deriv`` is either
-    None (differentiation raises) or the derivative's node.  Lets
-    series-backed functions live in the same trees as parsed expressions.
+    None (differentiation raises) or the derivative's node.  ``joint``, when
+    given, maps the same ndarray to the pair (value, derivative), each equal
+    bit for bit to what ``fn`` and ``deriv`` give alone; evaluation calls it
+    only when a pass needs both the leaf and its ``deriv`` node, so a
+    value-only pass pays for the value alone.  Lets series-backed functions
+    live in the same trees as parsed expressions.
     """
     name: str
     fn: object
     deriv: object = None
+    joint: object = None
 
     def __eq__(self, other):
         return self is other
@@ -136,65 +143,137 @@ def _first_bad(mask, z):
     return complex(z[tuple(idx[0])])
 
 
-def _eval(node, z):
-    # z is always a complex ndarray; results broadcast against it
-    if isinstance(node, Const):
-        return np.broadcast_to(np.asarray(node.value, dtype=complex), z.shape)
-    if isinstance(node, Var):
-        return z
-    if isinstance(node, Add):
-        return _eval(node.left, z) + _eval(node.right, z)
-    if isinstance(node, Sub):
-        return _eval(node.left, z) - _eval(node.right, z)
-    if isinstance(node, Mul):
-        return _eval(node.left, z) * _eval(node.right, z)
-    if isinstance(node, Neg):
-        return -_eval(node.arg, z)
-    if isinstance(node, Div):
-        num = _eval(node.left, z)
-        den = np.broadcast_to(np.asarray(_eval(node.right, z)), z.shape)
-        bad = _first_bad(den == 0, z)
-        if bad is not None:
-            raise EvalDomainError("division by zero", bad)
-        return num / den
-    if isinstance(node, Pow):
-        base = np.broadcast_to(np.asarray(_eval(node.base, z)), z.shape)
-        k = node.exponent
-        if k < 0:
-            bad = _first_bad(base == 0, z)
+def _shaped(value, z):
+    """value as an array of z's shape (a broadcast view only where it differs)."""
+    value = np.asarray(value)
+    return value if value.shape == z.shape else np.broadcast_to(value, z.shape)
+
+
+class _Walk:
+    """One evaluation pass over the trees below some roots, at the points z.
+
+    Before the pass, the references to each node are counted (by identity).
+    A node referenced more than once is kept after its first evaluation and
+    dropped at its last use, so no other intermediate outlives its parent.  An
+    Opaque leaf with a ``joint`` whose derivative node is also below the roots
+    gives both values from one joint call.
+    """
+
+    def __init__(self, roots, z):
+        self.z = z
+        self.uses = uses = {}
+        leaves, stack = [], list(roots)
+        while stack:
+            node = stack.pop()
+            key = id(node)
+            if key in uses:
+                uses[key] += 1
+                continue
+            uses[key] = 1
+            kind = type(node)
+            if kind in (Add, Sub, Mul, Div):
+                stack += (node.left, node.right)
+            elif kind in (Neg, Exp, Log):
+                stack.append(node.arg)
+            elif kind is Pow:
+                stack.append(node.base)
+            elif kind is Opaque and node.joint is not None:
+                leaves.append(node)
+        self.joint = {}
+        for leaf in leaves:
+            if leaf.deriv is not leaf and id(leaf.deriv) in uses:
+                self.joint[id(leaf)] = self.joint[id(leaf.deriv)] = leaf
+        self.kept = {}  # id -> [value, uses left]
+
+    def __call__(self, node):
+        key = id(node)
+        entry = self.kept.get(key)
+        if entry is None:
+            leaf = self.joint.get(key)
+            if leaf is not None:
+                for part, value in zip((leaf, leaf.deriv), leaf.joint(self.z)):
+                    self.kept[id(part)] = [_shaped(value, self.z), self.uses[id(part)]]
+                return self(node)
+            value = self._op(node)
+            if self.uses[key] == 1:
+                return value
+            entry = self.kept[key] = [value, self.uses[key]]
+        entry[1] -= 1
+        if not entry[1]:
+            del self.kept[key]
+        return entry[0]
+
+    def _op(self, node):
+        # z is always a complex ndarray; results broadcast against it
+        z = self.z
+        if isinstance(node, Const):
+            return np.broadcast_to(np.asarray(node.value, dtype=complex), z.shape)
+        if isinstance(node, Var):
+            return z
+        if isinstance(node, Add):
+            return self(node.left) + self(node.right)
+        if isinstance(node, Sub):
+            return self(node.left) - self(node.right)
+        if isinstance(node, Mul):
+            return self(node.left) * self(node.right)
+        if isinstance(node, Neg):
+            return -self(node.arg)
+        if isinstance(node, Div):
+            num = self(node.left)
+            den = _shaped(self(node.right), z)
+            bad = _first_bad(den == 0, z)
             if bad is not None:
-                raise EvalDomainError(f"zero base raised to power {k}", bad)
-        return base ** k
-    if isinstance(node, Exp):
-        return np.exp(_eval(node.arg, z))
-    if isinstance(node, Log):
-        w = np.broadcast_to(np.asarray(_eval(node.arg, z)), z.shape)
-        bad = _first_bad(w == 0, z)
-        if bad is not None:
-            raise EvalDomainError("log of zero", bad)
-        # principal branch; refuse points within LOG_CUT_TOL of the cut
-        near_cut = (w.real < 0) & (np.abs(w.imag) < LOG_CUT_TOL)
-        bad = _first_bad(near_cut, z)
-        if bad is not None:
-            raise EvalDomainError("log evaluated too close to its branch cut", bad)
-        return np.log(w)
-    if isinstance(node, Opaque):
-        return np.broadcast_to(np.asarray(node.fn(z)), z.shape)
-    raise ExprError(f"unknown node {node!r}")
+                raise EvalDomainError("division by zero", bad)
+            return num / den
+        if isinstance(node, Pow):
+            base = _shaped(self(node.base), z)
+            k = node.exponent
+            if k < 0:
+                bad = _first_bad(base == 0, z)
+                if bad is not None:
+                    raise EvalDomainError(f"zero base raised to power {k}", bad)
+            return base ** k
+        if isinstance(node, Exp):
+            return np.exp(self(node.arg))
+        if isinstance(node, Log):
+            w = _shaped(self(node.arg), z)
+            bad = _first_bad(w == 0, z)
+            if bad is not None:
+                raise EvalDomainError("log of zero", bad)
+            # principal branch; refuse points within LOG_CUT_TOL of the cut
+            near_cut = (w.real < 0) & (np.abs(w.imag) < LOG_CUT_TOL)
+            bad = _first_bad(near_cut, z)
+            if bad is not None:
+                raise EvalDomainError("log evaluated too close to its branch cut", bad)
+            return np.log(w)
+        if isinstance(node, Opaque):
+            return _shaped(node.fn(z), z)
+        raise ExprError(f"unknown node {node!r}")
 
 
 def evaluate(node, z):
-    """Evaluate ``node`` at ``z`` (complex scalar or ndarray)."""
+    """Evaluate ``node`` at ``z`` (complex scalar or ndarray).
+
+    ``node`` may also be a list or tuple of roots: they are evaluated in order
+    in one pass, and the list of their values is returned.  A subtree that
+    several roots (or several parents) share is evaluated once, and a joint
+    Opaque leaf gives its value and derivative from one call when both are
+    needed; every value equals, bit for bit, that of a separate call, and an
+    EvalDomainError names the point a separate call on each root in turn
+    would.
+    """
+    roots = list(node) if isinstance(node, (list, tuple)) else [node]
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
     if scalar:
         arr = arr.reshape(1)
+    walk = _Walk(roots, arr)
+    outs = []
     with np.errstate(all="ignore"):
-        out = np.asarray(_eval(node, arr))
-    out = np.broadcast_to(out, arr.shape)
-    if scalar:
-        return complex(out[0])
-    return out.copy()
+        for root in roots:
+            out = _shaped(walk(root), arr)
+            outs.append(complex(out[0]) if scalar else out.copy())
+    return outs if isinstance(node, (list, tuple)) else outs[0]
 
 
 # --- differentiation -------------------------------------------------------

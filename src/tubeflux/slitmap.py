@@ -86,15 +86,16 @@ def slit_annulus_map(params: EllipticParams) -> SlitMapCandidate:
         v = v_of(z)
         return (theta1(v, q) / theta3(v, q)) ** 2
 
-    def dfn(z):
-        z = np.asarray(z, dtype=complex)
+    def joint(z):
+        # (g0, g0') from one theta1, theta3 sample; g0 formed as fn forms it
         v = v_of(z)
         t1v, t3v = theta1(v, q), theta3(v, q)
         quot = (theta1_prime(v, q) * t3v - t1v * theta3_prime(v, q)) / (t3v * t3v)
-        return (t1v / t3v) * quot / (1j * z)
+        return (t1v / t3v) ** 2, (t1v / t3v) * quot / (1j * z)
 
-    dnode = Opaque(f"slit0'(q={q:g})", dfn, None)
-    g0 = HoloFn.from_callable(f"slit0(q={q:g})", fn, Annulus(params.ring_radius), deriv=dnode)
+    dnode = Opaque(f"slit0'(q={q:g})", lambda z: joint(z)[1])
+    g0 = HoloFn.from_callable(f"slit0(q={q:g})", fn, Annulus(params.ring_radius),
+                              deriv=dnode, joint=joint)
     return SlitMapCandidate(params=params, g=g0, scale=1.0,
                             slit_neg=-a_geo, slit_pos=1.0 / a_geo)
 

@@ -15,6 +15,8 @@ it builds the expression trees of enneper_F; applied to one sample of g and
 one of f it gives the values of those trees bit for bit, and that is how
 WeierstrassData evaluates itself for quadrature (``data(z)``, a (3, ...)
 stack), so circle_integral and path_integral each give all three integrals.
+g and f come from one evaluation pass, which samples g once although
+f = c/(2zg) holds g's tree.
 
 The constructor route that matters in practice fixes the vertical component
 first: tube_from_gauss sets f = c/(2zg) so that F3 = c/z exactly, and closure
@@ -37,6 +39,7 @@ from .contour import (
     GL_NODES, GL_WEIGHTS, Annulus, HoloFn, ProbeReport, _merge_annuli, _path_integrals,
     a0_pair, circle_integral, path_integral, univalence_probe,
 )
+from .expr import evaluate
 from .flux import _flux_from_loops
 
 __all__ = [
@@ -81,8 +84,9 @@ class WeierstrassData:
         return enneper_F(self)
 
     def __call__(self, z):
-        """The triple at z, stacked on a new first axis, from one sample of g and f."""
-        g, f = self.g(z), self.f(z)
+        """The triple at z, stacked on a new first axis, from one evaluation
+        pass over g and f, so g is sampled once even where f's tree holds it."""
+        g, f = evaluate([self.g.node, self.f.node], z)
         with np.errstate(all="ignore"):
             return np.stack(_triple(g, f))
 

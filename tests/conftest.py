@@ -1,4 +1,5 @@
-"""Shared fixtures: a catenoid band and a memoized calibrated slit family."""
+"""Shared fixtures: a catenoid band, a memoized calibrated slit family, and
+the counters of the deterministic count tests (circle levels, comb points)."""
 
 from functools import lru_cache
 
@@ -9,6 +10,8 @@ from tubeflux import (
     HoloFn,
     MinimalTube,
     calibrate_candidate,
+    contour,
+    elliptic,
     tube_from_gauss,
 )
 
@@ -41,3 +44,46 @@ def catenoid():
     # g = z, c = 1 on 1/2 < |z| < 2: the flat-ended catenoid band.
     data = tube_from_gauss(HoloFn.var(Annulus(2.0)), 1.0)
     return MinimalTube(data)
+
+
+def _counting(fn, calls):
+    def counted(x, *args, **kwargs):
+        calls.append(len(x))
+        return fn(x, *args, **kwargs)
+    return counted
+
+
+@pytest.fixture(scope="session")
+def counting():
+    """``counting(fn, calls)``: fn, appending len(x) to calls at every call fn(x, ...)."""
+    return _counting
+
+
+@pytest.fixture()
+def count_levels(monkeypatch):
+    """``count_levels()`` records the node count of every circle sample taken
+    from then on, and returns the list it records into."""
+    def start():
+        levels, nodes = [], contour._circle_nodes
+
+        def counted(rho, n):
+            levels.append(n)
+            return nodes(rho, n)
+
+        monkeypatch.setattr(contour, "_circle_nodes", counted)
+        return levels
+
+    return start
+
+
+@pytest.fixture()
+def comb_calls(monkeypatch):
+    """``comb_calls()`` records the point count of every theta-comb call made
+    from then on (theta1, theta3 and their derivatives alike), and returns
+    the list it records into."""
+    def start():
+        calls = []
+        monkeypatch.setattr(elliptic, "_gauss_comb", _counting(elliptic._gauss_comb, calls))
+        return calls
+
+    return start

@@ -17,6 +17,7 @@ from tubeflux import (
     univalence_probe,
 )
 from tubeflux import contour, tube_from_gauss
+from tubeflux.contour import TWO_PI_I, _on_integer
 from tubeflux.expr import EvalDomainError, ExprError
 
 ANN = Annulus(2.0)
@@ -99,24 +100,12 @@ class TestCircleIntegral:
             circle_integral(lambda z: np.stack([z, h(z)]), 1.0)
 
 
-def count_levels(monkeypatch):
-    """Record the node count of every circle sample taken from here on."""
-    levels, nodes = [], contour._circle_nodes
-
-    def counted(rho, n):
-        levels.append(n)
-        return nodes(rho, n)
-
-    monkeypatch.setattr(contour, "_circle_nodes", counted)
-    return levels
-
-
 class TestNestedLevels:
     """Each doubling samples h on the new nodes only; the sums are unchanged."""
 
     @pytest.mark.parametrize("q", [0.1, 0.72])
-    def test_reuse_equals_one_level_where_it_settled(self, candidate, monkeypatch, q):
-        levels = count_levels(monkeypatch)
+    def test_reuse_equals_one_level_where_it_settled(self, candidate, count_levels, q):
+        levels = count_levels()
         g = candidate(q).g
         for h in (g, 1 / g):
             levels.clear()
@@ -124,18 +113,18 @@ class TestNestedLevels:
             assert got == circle_integral(h, 1.0, n_points=max(levels))
 
     @pytest.mark.parametrize("q", [0.0025, 0.1, 0.33])
-    def test_slit_loop_integrals_keep_their_levels(self, candidate, monkeypatch, q):
+    def test_slit_loop_integrals_keep_their_levels(self, candidate, count_levels, q):
         data = tube_from_gauss(candidate(q).g, 1.0, check_omission=False)
-        levels = count_levels(monkeypatch)
+        levels = count_levels()
         circle_integral(data, 1.0)
         assert levels == [1024, 2048]
 
     def test_noise_limited_loop_integrals_stop_at_the_rounding_floor(
-            self, candidate, monkeypatch):
+            self, candidate, count_levels):
         # at q = 0.72 the phi_2 deltas (2e-11 .. 6e-11) never meet QUAD_TOL
         # but sit below the sum's rounding level (about 1.2e-10 per eps)
         data = tube_from_gauss(candidate(0.72).g, 1.0, check_omission=False)
-        levels = count_levels(monkeypatch)
+        levels = count_levels()
         circle_integral(data, 1.0)
         assert max(levels) <= 4096
 
@@ -356,3 +345,45 @@ class TestUnivalenceProbe:
         assert all(note.endswith("inconclusive, perturbing") for note in retries)
         assert retries[0] == "winding at rho=1.97247 inconclusive, perturbing"
         assert retries[4].startswith(f"winding at rho={ANN.R ** -0.98:.6g} ")
+
+    def test_unevaluable_target_points_are_noted_one_by_one(self):
+        # g refuses one of the sampled target points, so the one call for all
+        # 32 targets fails and they are taken point by point
+        points = contour._sample_points(ANN, contour.PROBE_MARGIN, contour.PROBE_TARGETS)
+        z = HoloFn.var(ANN)
+        p = complex(points[5])
+        report = univalence_probe(z + 0.01 / (z - p))
+        assert [n for n in report.notes if "not evaluable" in n] == [
+            f"sample point {p:.6g} not evaluable"]
+
+    @pytest.mark.parametrize("case", ["z + 0.2/z", "exp(z/3) + 0.1/z", "log(z + 3)*z",
+                                      0.0025, 0.1, 0.72, 0.95])
+    def test_targets_in_one_call_equal_one_call_per_point(self, candidate, case):
+        g = holo(case) if isinstance(case, str) else candidate(case).g
+        points = contour._sample_points(g.annulus, contour.PROBE_MARGIN, contour.PROBE_TARGETS)
+        assert g(points).tobytes() == np.array([g(z) for z in points]).tobytes()
+
+
+class TestWindingStops:
+    """A winding sum also stops once it sits on an integer at two levels."""
+
+    def test_integer_stop_needs_two_levels_on_one_integer(self):
+        def on(prev, cur):
+            return _on_integer(prev * TWO_PI_I, cur * TWO_PI_I)
+
+        assert on(3 + 9e-4, 3 - 9e-7)
+        assert on(-1 + 5e-4j, -1 + 5e-7j)
+        assert not on(3 + 2e-3, 3 + 1e-7)  # the level before was too far
+        assert not on(3 + 1e-4, 3 + 2e-6)  # this level is not close enough
+        assert not on(2 + 1e-7, 3 + 1e-7)  # two different integers
+        assert not on(float("nan"), 3.0)
+        assert not on(3.0, complex("inf"))
+
+    # with the 1e-8 relative test alone the windings went to 8,192, 16,384
+    # and the 65,536 cap
+    @pytest.mark.parametrize("q, top", [(0.1, 2048), (0.6, 4096), (0.72, 8192), (0.9, 16384)])
+    def test_slit_windings_stop_on_their_integer(self, candidate, count_levels, q, top):
+        g = candidate(q).g
+        levels = count_levels()
+        univalence_probe(g)
+        assert max(levels) == top

@@ -16,6 +16,13 @@ method moves the scale by at most one ulp, and the q = 0.33 tube by at most
 5.6e-15 (its defect), so "tube_pointwise_comb" holds at an absolute 1e-14
 and "tube_closed_form_scale" exactly.  The probe reports did not move.
 
+"probe_relative_stop" holds every ProbeReport field at the inputs whose
+winding levels the integer stop lowers (slit nomes from 0.0025 to 0.95 and
+two parsed maps), frozen while each winding sum still refined until two
+levels agreed to 1e-8 relative; the reports must not move at all.  g and g'
+from one evaluation pass, and the probe targets from one call, must give
+the values of separate calls bit for bit.
+
 goldens/witness_and_ring.json holds crossing witnesses from the scalar,
 one-bracket-at-a-time bisection and a grid estimate from the loop-built
 grid axes.  Where two roots of a locus have residuals at rounding level, the
@@ -41,11 +48,12 @@ import numpy as np
 import pytest
 
 from tubeflux import (
-    Annulus, HoloFn, RingDomain, WeierstrassData, circle_integral, crossing_witness,
-    grid_module_estimate, tube_from_gauss, univalence_probe,
+    Annulus, HoloFn, MinimalTube, RingDomain, WeierstrassData, circle_integral,
+    crossing_witness, grid_module_estimate, tube_from_gauss, univalence_probe,
 )
 from tubeflux import elliptic, modulus
 from tubeflux.contour import _path_integrals, path_integral
+from tubeflux.expr import EvalDomainError, _Walk, evaluate
 from tubeflux.modulus import _TIE_EPS, _assemble, _bisect, _crossings
 from tubeflux.tubes import _fit_points
 
@@ -76,6 +84,17 @@ def test_expression_probe_is_unchanged(text):
 def test_slit_probe_is_unchanged(candidate, q):
     report = univalence_probe(candidate(q).g)
     assert probe_fields(report) == FROZEN["probe"][f"slit q={q!r}"]
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN["probe_relative_stop"]))
+def test_probe_reports_survive_the_integer_stop(candidate, case):
+    if case.startswith("slit q="):
+        g = candidate(float(case.split("=")[1])).g
+    else:
+        g = HoloFn.parse(case, Annulus(2.0))
+    report = univalence_probe(g)
+    got = dict(probe_fields(report), zero_notes=report.zero_notes)
+    assert got == FROZEN["probe_relative_stop"][case]
 
 
 def tube_fields(tube):
@@ -157,6 +176,100 @@ def test_stacked_circle_integral_equals_one_call_per_component(candidate, kind):
     assert np.array_equal(stacked, [circle_integral(phi, 1.0) for phi in data.F])
 
 
+class _PlainWalk(_Walk):
+    """The memo-free recursive walk of one root that evaluate made before it
+    took several roots: every reference to a node evaluates it again."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def __call__(self, node):
+        return self._op(node)
+
+
+def plain_evaluate(node, z):
+    arr = np.asarray(z, dtype=complex)
+    with np.errstate(all="ignore"):
+        return np.broadcast_to(np.asarray(_PlainWalk(arr)(node)), arr.shape).copy()
+
+
+# shared subtrees: g' holds g's exp and log nodes, and the quotient rule
+# holds the denominator twice
+SHARED_MAPS = ["exp(z/3) + 0.1/z", "z*exp(z/4)", "log(z + 3)*exp(z)/(z - 4)^2",
+               "(z + 0.1/z)^3/(z - 4)", "exp(log(z + 2.5)*z) - 1/(z^2 + 9)"]
+
+
+def ring_points(R):
+    return (R ** np.linspace(-0.95, 0.95, 9)[:, None]
+            * np.exp(1j * np.linspace(0.0, 6.2, 33)[None, :])).ravel()
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("text", SHARED_MAPS)
+def test_one_pass_over_several_roots_equals_separate_walks(text):
+    g = HoloFn.parse(text, Annulus(2.0))
+    roots = [g.node, g.derivative().node, g.derivative().derivative().node]
+    z = ring_points(2.0)
+    got = evaluate(roots, z)
+    for value, root in zip(got, roots):
+        assert same_bits(value, evaluate(root, z))
+        assert same_bits(value, plain_evaluate(root, z))
+    scalar = evaluate(roots[::-1], z[5])
+    assert scalar == [complex(evaluate(root, z[5:6])[0]) for root in roots[::-1]]
+
+
+def slit_pair_apart(cand, z):
+    """s g0 and s g0' at z, each by its own theta formula, as the slit map
+    formed them before its value and derivative came from one sample."""
+    q, s = cand.params.q, complex(cand.scale)
+    v = np.log(math.sqrt(q) * z) / 2j
+    t1v, t3v = elliptic.theta1(v, q), elliptic.theta3(v, q)
+    quot = (elliptic.theta1_prime(v, q) * t3v - t1v * elliptic.theta3_prime(v, q)) / (t3v * t3v)
+    return (elliptic.theta1(v, q) / elliptic.theta3(v, q)) ** 2 * s, \
+        (t1v / t3v) * quot / (1j * z) * s
+
+
+@pytest.mark.parametrize("q", [0.0025, 0.1, 0.72, 0.95])
+def test_slit_joint_pass_equals_value_and_derivative_apart(candidate, q):
+    cand = candidate(q)
+    g, gprime = cand.g, cand.g.derivative()
+    z = ring_points(g.annulus.R)
+    dv, gv = evaluate([gprime.node, g.node], z)
+    want_g, want_dg = slit_pair_apart(cand, z)
+    assert same_bits(gv, want_g) and same_bits(gv, g(z))
+    assert same_bits(dv, want_dg) and same_bits(dv, plain_evaluate(gprime.node, z))
+
+
+def first_error(fn):
+    with pytest.raises(EvalDomainError) as info:
+        fn()
+    return str(info.value), info.value.z
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("log(z - 0.5) + 1/(z + 0.25)", [-0.25, 0.5]),  # g' divides by z - 0.5
+    ("1/(z - 0.3) + log(z)", [-0.5, 0.3]),  # the pole, then the cut
+    ("exp(z)/(z^2 - 0.25)", [0.5, -0.5]),
+    ("z^-2 + log(z + 0.6)", [-0.6, 0.0]),
+])
+def test_one_pass_names_the_point_separate_walks_name(text, bad):
+    g = HoloFn.parse(text, Annulus(2.0))
+    roots = [g.node, g.derivative().node]
+    z = np.concatenate([[0.9 + 0.1j, 1.3j], bad, [-1.1]])
+
+    def separate():
+        for root in roots:
+            plain_evaluate(root, z)
+
+    want = first_error(separate)
+    assert first_error(lambda: evaluate(roots, z)) == want
+    assert first_error(lambda: evaluate(roots[::-1], z)) == first_error(
+        lambda: [plain_evaluate(root, z) for root in roots[::-1]])
+
+
 def balance_loci(cand, u):
     rho, g, lam = cand.annulus.R ** u, cand.g, cand.lam
     return (lambda t: np.real(g(rho * np.exp(1j * t))) - lam,
@@ -225,15 +338,8 @@ def test_stacked_crossings_equal_one_locus_at_a_time(candidate, q):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-def counting(fn, calls):
-    def counted(x, *args, **kwargs):
-        calls.append(len(x))
-        return fn(x, *args, **kwargs)
-    return counted
-
-
 @pytest.mark.parametrize("q", [0.0025, 0.1, 0.33])
-def test_early_stop_equals_all_halvings_on_witness_brackets(candidate, q):
+def test_early_stop_equals_all_halvings_on_witness_brackets(candidate, counting, q):
     cand = candidate(q)
     for fn in balance_loci(cand, -0.7) + balance_loci(cand, 0.7):
         _, f, k, lo, hi = scan_brackets(fn)
@@ -250,7 +356,7 @@ def test_early_stop_equals_all_halvings_on_witness_brackets(candidate, q):
     (RingDomain.comparison(1.0), 0.1),
     (RingDomain.from_json({"kind": "annulus", "ratio": math.e}), 0.04),
 ])
-def test_early_stop_equals_all_halvings_on_grid_arms(monkeypatch, domain, h):
+def test_early_stop_equals_all_halvings_on_grid_arms(monkeypatch, counting, domain, h):
     arms = []
 
     def both(stays, lo, hi, iters):
@@ -266,15 +372,38 @@ def test_early_stop_equals_all_halvings_on_grid_arms(monkeypatch, domain, h):
     assert arms and all(size > 0 and calls <= iters for size, calls, iters in arms)
 
 
-def test_witness_samples_g_once_per_step_for_both_loci(candidate, monkeypatch):
+def test_witness_samples_g_once_per_step_for_both_loci(candidate, comb_calls):
     # one scan, 47 halvings and one residual call, two combs a sample (theta1
-    # and theta3); two loci with 80 halvings each took 2 * 82 * 2 = 328
+    # and theta3); two loci with 80 halvings each took 2 * 82 * 2 = 328.  The
+    # witness evaluates g alone, so the slit map's joint (g, g') never runs.
     cand = candidate(0.1)
-    calls = []
-    monkeypatch.setattr(elliptic, "_gauss_comb",
-                        counting(elliptic._gauss_comb, calls))
+    calls = comb_calls()
     crossing_witness(cand.g, 1.0, cand.lam)
     assert len(calls) == 98
+
+
+# The probe's winding samples take g and g' from one pass, four combs a node
+# (theta1, theta3 and their derivatives) where g and the old g' took two and
+# four; its 32 targets take one call of two combs, where they took 32 calls.
+# With the integer stop, q = 0.1 winds at 1024 and 2048 nodes on each circle
+# (2 * 2048 * 4 + 64 points), and q = 0.9 up to 16,384 where it went to the
+# 65,536 cap (2 * 16384 * 4 + 64): the counts were 24,640 and 786,496.
+@pytest.mark.parametrize("q, points", [(0.1, 16448), (0.9, 131136)])
+def test_probe_comb_points(candidate, comb_calls, q, points):
+    g = candidate(q).g
+    calls = comb_calls()
+    univalence_probe(g)
+    assert sum(calls) == points
+
+
+def test_tube_samples_g_once_per_node(candidate, comb_calls):
+    # f = c/(2zg) holds g's tree, and data(z) and the F3 tree of the profile
+    # fit take g once a node from one pass: 45,056 points when g was sampled
+    # once for itself and once inside f
+    data = tube_from_gauss(candidate(0.1).g, 1.0, check_omission=False)
+    calls = comb_calls()
+    MinimalTube(data)
+    assert sum(calls) == 22528
 
 
 @pytest.mark.parametrize("case", sorted(WITNESS_AND_RING["witness"]))

@@ -10,6 +10,7 @@ from tubeflux.expr import (
     EvalDomainError,
     ExprError,
     ExprSyntaxError,
+    Mul,
     Opaque,
     Var,
     differentiate,
@@ -184,3 +185,38 @@ class TestRoundTrip:
     def test_var_and_const_render(self):
         assert to_string(Var()) == "z"
         assert parse(to_string(Const(1.5 + 2j))) is not None
+
+
+class TestSeveralRoots:
+    def test_roots_come_back_in_order(self):
+        g = parse("exp(z)*z")
+        dg = differentiate(g)
+        assert evaluate([g, dg], 0.0) == [0.0, 1.0]
+        out = evaluate((dg, g), np.array([0.0, 1.0]))
+        assert isinstance(out, list) and len(out) == 2
+        assert np.array_equal(out[1], [0.0, math.e])
+
+    def test_joint_runs_only_when_the_derivative_is_evaluated_too(self):
+        calls = []
+
+        def fn(z):
+            calls.append("fn")
+            return z * z
+
+        def joint(z):
+            calls.append("joint")
+            return z * z, 2.0 * z
+
+        leaf = Opaque("sq", fn, Opaque("sq'", lambda z: joint(z)[1]), joint)
+        g = Mul(leaf, Const(3.0))
+        dg = differentiate(g)
+        z = np.array([1.0, 2.0j])
+        assert np.array_equal(evaluate(g, z), [3.0, -12.0])
+        assert calls == ["fn"]
+        calls.clear()
+        value, deriv = evaluate([g, dg], z)
+        assert calls == ["joint"]
+        assert np.array_equal(value, [3.0, -12.0]) and np.array_equal(deriv, [6.0, 12.0j])
+        calls.clear()
+        assert np.array_equal(evaluate(dg, z), [6.0, 12.0j])
+        assert calls == ["joint"]
