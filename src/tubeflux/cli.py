@@ -240,7 +240,7 @@ def cmd_analyze(args) -> int:
         "verdict": "tube" if rep.hypothesis != "univalence violated"
                    else "not a tube",
         "defect": [float(d) for d in tube.defect],
-        "closed": tube.is_closed,
+        "closed": True,  # MinimalTube refuses an open seam
         "univalent": rep.probe.univalent,
         "omits_zero": rep.probe.omits_zero,
         "Q": [tube.flux.J1, tube.flux.J2, tube.flux.J3],

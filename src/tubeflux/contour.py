@@ -96,7 +96,8 @@ class HoloFn:
 
     Supports arithmetic with other HoloFn instances (domains must agree) and
     with plain scalars; the results stay symbolic so derivatives and printing
-    keep working.  Series-backed functions enter through ``from_callable``.
+    keep working.  Series-backed functions enter as Opaque leaves, through
+    ``from_callable`` or composed into a tree (as the slit map's thetas are).
     """
 
     __slots__ = ("node", "annulus")
@@ -114,10 +115,9 @@ class HoloFn:
         return cls(Var(), annulus)
 
     @classmethod
-    def from_callable(cls, name, fn, annulus, deriv=None, joint=None):
-        """Wrap a vectorised numeric callable; ``deriv`` is its derivative's node
-        and ``joint`` an optional callable giving (value, derivative) at once."""
-        return cls(Opaque(name, fn, deriv, joint), annulus)
+    def from_callable(cls, name, fn, annulus, deriv=None):
+        """Wrap a vectorised numeric callable; ``deriv`` is its derivative's node."""
+        return cls(Opaque(name, fn, deriv), annulus)
 
     def __call__(self, z):
         return evaluate(self.node, z)

@@ -12,8 +12,8 @@ Powers take integer exponents only and ``log`` is the principal branch.
 Trees are immutable.  Evaluation is vectorised over numpy arrays and
 deterministic; it fails loudly (carrying the offending point) instead of
 silently picking a branch or dividing by zero.  One evaluation pass may
-serve several roots (a map and its derivative), and it evaluates each
-shared subtree once.
+serve several roots (a map and its derivative); it evaluates each node once
+and holds every value until the pass returns.
 """
 
 from __future__ import annotations
@@ -112,20 +112,21 @@ class Log:
 
 @dataclass(frozen=True)
 class Opaque:
-    """Numeric leaf: a named callable with optional derivative hooks.
+    """Numeric leaf: a named callable, optionally composed with a node.
 
-    ``fn`` maps a complex ndarray to a complex ndarray.  ``deriv`` is either
-    None (differentiation raises) or the derivative's node.  ``joint``, when
-    given, maps the same ndarray to the pair (value, derivative), each equal
-    bit for bit to what ``fn`` and ``deriv`` give alone; evaluation calls it
-    only when a pass needs both the leaf and its ``deriv`` node, so a
-    value-only pass pays for the value alone.  Lets series-backed functions
-    live in the same trees as parsed expressions.
+    ``fn`` maps a complex ndarray to a complex ndarray: the points z, or,
+    when ``arg`` is a node, the value of ``arg`` there, so the leaf is
+    fn(arg(z)).  ``deriv`` is either None (differentiation raises) or the
+    node of fn's derivative, which the chain rule multiplies by arg's.  In
+    one evaluation pass every node is evaluated once and its value held until
+    the pass returns, so leaves composed with one ``arg`` node share its
+    value.  Lets series-backed functions live in the same trees as parsed
+    expressions.
     """
     name: str
     fn: object
     deriv: object = None
-    joint: object = None
+    arg: object = None
 
     def __eq__(self, other):
         return self is other
@@ -150,58 +151,18 @@ def _shaped(value, z):
 
 
 class _Walk:
-    """One evaluation pass over the trees below some roots, at the points z.
+    """One evaluation pass at the points z: each node (by identity) is
+    evaluated at its first use and its value held until the pass returns."""
 
-    Before the pass, the references to each node are counted (by identity).
-    A node referenced more than once is kept after its first evaluation and
-    dropped at its last use, so no other intermediate outlives its parent.  An
-    Opaque leaf with a ``joint`` whose derivative node is also below the roots
-    gives both values from one joint call.
-    """
-
-    def __init__(self, roots, z):
+    def __init__(self, z):
         self.z = z
-        self.uses = uses = {}
-        leaves, stack = [], list(roots)
-        while stack:
-            node = stack.pop()
-            key = id(node)
-            if key in uses:
-                uses[key] += 1
-                continue
-            uses[key] = 1
-            kind = type(node)
-            if kind in (Add, Sub, Mul, Div):
-                stack += (node.left, node.right)
-            elif kind in (Neg, Exp, Log):
-                stack.append(node.arg)
-            elif kind is Pow:
-                stack.append(node.base)
-            elif kind is Opaque and node.joint is not None:
-                leaves.append(node)
-        self.joint = {}
-        for leaf in leaves:
-            if leaf.deriv is not leaf and id(leaf.deriv) in uses:
-                self.joint[id(leaf)] = self.joint[id(leaf.deriv)] = leaf
-        self.kept = {}  # id -> [value, uses left]
+        self.memo = {}
 
     def __call__(self, node):
-        key = id(node)
-        entry = self.kept.get(key)
-        if entry is None:
-            leaf = self.joint.get(key)
-            if leaf is not None:
-                for part, value in zip((leaf, leaf.deriv), leaf.joint(self.z)):
-                    self.kept[id(part)] = [_shaped(value, self.z), self.uses[id(part)]]
-                return self(node)
-            value = self._op(node)
-            if self.uses[key] == 1:
-                return value
-            entry = self.kept[key] = [value, self.uses[key]]
-        entry[1] -= 1
-        if not entry[1]:
-            del self.kept[key]
-        return entry[0]
+        value = self.memo.get(id(node))
+        if value is None:  # values are arrays, never None
+            value = self.memo[id(node)] = self._op(node)
+        return value
 
     def _op(self, node):
         # z is always a complex ndarray; results broadcast against it
@@ -247,7 +208,7 @@ class _Walk:
                 raise EvalDomainError("log evaluated too close to its branch cut", bad)
             return np.log(w)
         if isinstance(node, Opaque):
-            return _shaped(node.fn(z), z)
+            return _shaped(node.fn(z if node.arg is None else self(node.arg)), z)
         raise ExprError(f"unknown node {node!r}")
 
 
@@ -255,19 +216,17 @@ def evaluate(node, z):
     """Evaluate ``node`` at ``z`` (complex scalar or ndarray).
 
     ``node`` may also be a list or tuple of roots: they are evaluated in order
-    in one pass, and the list of their values is returned.  A subtree that
-    several roots (or several parents) share is evaluated once, and a joint
-    Opaque leaf gives its value and derivative from one call when both are
-    needed; every value equals, bit for bit, that of a separate call, and an
-    EvalDomainError names the point a separate call on each root in turn
-    would.
+    in one pass, and the list of their values is returned.  A node that
+    several roots (or several parents) share is evaluated once; every value
+    equals, bit for bit, that of a separate call, and an EvalDomainError
+    names the point a separate call on each root in turn would.
     """
     roots = list(node) if isinstance(node, (list, tuple)) else [node]
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
     if scalar:
         arr = arr.reshape(1)
-    walk = _Walk(roots, arr)
+    walk = _Walk(arr)
     outs = []
     with np.errstate(all="ignore"):
         for root in roots:
@@ -354,7 +313,7 @@ def differentiate(node):
     if isinstance(node, Opaque):
         if node.deriv is None:
             raise ExprError(f"no derivative available for {node.name}")
-        return node.deriv
+        return node.deriv if node.arg is None else _mul(node.deriv, differentiate(node.arg))
     raise ExprError(f"unknown node {node!r}")
 
 
@@ -423,12 +382,13 @@ def _render(node):
     if isinstance(node, Log):
         return f"log({_render(node.arg)[0]})", 5
     if isinstance(node, Opaque):
-        return f"{node.name}(z)", 5
+        arg = "z" if node.arg is None else _render(node.arg)[0]
+        return f"{node.name}({arg})", 5
     raise ExprError(f"unknown node {node!r}")
 
 
 def to_string(node):
-    """Render a tree back to grammar text (Opaque leaves print their name)."""
+    """Render a tree back to grammar text (Opaque leaves print as name(arg))."""
     return _render(node)[0]
 
 

@@ -11,7 +11,7 @@ the time axis, and the life-time bound is
     pi |Q| cos(alpha) / ln tan(pi/4 + alpha/2)  =  pi J3 / arcsinh(tan alpha),
 
 the two forms being the Gudermannian identity in disguise.  Both are computed
-and cross-checked on every call.
+from tan(alpha) = |w| and cross-checked on every call.
 """
 
 from __future__ import annotations
@@ -117,13 +117,17 @@ def lifetime(tube) -> Lifetime:
 
 
 def lifetime_bound(Q: FluxVector) -> float:
-    """Largest life-time compatible with the flow vector Q; +inf at zero tilt."""
-    alpha = Q.alpha
-    if alpha == 0.0:
+    """Largest life-time compatible with the flow vector Q; +inf at zero tilt.
+
+    Both closed forms take x = |w| = tan(alpha) as it is: tan(atan x) keeps
+    only about 16 - log10(x) digits of x, too few on thin rings (x ~ 1e9).
+    """
+    x = abs(Q.w)
+    if x == 0.0:
         return math.inf
-    via_arcsinh = math.pi * Q.J3 / math.asinh(math.tan(alpha))
-    via_gudermann = (math.pi * Q.norm * math.cos(alpha)
-                     / math.log(math.tan(math.pi / 4.0 + alpha / 2.0)))
+    sec = math.hypot(1.0, x)
+    via_arcsinh = math.pi * Q.J3 / math.asinh(x)
+    via_gudermann = math.pi * Q.norm / sec / math.log(x + sec)
     if abs(via_arcsinh - via_gudermann) > BOUND_FORM_TOL * abs(via_arcsinh):
         raise ArithmeticError(
             f"bound closed forms disagree: {via_arcsinh!r} vs {via_gudermann!r}")
@@ -140,17 +144,15 @@ class LifetimeReport:
     probe: ProbeReport
 
 
-def lifetime_report(tube, probe=None) -> LifetimeReport:
+def lifetime_report(tube) -> LifetimeReport:
     """Check a tube's life-time against its flux bound.
 
     The bound needs a univalent Gauss map; if the probe reports a violation
-    the verdict is withheld and the report says why.  Pass a precomputed
-    ProbeReport to skip the (comparatively expensive) probe; without one, the
-    probe that tube_from_gauss ran (``tube.data.probe``) is used when there is
-    one.
+    the verdict is withheld and the report says why.  The probe is the one
+    tube_from_gauss ran (``tube.data.probe``) when there is one, so the same
+    circles are not probed again.
     """
-    if probe is None:
-        probe = tube.data.probe or univalence_probe(tube.data.g, tube.annulus)
+    probe = tube.data.probe or univalence_probe(tube.data.g, tube.annulus)
     life = lifetime(tube)
     bound = lifetime_bound(tube.flux)
     if probe.univalent == "violated":

@@ -26,7 +26,7 @@ import scipy.ndimage as ndi
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .contour import Annulus, HoloFn, a0_pair
+from .contour import Annulus, HoloFn, _check_rho, a0_pair
 
 __all__ = [
     "RingDomain", "ModulusEstimate", "MobiusToAnnulus", "CrossingWitness",
@@ -498,8 +498,13 @@ def crossing_witness(g: HoloFn, rho: float, lam: float) -> CrossingWitness:
     a0[g] = lam, a0[1/g] = -lam hold: a continuous function whose circle
     mean is zero changes sign.  Geometrically, the curve g(C_rho) meets the
     line Re w = lam, and meets the circle |w + 1/(2 lam)| = 1/(2 lam) (which
-    is Re(1/w) = -lam rewritten).
+    is Re(1/w) = -lam rewritten).  rho must be positive and, when g has an
+    annulus, strictly inside it.
     """
+    if not rho > 0.0:
+        raise ValueError(f"rho must be positive, got rho={rho}")
+    _check_rho(g, rho)
+
     def loci(tt):
         w = g(rho * np.exp(1j * tt))
         return np.stack([np.real(w) - lam, np.real(1.0 / w) + lam])

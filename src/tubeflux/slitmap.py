@@ -33,7 +33,7 @@ import numpy as np
 
 from .contour import Annulus, HoloFn, a0_pair
 from .elliptic import EllipticParams, theta1, theta1_prime, theta3, theta3_prime
-from .expr import Opaque
+from .expr import Const, Div, Opaque, Pow, Var
 from .modulus import max_log_radius
 
 __all__ = [
@@ -77,25 +77,14 @@ def slit_annulus_map(params: EllipticParams) -> SlitMapCandidate:
     a_geo = (t4 / t2) ** 2
     q = params.q
     rootq = math.sqrt(q)
-
-    def v_of(z):
-        # pi * u = log(sqrt(q) z) / (2 i)
-        return np.log(rootq * np.asarray(z, dtype=complex)) / 2j
-
-    def fn(z):
-        v = v_of(z)
-        return (theta1(v, q) / theta3(v, q)) ** 2
-
-    def joint(z):
-        # (g0, g0') from one theta1, theta3 sample; g0 formed as fn forms it
-        v = v_of(z)
-        t1v, t3v = theta1(v, q), theta3(v, q)
-        quot = (theta1_prime(v, q) * t3v - t1v * theta3_prime(v, q)) / (t3v * t3v)
-        return (t1v / t3v) ** 2, (t1v / t3v) * quot / (1j * z)
-
-    dnode = Opaque(f"slit0'(q={q:g})", lambda z: joint(z)[1])
-    g0 = HoloFn.from_callable(f"slit0(q={q:g})", fn, Annulus(params.ring_radius),
-                              deriv=dnode, joint=joint)
+    # the ring coordinate v = pi u = log(sqrt(q) z)/(2i), which both theta
+    # leaves and their derivatives take, so one pass forms it once
+    v = Opaque("v", lambda z: np.log(rootq * z) / 2j, Div(Const(-0.5j), Var()))
+    t1 = Opaque(f"theta1[q={q:g}]", lambda w: theta1(w, q),
+                Opaque(f"theta1'[q={q:g}]", lambda w: theta1_prime(w, q), arg=v), v)
+    t3 = Opaque(f"theta3[q={q:g}]", lambda w: theta3(w, q),
+                Opaque(f"theta3'[q={q:g}]", lambda w: theta3_prime(w, q), arg=v), v)
+    g0 = HoloFn(Pow(Div(t1, t3), 2), Annulus(params.ring_radius))
     return SlitMapCandidate(params=params, g=g0, scale=1.0,
                             slit_neg=-a_geo, slit_pos=1.0 / a_geo)
 

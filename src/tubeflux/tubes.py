@@ -29,7 +29,6 @@ and tests hold them to it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -193,12 +192,11 @@ class MinimalTube:
 
     Construction takes the period defect and the flux from one pass of loop
     integrals, and fits the height (path integrals of F3 alone) to
-    m + s ln|z| by least squares; with validate=True (the default) any
-    failed tube hypothesis raises NotATubeError.  validate=False keeps the
-    diagnostics available on a broken instance instead, for reporting.
+    m + s ln|z| by least squares; any failed tube hypothesis raises
+    NotATubeError carrying the defect.
     """
 
-    def __init__(self, data: WeierstrassData, z0=1.0, validate=True, n_points=None):
+    def __init__(self, data: WeierstrassData, z0=1.0, n_points=None):
         self.data = data
         self.annulus = data.annulus
         self.z0 = complex(z0)
@@ -210,13 +208,9 @@ class MinimalTube:
         try:
             self.flux = _flux_from_loops(loops)
         except ValueError as exc:
-            if validate:
-                raise NotATubeError(str(exc), defect=self.defect) from exc
-            self.flux = None
-        qnorm = self.flux.norm if self.flux is not None else 0.0
-        self.period_tol = PERIOD_TOL * (1.0 + qnorm)
-        self.is_closed = bool(np.max(np.abs(self.defect)) < self.period_tol)
-        if validate and not self.is_closed:
+            raise NotATubeError(str(exc), defect=self.defect) from exc
+        self.period_tol = PERIOD_TOL * (1.0 + self.flux.norm)
+        if not np.max(np.abs(self.defect)) < self.period_tol:
             raise NotATubeError(
                 f"period defect {self.defect} exceeds tolerance {self.period_tol:.3g}; "
                 "u = Re int F is not single-valued", defect=self.defect)
@@ -225,12 +219,11 @@ class MinimalTube:
         self.profile = (m, s)
         self.profile_residual = resid
         scale = 1.0 + abs(s) * math.log(self.annulus.R)
-        self.is_radial = bool(resid < PROFILE_TOL * scale)
-        if validate and not self.is_radial:
+        if not resid < PROFILE_TOL * scale:
             raise NotATubeError(
                 f"height function deviates from a radial log profile by {resid:.3g}; "
                 "sections are not circles over the time axis", defect=self.defect)
-        if validate and s <= 0.0:
+        if s <= 0.0:
             raise NotATubeError(f"height profile slope {s:.3g} is not positive",
                                 defect=self.defect)
         lnR = math.log(self.annulus.R)
@@ -251,23 +244,14 @@ class MinimalTube:
         return m + s * np.log(np.abs(z))
 
     def __repr__(self):
-        state = "closed" if self.is_closed else "open"
-        return (f"MinimalTube({state}, R={self.annulus.R:.6g}, "
+        return (f"MinimalTube(R={self.annulus.R:.6g}, "
                 f"life=({self.life[0]:.6g}, {self.life[1]:.6g}))")
 
 
 def immerse(tube: MinimalTube, z):
-    """u(z) = Re int_{z0}^{z} F as a point of R^3.
-
-    On a tube this is path-independent; when the period defect is above
-    tolerance the value silently depends on the integration path, so the op
-    warns and carries on (useful for looking at broken data).
-    """
+    """u(z) = Re int_{z0}^{z} F as a point of R^3, path-independent on a tube."""
     if not tube.annulus.contains(z):
         raise ValueError(f"point {z} is outside the annulus")
-    if not tube.is_closed:
-        warnings.warn("period defect above tolerance: immersion is path-dependent",
-                      stacklevel=2)
     return path_integral(tube.data, tube.z0, z).real
 
 

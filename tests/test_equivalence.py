@@ -180,9 +180,6 @@ class _PlainWalk(_Walk):
     """The memo-free recursive walk of one root that evaluate made before it
     took several roots: every reference to a node evaluates it again."""
 
-    def __init__(self, z):
-        self.z = z
-
     def __call__(self, node):
         return self._op(node)
 
@@ -208,11 +205,15 @@ def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-@pytest.mark.parametrize("text", SHARED_MAPS)
-def test_one_pass_over_several_roots_equals_separate_walks(text):
-    g = HoloFn.parse(text, Annulus(2.0))
-    roots = [g.node, g.derivative().node, g.derivative().derivative().node]
-    z = ring_points(2.0)
+@pytest.mark.parametrize("text", SHARED_MAPS + ["slit q=0.1"])
+def test_one_pass_over_several_roots_equals_separate_walks(candidate, text):
+    if text.startswith("slit"):
+        g = candidate(0.1).g
+        roots = [g.node, g.derivative().node]  # the theta' leaves have no derivative
+    else:
+        g = HoloFn.parse(text, Annulus(2.0))
+        roots = [g.node, g.derivative().node, g.derivative().derivative().node]
+    z = ring_points(g.annulus.R)
     got = evaluate(roots, z)
     for value, root in zip(got, roots):
         assert same_bits(value, evaluate(root, z))
@@ -223,13 +224,19 @@ def test_one_pass_over_several_roots_equals_separate_walks(text):
 
 def slit_pair_apart(cand, z):
     """s g0 and s g0' at z, each by its own theta formula, as the slit map
-    formed them before its value and derivative came from one sample."""
+    formed them while it was one leaf whose derivative was a second leaf."""
     q, s = cand.params.q, complex(cand.scale)
     v = np.log(math.sqrt(q) * z) / 2j
     t1v, t3v = elliptic.theta1(v, q), elliptic.theta3(v, q)
     quot = (elliptic.theta1_prime(v, q) * t3v - t1v * elliptic.theta3_prime(v, q)) / (t3v * t3v)
     return (elliptic.theta1(v, q) / elliptic.theta3(v, q)) ** 2 * s, \
         (t1v / t3v) * quot / (1j * z) * s
+
+
+# g' from the theta leaves' chain rule, 2 (t1/t3) (t1' t3 - t1 t3') v'/t3^2
+# with v' = -0.5i/z, rounds differently from the old one-leaf formula: at
+# most 3.6e-15 relative on these nomes and points
+SLIT_DERIVATIVE_RTOL = 1e-14
 
 
 @pytest.mark.parametrize("q", [0.0025, 0.1, 0.72, 0.95])
@@ -240,7 +247,8 @@ def test_slit_joint_pass_equals_value_and_derivative_apart(candidate, q):
     dv, gv = evaluate([gprime.node, g.node], z)
     want_g, want_dg = slit_pair_apart(cand, z)
     assert same_bits(gv, want_g) and same_bits(gv, g(z))
-    assert same_bits(dv, want_dg) and same_bits(dv, plain_evaluate(gprime.node, z))
+    assert same_bits(dv, plain_evaluate(gprime.node, z))
+    assert np.max(np.abs(dv - want_dg) / np.abs(want_dg)) <= SLIT_DERIVATIVE_RTOL
 
 
 def first_error(fn):
@@ -375,7 +383,7 @@ def test_early_stop_equals_all_halvings_on_grid_arms(monkeypatch, counting, doma
 def test_witness_samples_g_once_per_step_for_both_loci(candidate, comb_calls):
     # one scan, 47 halvings and one residual call, two combs a sample (theta1
     # and theta3); two loci with 80 halvings each took 2 * 82 * 2 = 328.  The
-    # witness evaluates g alone, so the slit map's joint (g, g') never runs.
+    # witness evaluates g alone, so the theta' leaves never run.
     cand = candidate(0.1)
     calls = comb_calls()
     crossing_witness(cand.g, 1.0, cand.lam)

@@ -196,27 +196,20 @@ class TestSeveralRoots:
         assert isinstance(out, list) and len(out) == 2
         assert np.array_equal(out[1], [0.0, math.e])
 
-    def test_joint_runs_only_when_the_derivative_is_evaluated_too(self):
+    def test_composed_leaf_takes_its_arg_once_per_pass(self):
         calls = []
 
-        def fn(z):
-            calls.append("fn")
+        def square(z):
+            calls.append(len(z))
             return z * z
 
-        def joint(z):
-            calls.append("joint")
-            return z * z, 2.0 * z
-
-        leaf = Opaque("sq", fn, Opaque("sq'", lambda z: joint(z)[1]), joint)
-        g = Mul(leaf, Const(3.0))
+        u = Opaque("sq", square, Mul(Const(2.0), Var()))
+        g = Mul(Opaque("exp", np.exp, Opaque("exp'", np.exp, arg=u), u), Const(3.0))
         dg = differentiate(g)
-        z = np.array([1.0, 2.0j])
-        assert np.array_equal(evaluate(g, z), [3.0, -12.0])
-        assert calls == ["fn"]
-        calls.clear()
+        z = np.array([0.5, 1.0j])
         value, deriv = evaluate([g, dg], z)
-        assert calls == ["joint"]
-        assert np.array_equal(value, [3.0, -12.0]) and np.array_equal(deriv, [6.0, 12.0j])
-        calls.clear()
-        assert np.array_equal(evaluate(dg, z), [6.0, 12.0j])
-        assert calls == ["joint"]
+        assert calls == [2]  # g and g' both hold u, through exp and exp'
+        assert np.array_equal(value, np.exp(z * z) * 3.0)
+        assert np.array_equal(deriv, np.exp(z * z) * (2.0 * z) * 3.0)  # chain rule
+        assert to_string(g) == "exp(sq(z))*3.0"
+        assert to_string(dg) == "exp'(sq(z))*2.0*z*3.0"

@@ -1,5 +1,6 @@
 """Flow vectors, tilt angles, and the closed-form life-span ceiling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from tubeflux import (
     lifetime_report,
     tube_from_gauss,
 )
+from tubeflux import flux
 
 ANN = Annulus(2.0)
 
@@ -61,10 +63,12 @@ class TestFluxMeasurement:
         Q = flux_vector(slit_tube(0.1).data)
         assert [type(x) for x in (Q.J1, Q.J2, Q.J3)] == [float, float, float]
 
-    def test_bound_disagreement_prints_plain_floats(self, slit_tube):
-        # at q = 0.82 the two closed forms of the bound drift apart
+    def test_bound_disagreement_prints_plain_floats(self, monkeypatch, slit_tube):
+        # a negative tolerance makes the two closed forms disagree on any
+        # tilted flux, here one measured from the loop integrals
+        monkeypatch.setattr(flux, "BOUND_FORM_TOL", -1.0)
         with pytest.raises(ArithmeticError, match="closed forms disagree") as err:
-            lifetime_bound(slit_tube(0.82).flux)
+            lifetime_bound(slit_tube(0.33).flux)
         assert "np.float64" not in str(err.value)
 
     def test_negative_orientation_is_rejected(self):
@@ -155,7 +159,7 @@ class TestReport:
 
     def test_precomputed_probe_is_respected(self, catenoid):
         probe = ProbeReport(univalent="inconclusive", omits_zero="passed", zero_count=0)
-        report = lifetime_report(catenoid, probe=probe)
+        report = lifetime_report(MinimalTube(dataclasses.replace(catenoid.data, probe=probe)))
         assert report.hypothesis == "univalence unconfirmed"
         assert report.probe is probe
 
@@ -166,3 +170,12 @@ class TestReport:
         assert report.satisfied is True
         assert report.margin > 0
         assert report.lifetime.measured <= report.bound + 1e-8
+
+    @pytest.mark.parametrize("q", [0.78, 0.82])
+    def test_thin_slit_tubes_sit_under_their_ceilings(self, slit_tube, q):
+        # tan alpha is about 5e6 and 6e8 here, where going through atan
+        # and back through tan made the two closed forms disagree
+        report = lifetime_report(slit_tube(q))
+        assert report.hypothesis == "ok"
+        assert report.satisfied is True
+        assert abs(report.lifetime.measured - report.lifetime.from_flux) < 1e-8

@@ -254,6 +254,15 @@ class TestCrossingWitness:
             w = crossing_witness(cand.g, rho, cand.lam)
             assert max(w.residual1, w.residual2) < 1e-10
 
+    def test_radius_outside_the_annulus_is_refused(self, candidate, comb_calls):
+        cand = candidate(0.1)  # R = 3.16
+        calls = comb_calls()
+        for rho, match in ((4.74, "not strictly inside"), (-1.0, "must be positive"),
+                           (cand.annulus.R, "not strictly inside")):
+            with pytest.raises(ValueError, match=match):
+                crossing_witness(cand.g, rho, cand.lam)
+        assert calls == []  # refused before g is sampled
+
     def test_unbalanced_map_reports_residuals(self):
         g = joukowski_map(1.0, 0.3, 0.1, 2.0)
         with pytest.raises(ValueError, match="no sign change") as err:

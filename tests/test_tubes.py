@@ -1,7 +1,6 @@
 """Synthesis of tube data, closure defects, immersion, and sections."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -207,8 +206,8 @@ class TestCatenoidBand:
         m, s = catenoid.profile
         assert abs(m) < 1e-12
         assert abs(s - 1.0) < 1e-12
-        assert catenoid.is_radial
-        assert catenoid.is_closed
+        assert catenoid.profile_residual < 1e-12
+        assert np.max(np.abs(catenoid.defect)) < 1e-12
 
     def test_base_point_is_origin(self, catenoid):
         u = immerse(catenoid, 1.0)
@@ -271,7 +270,7 @@ class TestLogRadiusIdentity:
 
     def test_slit_tube_profile_is_radial(self, slit_tube):
         tube = slit_tube(0.25)
-        assert tube.is_radial and tube.is_closed
+        assert tube.profile_residual < 1e-12 and np.max(np.abs(tube.defect)) < 1e-12
         m, s = tube.profile
         rng = np.random.default_rng(8)
         R = tube.annulus.R
@@ -279,16 +278,3 @@ class TestLogRadiusIdentity:
             rho = R ** rng.uniform(-0.9, 0.9)
             z = rho * np.exp(1j * rng.uniform(0, 2 * np.pi))
             assert abs(tube.u3(z) - (m + s * math.log(abs(z)))) < 1e-8 * (1 + abs(m) + abs(s))
-
-
-class TestBrokenData:
-    def test_unvalidated_tube_reports_open_seam(self):
-        data = tube_from_gauss(holo("z + 2"), 1.0)
-        tube = MinimalTube(data, validate=False)
-        assert not tube.is_closed
-
-    def test_immersing_open_seam_warns(self):
-        data = tube_from_gauss(holo("z + 2"), 1.0)
-        tube = MinimalTube(data, validate=False)
-        with pytest.warns(UserWarning):
-            immerse(tube, 1.3)
