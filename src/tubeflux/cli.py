@@ -221,7 +221,7 @@ def cmd_analyze(args) -> int:
     n = spec.get("N")
     try:
         if f is None:
-            data = tube_from_gauss(g, float(spec["c"]), ann)
+            data = tube_from_gauss(g, float(spec["c"]))
         else:
             data = WeierstrassData(f=f, g=g, annulus=ann)
         tube = MinimalTube(data, n_points=n)

@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .expr import (
-    Add, Const, Div, EvalDomainError, Mul, Neg, Opaque, Pow, Sub, Var,
+    Add, Const, Div, EvalDomainError, Mul, Neg, Pow, Sub, Var,
     _first_bad, differentiate, evaluate, parse, to_string,
 )
 
@@ -82,10 +82,6 @@ class Annulus:
 
 
 def _merge_annuli(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
     if abs(a.R - b.R) > 1e-12 * max(a.R, b.R):
         raise ValueError(f"annulus mismatch: R={a.R} vs R={b.R}")
     return a
@@ -94,15 +90,20 @@ def _merge_annuli(a, b):
 class HoloFn:
     """A function holomorphic on an annulus, carried as an expression tree.
 
-    Supports arithmetic with other HoloFn instances (domains must agree) and
-    with plain scalars; the results stay symbolic so derivatives and printing
-    keep working.  Series-backed functions enter as Opaque leaves, through
-    ``from_callable`` or composed into a tree (as the slit map's thetas are).
+    The annulus is part of the function: the constructor refuses anything
+    that is not an Annulus, and quadrature, the univalence probe and the
+    Weierstrass synthesis all read it from here.  Supports arithmetic with
+    other HoloFn instances (annuli must agree) and with plain scalars; the
+    results stay symbolic so derivatives and printing keep working.
+    Series-backed functions enter as Opaque leaves of the tree (as the slit
+    map's thetas do).
     """
 
     __slots__ = ("node", "annulus")
 
     def __init__(self, node, annulus):
+        if not isinstance(annulus, Annulus):
+            raise TypeError(f"HoloFn needs an Annulus, got {annulus!r}")
         self.node = node
         self.annulus = annulus
 
@@ -114,11 +115,6 @@ class HoloFn:
     def var(cls, annulus):
         return cls(Var(), annulus)
 
-    @classmethod
-    def from_callable(cls, name, fn, annulus, deriv=None):
-        """Wrap a vectorised numeric callable; ``deriv`` is its derivative's node."""
-        return cls(Opaque(name, fn, deriv), annulus)
-
     def __call__(self, z):
         return evaluate(self.node, z)
 
@@ -129,7 +125,7 @@ class HoloFn:
         return to_string(self.node)
 
     def __repr__(self):
-        return f"HoloFn({to_string(self.node)!r}, R={self.annulus.R if self.annulus else None})"
+        return f"HoloFn({to_string(self.node)!r}, R={self.annulus.R})"
 
     # -- arithmetic ----------------------------------------------------
 
@@ -286,14 +282,14 @@ def circle_integral(h, rho, n_points=None):
     return np.array(_refine(quad, len(first[1]), n0, n_max, QUAD_TOL))
 
 
-def laurent_coeff(h, k, rho=1.0, n_points=None):
+def laurent_coeff(h, k, rho=1.0):
     """Laurent coefficient a_k[h] = (1/2pi i) * integral of h(z) z^(-k-1) dz over |z|=rho."""
     _check_rho(h, rho)
 
     def weighted(zeta):
         return h(zeta) * zeta ** (-k - 1)
 
-    return circle_integral(weighted, rho, n_points=n_points) / TWO_PI_I
+    return circle_integral(weighted, rho) / TWO_PI_I
 
 
 def a0(h, rho=1.0):
@@ -504,7 +500,7 @@ def _windings(g, gprime, rho, ws):
     for attempt in range(4):
         if not live:
             break
-        if g.annulus is not None and not g.annulus.radius_inside(r):
+        if not g.annulus.radius_inside(r):
             for j in live:
                 notes[j].append(f"retry radius rho={r:.6g} leaves the annulus, "
                                 "winding left unsettled")
@@ -539,9 +535,9 @@ def _sample_points(annulus, margin, n):
     return np.array(pts)
 
 
-def _newton_roots(g, gprime, w, annulus, margin):
-    """Collect distinct annulus solutions of g(z) = w by Newton iteration."""
-    R = annulus.R
+def _newton_roots(g, gprime, w, margin):
+    """Collect distinct solutions of g(z) = w in g.annulus by Newton iteration."""
+    R = g.annulus.R
     rr = R ** np.linspace(-(1 - margin), 1 - margin, 14)
     tt = 2.0 * math.pi * (np.arange(16) + 0.31) / 16
     z = (rr[:, None] * np.exp(1j * tt[None, :])).ravel()
@@ -565,14 +561,14 @@ def _newton_roots(g, gprime, w, annulus, margin):
         zi = complex(z[idx])
         if not np.isfinite(resid[idx]) or resid[idx] > 1e-8:
             continue
-        if not annulus.contains(zi, margin=1e-9):
+        if not g.annulus.contains(zi, margin=1e-9):
             continue
         if all(abs(zi - r) > 1e-7 for r in roots):
             roots.append(zi)
     return roots
 
 
-def _zero_excesses(g, gprime, annulus, ws):
+def _zero_excesses(g, gprime, ws):
     """Zeros minus poles of g - w between the circles |z| = R^(+-(1-PROBE_MARGIN)),
     for each target w of ws (None: g itself).
 
@@ -580,25 +576,23 @@ def _zero_excesses(g, gprime, annulus, ws):
     order, the retry notes and the excess, or None when either winding does
     not settle.
     """
-    outer = _windings(g, gprime, annulus.R ** (1.0 - PROBE_MARGIN), ws)
-    inner = _windings(g, gprime, annulus.R ** (PROBE_MARGIN - 1.0), ws)
+    R = g.annulus.R
+    outer = _windings(g, gprime, R ** (1.0 - PROBE_MARGIN), ws)
+    inner = _windings(g, gprime, R ** (PROBE_MARGIN - 1.0), ws)
     return [(notes_out + notes_in, None if w_out is None or w_in is None else w_out - w_in)
             for (notes_out, w_out), (notes_in, w_in) in zip(outer, inner)]
 
 
-def univalence_probe(g, annulus=None):
-    """Probe injectivity and zero-omission of g on (a rim-shrunk copy of) its annulus.
+def univalence_probe(g):
+    """Probe injectivity and zero-omission of g on (a rim-shrunk copy of) g.annulus.
 
     Zero counting and preimage counting both ride the argument principle over
     the circles |z| = R^(1-PROBE_MARGIN) and |z| = R^(PROBE_MARGIN-1).  A
     'violated' verdict is certain; 'passed' means no violation was seen among
     the PROBE_TARGETS sampled targets.
     """
-    annulus = _merge_annuli(annulus, g.annulus)
-    if annulus is None:
-        raise ValueError("univalence_probe needs an annulus")
     gprime = g.derivative()
-    points = _sample_points(annulus, PROBE_MARGIN, PROBE_TARGETS)
+    points = _sample_points(g.annulus, PROBE_MARGIN, PROBE_TARGETS)
     try:
         values = [complex(w) for w in g(points)]
     except EvalDomainError:  # one point at a time, to find those g refuses
@@ -609,7 +603,7 @@ def univalence_probe(g, annulus=None):
             except EvalDomainError:
                 values.append(None)
     (zero_notes, zero_count), *excesses = _zero_excesses(
-        g, gprime, annulus, [None] + [w for w in values if w is not None])
+        g, gprime, [None] + [w for w in values if w is not None])
     notes = list(zero_notes)
     excesses = iter(excesses)
     if zero_count is None:
@@ -632,7 +626,7 @@ def univalence_probe(g, annulus=None):
         counted += 1
         if count >= 2:
             verdict = "violated"
-            roots = _newton_roots(g, gprime, w, annulus, PROBE_MARGIN)
+            roots = _newton_roots(g, gprime, w, PROBE_MARGIN)
             if len(roots) >= 2:
                 witness = (roots[0], roots[1])
             break

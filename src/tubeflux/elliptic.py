@@ -64,7 +64,10 @@ class EllipticParams:
         self.e1 = k * (t3 ** 4 + t4 ** 4)
         self.e2 = k * (t2 ** 4 - t4 ** 4)
         self.e3 = -k * (t2 ** 4 + t3 ** 4)
-        self.g2, self.g3 = _invariants(self.q)
+        # the invariants are symmetric functions of the branch values, since
+        # 4x^3 - g2 x - g3 = 4(x - e1)(x - e2)(x - e3)
+        self.g2 = -4.0 * (self.e1 * self.e2 + self.e2 * self.e3 + self.e3 * self.e1)
+        self.g3 = 4.0 * self.e1 * self.e2 * self.e3
 
     @property
     def tau(self):
@@ -226,16 +229,3 @@ def theta3_prime(v, q):
     out = _gauss_comb(v, q, 0.0, deriv=True)
     return out if np.ndim(v) else complex(out)
 
-
-def _invariants(q):
-    """g2, g3 from the Eisenstein series E4, E6 in p = q^2."""
-    p = q * q
-    k = np.arange(1, 2000)
-    pk = p ** k
-    mask = pk > 1e-20
-    k, pk = k[mask], pk[mask]
-    e4 = 1.0 + 240.0 * np.sum(k ** 3 * pk / (1.0 - pk))
-    e6 = 1.0 - 504.0 * np.sum(k ** 5 * pk / (1.0 - pk))
-    g2 = (4.0 * math.pi ** 4 / 3.0) * e4
-    g3 = (8.0 * math.pi ** 6 / 27.0) * e6
-    return float(g2), float(g3)

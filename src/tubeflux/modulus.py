@@ -19,7 +19,7 @@ by one V-cycle of a multigrid that merges 2x2 blocks of nodes per level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.ndimage as ndi
@@ -174,7 +174,7 @@ class RingDomain:
         raise ValueError(f"unknown domain kind {kind!r}")
 
     @classmethod
-    def comparison(cls, lam: float, box=None) -> "RingDomain":
+    def comparison(cls, lam: float) -> "RingDomain":
         """The ring D(lambda): half-plane Re z < lambda minus a tangent disk.
 
         The disk {|z + 1/(2 lambda)| <= 1/(2 lambda)} touches the origin; the
@@ -182,19 +182,18 @@ class RingDomain:
         and the estimator reports how sensitive the energy is to that.  The
         truncation deficit measured for lambda=1 is 2.9% at extent 8, 0.8% at
         16 and 0.26% at 32: it falls 3.6x and then 3.1x per doubling of the
-        extent.  The default box extends 16 units past the conductors,
-        scaled by the disk size.
+        extent.  The box extends 16 units past the conductors, scaled by the
+        disk size; grid_module_estimate pads it (``dataclasses.replace``)
+        to measure that sensitivity.
         """
         _check_lambda(lam)
         c = 1.0 / (2.0 * lam)
-        if box is None:
-            ext = 16.0 * max(1.0, 1.0 / lam)
-            box = (-ext - 2.0 * c, lam, -ext, ext)
+        ext = 16.0 * max(1.0, 1.0 / lam)
         return cls(
             inside=lambda z: (z.real < lam) & (np.abs(z + c) > c),
             first=lambda z: np.abs(z + c) <= c,
             second=lambda z: z.real >= lam,
-            box=box,
+            box=(-ext - 2.0 * c, lam, -ext, ext),
             descriptor={"kind": "D", "lambda": lam},
             exact_module=comparison_ring_module(lam),
         )
@@ -429,8 +428,7 @@ def grid_module_estimate(domain: RingDomain, h: float) -> ModulusEstimate:
     desc = domain.descriptor or {}
     if desc.get("kind") == "D":
         x0, x1, y0, y1 = domain.box
-        padded = RingDomain.comparison(float(desc["lambda"]),
-                                       box=(x0 - 3.0, x1, y0 - 3.0, y1 + 3.0))
+        padded = replace(domain, box=(x0 - 3.0, x1, y0 - 3.0, y1 + 3.0))
         e_pad, _ = _grid_energy(padded, h)
         sens = abs(e_pad - e_coarse)
     return ModulusEstimate(value=e_fine, method="grid", h=h,
@@ -498,8 +496,8 @@ def crossing_witness(g: HoloFn, rho: float, lam: float) -> CrossingWitness:
     a0[g] = lam, a0[1/g] = -lam hold: a continuous function whose circle
     mean is zero changes sign.  Geometrically, the curve g(C_rho) meets the
     line Re w = lam, and meets the circle |w + 1/(2 lam)| = 1/(2 lam) (which
-    is Re(1/w) = -lam rewritten).  rho must be positive and, when g has an
-    annulus, strictly inside it.
+    is Re(1/w) = -lam rewritten).  rho must be positive and strictly inside
+    g.annulus.
     """
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got rho={rho}")

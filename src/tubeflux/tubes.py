@@ -72,10 +72,7 @@ class WeierstrassData:
     probe: ProbeReport | None = field(default=None, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
-        merged = _merge_annuli(self.f.annulus, self.g.annulus)
-        merged = _merge_annuli(merged, self.annulus)
-        if merged is None:
-            raise ValueError("Weierstrass data needs an annulus from f, g, or explicitly")
+        merged = _merge_annuli(_merge_annuli(self.f.annulus, self.g.annulus), self.annulus)
         object.__setattr__(self, "annulus", merged)
 
     @cached_property
@@ -105,7 +102,7 @@ def isotropy_defect(F, z):
     return sum(phi(z) ** 2 for phi in F)
 
 
-def period_defect(data: WeierstrassData, n_points=None):
+def period_defect(data: WeierstrassData):
     """(Re oint phi_1, Re oint phi_2, Re oint phi_3) over the unit circle.
 
     All three must vanish for u = Re int F to be single-valued on the
@@ -113,7 +110,7 @@ def period_defect(data: WeierstrassData, n_points=None):
     badly closure fails.  It is the real part of the same loop integrals
     whose imaginary part is the flux (see flux.flux_vector).
     """
-    return circle_integral(data, 1.0, n_points).real
+    return circle_integral(data, 1.0).real
 
 
 def defect_from_means(g: HoloFn, c: float, rho=1.0):
@@ -148,21 +145,18 @@ def flux_from_means(g: HoloFn, c: float, rho=1.0):
     ])
 
 
-def tube_from_gauss(g: HoloFn, c: float, annulus: Annulus | None = None,
-                    check_omission=True) -> WeierstrassData:
-    """Weierstrass data with f = c/(2zg), so the vertical flux is 2 pi c exactly.
+def tube_from_gauss(g: HoloFn, c: float, check_omission=True) -> WeierstrassData:
+    """Weierstrass data on g.annulus with f = c/(2zg), so the vertical flux is
+    2 pi c exactly.
 
-    g must omit zero on the annulus; c > 0 sets the vertical scale.  Unless
+    g must omit zero on its annulus; c > 0 sets the vertical scale.  Unless
     the caller already knows, the zero count of univalence_probe checks it,
     and the whole probe report is kept on the data (``data.probe``), so that
     lifetime_report does not probe the same circles again.
     """
-    ann = _merge_annuli(annulus, g.annulus)
-    if ann is None:
-        raise ValueError("tube_from_gauss needs an annulus")
     if not (c > 0.0):
         raise ValueError(f"flux constant must be positive, got c={c}")
-    probe = univalence_probe(g, ann) if check_omission else None
+    probe = univalence_probe(g) if check_omission else None
     if probe is not None and probe.zero_count is None:
         raise NotATubeError(
             "cannot certify that the Gauss map omits zero: winding integrals "
@@ -171,9 +165,8 @@ def tube_from_gauss(g: HoloFn, c: float, annulus: Annulus | None = None,
         raise NotATubeError(
             f"Gauss map has zero/pole excess {probe.zero_count} inside the annulus; "
             "the data cannot describe a tube")
-    z = HoloFn.var(ann)
-    f = (0.5 * c) / (z * g)
-    return WeierstrassData(f=f, g=g, annulus=ann, flux_constant=c, probe=probe)
+    f = (0.5 * c) / (HoloFn.var(g.annulus) * g)
+    return WeierstrassData(f=f, g=g, annulus=g.annulus, flux_constant=c, probe=probe)
 
 
 # --- the tube object -------------------------------------------------------
@@ -191,17 +184,19 @@ class MinimalTube:
     """A closed immersion with circular sections, built from Weierstrass data.
 
     Construction takes the period defect and the flux from one pass of loop
-    integrals, and fits the height (path integrals of F3 alone) to
-    m + s ln|z| by least squares; any failed tube hypothesis raises
-    NotATubeError carrying the defect.
+    integrals (a single pass of ``n_points`` trapezoid nodes when given,
+    adaptive otherwise), and fits the height (path integrals of F3 alone,
+    from the base point z0) to m + s ln|z| by least squares; any failed tube
+    hypothesis raises NotATubeError carrying the defect.
     """
 
-    def __init__(self, data: WeierstrassData, z0=1.0, n_points=None):
+    # the base point of u = Re int_{z0}^{z} F: 1 lies on the unit circle,
+    # inside every annulus K_R
+    z0 = 1.0 + 0.0j
+
+    def __init__(self, data: WeierstrassData, n_points=None):
         self.data = data
         self.annulus = data.annulus
-        self.z0 = complex(z0)
-        if not self.annulus.contains(self.z0):
-            raise ValueError(f"base point {z0} is outside the annulus")
 
         loops = circle_integral(data, 1.0, n_points)
         self.defect = loops.real

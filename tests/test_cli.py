@@ -134,6 +134,13 @@ class TestAnalyze:
         cfg = write_config(tmp_path, R=2.0, g="z", c=1.0, N=64)
         assert run("analyze", cfg).returncode == 0
 
+    def test_nearly_vertical_flux_gets_a_finite_bound(self, tmp_path, capsys):
+        # |w| ~ 1e-9: both closed forms of the bound must agree there
+        cfg = write_config(tmp_path, R=2.0, g="z + 0.000000001", c=1.0)
+        assert cli.main(["analyze", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert math.isfinite(report["bound"]) and report["satisfied"] is True
+
 
 class TestAnalyzeValidation:
     def test_malformed_json_reports_position(self, tmp_path):

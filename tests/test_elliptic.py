@@ -164,11 +164,17 @@ class TestBranchValues:
         assert abs((p.e1 - p.e2) - pi2 * t4**4) <= 1e-12 * scale
         assert abs((p.e2 - p.e3) - pi2 * t2**4) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("q", (0.1, 0.5))
-    def test_invariants_match_symmetric_functions(self, q):
+    @pytest.mark.parametrize("q", (0.1, 0.5, 0.9))
+    def test_invariants_match_eisenstein_series(self, q):
+        # g2 = (4 pi^4/3) E4 and g3 = (8 pi^6/27) E6, the Eisenstein series
+        # in p = q^2, summed independently of the branch values
+        with mp.workdps(60):
+            pp = mp.mpf(q) ** 2
+            e4 = 1 + 240 * mp.nsum(lambda k: k**3 * pp**k / (1 - pp**k), [1, mp.inf])
+            e6 = 1 - 504 * mp.nsum(lambda k: k**5 * pp**k / (1 - pp**k), [1, mp.inf])
+            g2 = float(4 * mp.pi**4 / 3 * e4)
+            g3 = float(8 * mp.pi**6 / 27 * e6)
         p = EllipticParams(q)
-        g2 = -4.0 * (p.e1 * p.e2 + p.e2 * p.e3 + p.e3 * p.e1)
-        g3 = 4.0 * p.e1 * p.e2 * p.e3
         assert abs(p.g2 - g2) <= 1e-11 * (1 + abs(g2))
         assert abs(p.g3 - g3) <= 1e-11 * (1 + abs(g3))
 

@@ -96,6 +96,13 @@ class TestBound:
     def test_vertical_flux_means_no_ceiling(self):
         assert lifetime_bound(FluxVector(0.0, 0.0, 1.0)) == math.inf
 
+    @pytest.mark.parametrize("J1, J3", [(1e-12, 1.0), (1e-9, 1.0), (1e-7, 1.0), (1.0, 1e-200)],
+                             ids=["1e-12", "1e-9", "1e-7", "1e200"])
+    def test_extreme_tilts_keep_both_closed_forms(self, J1, J3):
+        # |w| from 1e-12 to 1e200: ln(x + sec alpha) would cancel at the small end
+        Q = FluxVector(J1, 0.0, J3)
+        assert lifetime_bound(Q) == math.pi * J3 / math.asinh(abs(Q.w))
+
     def test_unit_tilt_reference_value(self):
         Q = FluxVector(-2.0 * math.pi, 0.0, 2.0 * math.pi)
         want = 2.0 * math.pi**2 / math.asinh(1.0)
