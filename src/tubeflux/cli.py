@@ -257,12 +257,11 @@ def cmd_analyze(args) -> int:
     if taus:
         sections = {}
         for tau in taus:
-            lo, hi = tube.life
-            if not lo < tau < hi:
-                _err(f"section {tau:g} lies outside the open life interval "
-                     f"({lo:g}, {hi:g})")
+            try:
+                pts = section_polyline(tube, tau)
+            except ValueError as exc:
+                _err(str(exc))
                 return 1
-            pts = section_polyline(tube, tau)
             sections[format(tau, ".12g")] = [
                 [float(p[0]), float(p[1]), float(p[2])] for p in pts]
         report["sections"] = sections

@@ -69,7 +69,7 @@ class FluxVector:
 
     @property
     def norm(self) -> float:
-        return math.sqrt(self.J1 ** 2 + self.J2 ** 2 + self.J3 ** 2)
+        return math.hypot(self.J1, self.J2, self.J3)
 
     def as_array(self):
         return np.array([self.J1, self.J2, self.J3])
@@ -80,11 +80,11 @@ def _flux_from_loops(loops) -> FluxVector:
 
     Components smaller than SNAP_TOL relative to the largest one are set to
     exactly zero, so that symmetric data (catenoid bands and their kin) gets
-    an exact alpha = 0 instead of a 1e-16-radian tilt.
+    an exact alpha = 0 instead of a 1e-16-radian tilt.  The floor scales
+    with the flux alone, so the verdict does not depend on the size of c.
     """
     J = loops.imag.copy()
-    scale = 1.0 + np.max(np.abs(J))
-    J[np.abs(J) < SNAP_TOL * scale] = 0.0
+    J[np.abs(J) < SNAP_TOL * np.max(np.abs(J))] = 0.0
     if J[2] <= 0.0:
         raise ValueError(
             f"vertical flux J3={J[2]:.6g} is not positive; "

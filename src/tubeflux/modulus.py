@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.ndimage as ndi
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -108,15 +107,15 @@ def max_log_radius(lam: float) -> float:
 
 @dataclass
 class RingDomain:
-    """A doubly connected domain presented by membership predicates.
+    """A doubly connected domain: the box minus two closed conductors.
 
-    inside/first/second take complex arrays and return boolean arrays; first
-    and second are the closed regions carrying the two boundary components
-    (grounded and unit potential respectively).  box bounds the part of the
-    plane the grid estimator discretizes.
+    first and second take complex arrays and return boolean arrays marking
+    the closed regions that carry the two boundary components (grounded and
+    unit potential respectively).  Every other point of box, the part of the
+    plane the grid estimator discretizes, is inside the domain, so the only
+    insulating boundary is the box edge.
     """
 
-    inside: object
     first: object
     second: object
     box: tuple
@@ -144,7 +143,6 @@ class RingDomain:
                 raise ValueError(f"annulus descriptor needs ratio > 1, got {ratio!r}")
             pad = 0.25
             return cls(
-                inside=lambda z: (np.abs(z) > 1.0) & (np.abs(z) < ratio),
                 first=lambda z: np.abs(z) <= 1.0,
                 second=lambda z: np.abs(z) >= ratio,
                 box=(-ratio - pad, ratio + pad, -ratio - pad, ratio + pad),
@@ -163,8 +161,6 @@ class RingDomain:
                 raise ValueError("box_conductor needs positive width and height")
             pad = 0.05
             return cls(
-                inside=lambda z: (z.real > 0.0) & (z.real < w)
-                                 & (z.imag >= 0.0) & (z.imag <= hgt),
                 first=lambda z: z.real <= 0.0,
                 second=lambda z: z.real >= w,
                 box=(-pad, w + pad, 0.0, hgt),
@@ -190,7 +186,6 @@ class RingDomain:
         c = 1.0 / (2.0 * lam)
         ext = 16.0 * max(1.0, 1.0 / lam)
         return cls(
-            inside=lambda z: (z.real < lam) & (np.abs(z + c) > c),
             first=lambda z: np.abs(z + c) <= c,
             second=lambda z: z.real >= lam,
             box=(-ext - 2.0 * c, lam, -ext, ext),
@@ -210,8 +205,6 @@ class ModulusEstimate:
 
 
 # --- grid estimator ---------------------------------------------------------
-
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 # fractional boundary arms shorter than this fraction of h are clamped
 _THETA_MIN = 1e-3
@@ -252,11 +245,17 @@ def _bisect(stays, lo, hi, iters):
 def _assemble(domain: RingDomain, h: float):
     """The resistor network at spacing ~h, as the system A u = rhs.
 
-    5-point stencil with finite-volume weights: interior edges carry hy/hx or
-    hx/hy, edges whose transverse cell is cut by an insulating boundary carry
-    half, and edges crossing a conductor boundary become arms of conductance
-    base/theta, theta the inside fraction found by bisection.  Returns A, rhs,
-    the dof mask (dofs in row-major order) and the inner and fixed edges.
+    The box's grid nodes in neither conductor are the dofs.  5-point stencil
+    with finite-volume weights: edges carry hy/hx or hx/hy, and half that on
+    the box edge, the only insulating boundary (horizontal edges on the first
+    and last row, vertical edges on the first and last column); edges into a
+    conductor become arms of conductance weight/theta, theta the fraction of
+    the segment in neither conductor, found by bisection.  No component of
+    dofs floats: the grid is connected, so each component has a conductor
+    neighbour, and a shortest grid path from one conductor to the other runs
+    through dofs only, so unless the conductors touch (refused) some
+    component joins both.  Returns A, rhs, the dof mask (dofs in row-major
+    order) and the inner and fixed edges.
     """
     x0, x1, y0, y1 = domain.box
     nx = max(int(round((x1 - x0) / h)) + 1, 4)
@@ -275,30 +274,9 @@ def _assemble(domain: RingDomain, h: float):
     snd = domain.second(Z)
     if np.any(fst & snd):
         raise ValueError("boundary components overlap inside the box")
-    ins = domain.inside(Z) & ~fst & ~snd
-
     if not fst.any() or not snd.any():
         raise ValueError(f"a boundary component is unresolved at h={h}")
-    # direct plate contact means the gap is below grid resolution
-    near_fst = ndi.binary_dilation(fst, _CROSS)
-    if np.any(near_fst & snd):
-        raise ValueError(f"boundary components touch at h={h}; refine the grid")
-
-    # drop interior components not attached to any conductor (floating islands)
-    labels, nlab = ndi.label(ins, structure=_CROSS)
-    if nlab == 0:
-        raise ValueError(f"no interior nodes at h={h}")
-    near_snd = ndi.binary_dilation(snd, _CROSS)
-    touch_f = np.unique(labels[ins & near_fst])
-    touch_s = np.unique(labels[ins & near_snd])
-    spanning = np.intersect1d(touch_f, touch_s)
-    spanning = spanning[spanning > 0]
-    if spanning.size == 0:
-        raise ValueError(
-            f"no interior component joins the two boundary parts at h={h}; "
-            "domain is not a resolved ring")
-    attached = np.union1d(touch_f, touch_s)
-    ins &= np.isin(labels, attached[attached > 0])
+    ins = ~(fst | snd)
 
     ndof = int(ins.sum())
     index = np.full(ins.shape, -1, dtype=np.int64)
@@ -307,43 +285,33 @@ def _assemble(domain: RingDomain, h: float):
     inner_edges = []  # (dof, dof, conductance)
     fixed_edges = []  # (dof, conductance, boundary value)
 
-    def transverse(mid, dperp):
-        w = np.zeros(mid.shape)
-        for sgn in (1.0, -1.0):
-            zt = mid + sgn * dperp
-            okbox = ((zt.real >= x0 - 1e-12) & (zt.real <= x1 + 1e-12)
-                     & (zt.imag >= y0 - 1e-12) & (zt.imag <= y1 + 1e-12))
-            w += 0.5 * (okbox & (domain.inside(zt) | domain.first(zt)
-                                 | domain.second(zt)))
-        return w
-
-    for axis in (0, 1):
-        if axis == 0:   # horizontal neighbours
-            a = np.s_[:, :-1]
-            b = np.s_[:, 1:]
-            base = hy / hx
-            dperp = 1j * hy / 2.0
-        else:           # vertical neighbours
-            a = np.s_[:-1, :]
-            b = np.s_[1:, :]
-            base = hx / hy
-            dperp = hx / 2.0
-        za, zb = Z[a], Z[b]
-        mid = 0.5 * (za + zb)
-        tw = transverse(mid, dperp)
+    rows = np.full((ny, 1), hy / hx)  # horizontal edges, by row
+    rows[[0, -1]] *= 0.5
+    cols = np.full((1, nx), hx / hy)  # vertical edges, by column
+    cols[:, [0, -1]] *= 0.5
+    for a, b, base in ((np.s_[:, :-1], np.s_[:, 1:], rows),
+                       (np.s_[:-1, :], np.s_[1:, :], cols)):
+        # direct plate contact means the gap is below grid resolution
+        if np.any(fst[a] & snd[b] | snd[a] & fst[b]):
+            raise ValueError(f"boundary components touch at h={h}; refine the grid")
+        weight = np.broadcast_to(base, ins[a].shape)
 
         both = ins[a] & ins[b]
-        inner_edges.append((index[a][both], index[b][both], base * tw[both]))
+        inner_edges.append((index[a][both], index[b][both], weight[both]))
 
         for sa, sb in ((a, b), (b, a)):
-            cut = ins[sa] & (fst[sb] | snd[sb])
+            cut = ins[sa] & ~ins[sb]
             if not cut.any():
                 continue
-            # fraction of the segment za -> zb (inside -> not inside) still inside
+            # fraction of the segment za -> zb (dof -> conductor) in neither conductor
             za, zb = Z[sa][cut], Z[sb][cut]
-            _, theta = _bisect(lambda t: domain.inside(za + (zb - za) * t),
-                               np.zeros(za.shape), np.ones(za.shape), 45)
-            c = base * tw[cut] / np.maximum(theta, _THETA_MIN)
+
+            def free(t):
+                z = za + (zb - za) * t
+                return ~(domain.first(z) | domain.second(z))
+
+            _, theta = _bisect(free, np.zeros(za.shape), np.ones(za.shape), 45)
+            c = weight[cut] / np.maximum(theta, _THETA_MIN)
             fixed_edges.append((index[sa][cut], c, snd[sb][cut].astype(float)))
 
     ia, ib, c = inner_edges = tuple(map(np.concatenate, zip(*inner_edges)))

@@ -204,7 +204,7 @@ class MinimalTube:
             self.flux = _flux_from_loops(loops)
         except ValueError as exc:
             raise NotATubeError(str(exc), defect=self.defect) from exc
-        self.period_tol = PERIOD_TOL * (1.0 + self.flux.norm)
+        self.period_tol = PERIOD_TOL * self.flux.norm
         if not np.max(np.abs(self.defect)) < self.period_tol:
             raise NotATubeError(
                 f"period defect {self.defect} exceeds tolerance {self.period_tol:.3g}; "
@@ -245,8 +245,6 @@ class MinimalTube:
 
 def immerse(tube: MinimalTube, z):
     """u(z) = Re int_{z0}^{z} F as a point of R^3, path-independent on a tube."""
-    if not tube.annulus.contains(z):
-        raise ValueError(f"point {z} is outside the annulus")
     return path_integral(tube.data, tube.z0, z).real
 
 

@@ -26,17 +26,32 @@ def run(*args, cwd=None):
     )
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # calibration takes its scale in closed form, so nothing needs scipy.optimize
-    code = ("import sys, tubeflux.cli\n"
-            "from tubeflux import calibrate_candidate, conjecture_sweep\n"
-            "calibrate_candidate(0.1)\n"
-            "conjecture_sweep([0.1])\n"
-            "print('scipy.optimize' in sys.modules)")
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # calibration takes its scale in closed form, so nothing needs
+    # scipy.optimize; the grid network needs no labelling, so nothing needs
+    # scipy.ndimage.  scipy.sparse stays: the grid solve runs on it.
+    cfg = write_config(tmp_path, R=2.0, g="z", c=1.0)
+    dom = tmp_path / "dom.json"
+    dom.write_text(json.dumps({"kind": "box_conductor", "width": 1.0, "height": 1.0}))
+    commands = [
+        ["analyze", cfg],
+        ["sweep", "bound", "--lambda-min", 0.5, "--lambda-max", 1.0, "--steps", 2,
+         "--out", tmp_path / "bound.csv"],
+        ["sweep", "conjecture", "--q-min", 0.1, "--q-max", 0.1, "--steps", 1,
+         "--out", tmp_path / "conjecture.csv"],
+        ["modulus", "--domain", dom, "--h", 0.1],
+    ]
+    code = ("import contextlib, io, sys\n"
+            "from tubeflux import cli\n"
+            f"for argv in {[[str(a) for a in c] for c in commands]!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.ndimage', 'scipy.sparse')\n"
+            "             if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "['scipy.sparse']"
 
 
 def write_config(tmp_path, name="config.json", **fields):
@@ -140,6 +155,30 @@ class TestAnalyze:
         assert cli.main(["analyze", str(cfg)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert math.isfinite(report["bound"]) and report["satisfied"] is True
+
+
+class TestFluxScale:
+    """The tube verdict does not depend on the size of the flux constant c."""
+
+    @pytest.mark.parametrize("g, c", [("z", 1e-12), ("z + 0.1/z", 1e160)])
+    def test_tube_at_any_scale(self, tmp_path, g, c):
+        # c = 1e-12 used to snap J3 to zero ("not a tube"); c = 1e160
+        # overflowed the squares of the flux norm
+        proc = run("analyze", write_config(tmp_path, R=2.0, g=g, c=c))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert (report["verdict"], report["hypothesis"], report["satisfied"]) == \
+            ("tube", "ok", True)
+
+    @pytest.mark.parametrize("c", [1e-10, 1e-12])
+    def test_torn_seam_at_any_scale(self, tmp_path, c):
+        # at c = 1e-10 the period defect 1.05e-9 exceeds J3 = 6.3e-10, yet
+        # passed under an absolute tolerance floor of 1e-8
+        proc = run("analyze", write_config(tmp_path, R=2.0, g="z + 3", c=c))
+        assert proc.returncode == 2, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "not a tube"
+        assert "period defect" in report["error"]
 
 
 class TestAnalyzeValidation:

@@ -38,6 +38,14 @@ bisected 80 times and checked on its own, bit for bit.  The
 grid estimate was frozen from a Jacobi-preconditioned solve; the
 V-cycle-preconditioned solve agrees with it to 1e-12 and exactly with its
 own freeze, "ring_e_h0.04_vcycle".
+
+goldens/grid_network.json holds grid estimates (value, indicator and
+truncation sensitivity as float.hex, and dof) and the refusal messages of
+the network assembled while a RingDomain carried an ``inside`` predicate,
+insulating cuts were found by sampling the predicates beside each edge and
+floating islands were labelled away.  The box minus its two conductors,
+halved weights on the box edge and no labelling give the same network, so
+every figure and message must agree exactly.
 """
 
 import json
@@ -60,6 +68,7 @@ from tubeflux.tubes import _fit_points
 GOLDENS = Path(__file__).parent / "goldens"
 FROZEN = json.loads((GOLDENS / "probe_and_tube.json").read_text())
 WITNESS_AND_RING = json.loads((GOLDENS / "witness_and_ring.json").read_text())
+GRID_NETWORK = json.loads((GOLDENS / "grid_network.json").read_text())
 
 
 def probe_fields(report):
@@ -474,3 +483,24 @@ def test_ring_estimate_is_frozen(ring_estimate):
     est, want = ring_estimate, WITNESS_AND_RING["ring_e_h0.04_vcycle"]
     assert (est.value, est.indicator, est.truncation_sensitivity, est.dof) == (
         want["value"], want["indicator"], want["truncation_sensitivity"], want["dof"])
+
+
+def grid_case_id(case):
+    return " ".join(f"{k}={v:.6g}" if isinstance(v, float) else str(v)
+                    for k, v in {**case["domain"], "h": case["h"]}.items())
+
+
+@pytest.mark.parametrize("case", GRID_NETWORK["estimates"], ids=grid_case_id)
+def test_grid_estimate_is_frozen(case):
+    est = grid_module_estimate(RingDomain.from_json(case["domain"]), case["h"])
+    got = [None if x is None else x.hex()
+           for x in (est.value, est.indicator, est.truncation_sensitivity)]
+    assert got + [est.dof] == [case["value"], case["indicator"],
+                               case["truncation_sensitivity"], case["dof"]]
+
+
+@pytest.mark.parametrize("case", GRID_NETWORK["refusals"], ids=grid_case_id)
+def test_grid_refusal_is_frozen(case):
+    with pytest.raises(ValueError) as err:
+        grid_module_estimate(RingDomain.from_json(case["domain"]), case["h"])
+    assert str(err.value) == case["message"]
