@@ -317,11 +317,15 @@ def cmd_sweep_conjecture(args) -> int:
     if args.steps < 1:
         _err("--steps must be at least 1")
         return 1
-    if not 0.02 < args.q_min <= args.q_max < 0.95:
-        _err("need 0.02 < --q-min <= --q-max < 0.95")
+    if not -math.inf < args.q_min <= args.q_max < math.inf:
+        _err("need -inf < --q-min <= --q-max < inf")
         return 1
     grid = np.linspace(args.q_min, args.q_max, args.steps)
-    result = conjecture_sweep(grid)
+    try:
+        result = conjecture_sweep(grid)  # refuses nomes outside its range
+    except ValueError as exc:
+        _err(str(exc))
+        return 1
     lines = [f"{r.q:.12g},{r.R:.12g},{r.lam:.12g},{r.lnR:.12g},"
              f"{r.lnR0:.12g},{r.ratio:.12g}" for r in result.rows]
     bad = _write_csv(args.out, "q,R,lambda,lnR,lnR0,ratio", lines)

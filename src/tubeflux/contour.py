@@ -436,7 +436,7 @@ def _winding_level(sample, ws, n, live):
     """
     try:
         zeta, (dv, gv) = sample(n)
-    except (EvalDomainError, ZeroDivisionError):
+    except EvalDomainError:
         return [None] * len(live), [0.0] * len(live)
     sums = []
     for i in live:

@@ -197,7 +197,6 @@ class RingDomain:
 @dataclass(frozen=True)
 class ModulusEstimate:
     value: float
-    method: str
     h: float | None = None
     indicator: float | None = None
     truncation_sensitivity: float | None = None
@@ -399,7 +398,7 @@ def grid_module_estimate(domain: RingDomain, h: float) -> ModulusEstimate:
         padded = replace(domain, box=(x0 - 3.0, x1, y0 - 3.0, y1 + 3.0))
         e_pad, _ = _grid_energy(padded, h)
         sens = abs(e_pad - e_coarse)
-    return ModulusEstimate(value=e_fine, method="grid", h=h,
+    return ModulusEstimate(value=e_fine, h=h,
                            indicator=abs(e_fine - e_coarse),
                            truncation_sensitivity=sens, dof=ndof)
 

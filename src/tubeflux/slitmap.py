@@ -38,7 +38,7 @@ from .modulus import max_log_radius
 
 __all__ = [
     "SlitMapCandidate", "CalibrationError", "FamilyBalanceError",
-    "OmissionViolation", "SweepRow", "SweepResult",
+    "SweepRow", "SweepResult",
     "slit_annulus_map", "calibrate_candidate", "boundary_reality",
     "conjecture_sweep", "joukowski_map", "joukowski_family",
 ]
@@ -164,9 +164,6 @@ class SweepResult:
     rows: tuple
     failures: tuple  # (q, reason) pairs, input order
 
-    def as_table(self):
-        return [(r.q, r.R, r.lam, r.lnR, r.lnR0, r.ratio) for r in self.rows]
-
 
 def conjecture_sweep(q_grid) -> SweepResult:
     """Calibrate a candidate per q and compare ln R with ln R0(lambda).
@@ -200,14 +197,6 @@ def conjecture_sweep(q_grid) -> SweepResult:
 
 class FamilyBalanceError(RuntimeError):
     """No admissible (a, kappa) balances the family; carries diagnostics."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
-
-class OmissionViolation(RuntimeError):
-    """The only balancing parameters put a zero of g inside the annulus."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
@@ -253,11 +242,8 @@ def joukowski_family(lam: float, R: float):
     lam from the target, and this solver exists to demonstrate that failure
     honestly: it scans the admissible parameter range (|kappa| < 1/R^2 so
     the map stays univalent), finds no sign change to bracket, and raises
-    with the measured residual floor.
-
-    Raises OmissionViolation when balance is only reached at parameters
-    whose zeros invade the ring, FamilyBalanceError when no scanned
-    parameters balance at all.
+    with the measured residual floor.  Parameters that put a zero of g
+    inside the ring are skipped, since the map would not omit zero there.
     """
     if not (lam > 0.0 and R > 1.0):
         raise ValueError(f"need lam > 0 and R > 1, got lam={lam}, R={R}")
@@ -265,18 +251,13 @@ def joukowski_family(lam: float, R: float):
     a_grid = np.concatenate([-np.geomspace(1e-3, 1e3, 61),
                              np.geomspace(1e-3, 1e3, 61)])
     k_grid = np.linspace(-kap_lim, kap_lim, 41)
-    best = None          # admissible: zeros clear of the ring
-    best_violating = None  # balanced but zeros inside the ring
-    n_ring = 0
+    best = None  # admissible: zeros clear of the ring
     for a in a_grid:
         for kap in k_grid:
             mean, placement = _family_mean_inv(lam, a, kap, R)
-            res = abs(mean + lam)
             if placement == "in_ring":
-                n_ring += 1
-                if res < 1e-9 and (best_violating is None or res < best_violating[0]):
-                    best_violating = (res, a, kap)
                 continue
+            res = abs(mean + lam)
             if best is None or res < best[0]:
                 best = (res, a, kap)
     diagnostics = {
@@ -284,15 +265,8 @@ def joukowski_family(lam: float, R: float):
         "residual_floor": None if best is None else best[0],
         "best_params": None if best is None else (best[1], best[2]),
         "n_scanned": a_grid.size * k_grid.size,
-        "n_ring_violations": n_ring,
         "theoretical_floor": lam,
     }
-    if best_violating is not None:
-        raise OmissionViolation(
-            f"balance for lam={lam}, R={R} is reached only with a zero of g "
-            f"inside the annulus (residual {best_violating[0]:.3e} at "
-            f"a={best_violating[1]:.6g}, kappa={best_violating[2]:.6g})",
-            diagnostics=diagnostics)
     if best is None:
         # the ring is so wide that every scanned (a, kappa) parks a zero of
         # g inside it; there is nothing admissible to balance with

@@ -50,7 +50,8 @@ __all__ = [
 
 # a closed tube's period defect must be dust relative to its flux
 PERIOD_TOL = 1e-8
-# and its height function must be a radial log profile to this residual
+# and its height function must be a radial log profile to this residual,
+# relative to the height's half-range |s| ln R
 PROFILE_TOL = 1e-7
 
 
@@ -113,7 +114,7 @@ def period_defect(data: WeierstrassData):
     return circle_integral(data, 1.0).real
 
 
-def defect_from_means(g: HoloFn, c: float, rho=1.0):
+def defect_from_means(g: HoloFn, c: float):
     """Period defect of the f = c/(2zg) data, by Laurent coefficients alone.
 
     With F = ((c/2z)(1/g - g), (ic/2z)(1/g + g), c/z) the loop integrals are
@@ -127,7 +128,7 @@ def defect_from_means(g: HoloFn, c: float, rho=1.0):
     Re(a0[g] + a0[1/g]) = 0; for real a0[g] = lambda that is exactly the
     balance condition a0[1/g] = -lambda.
     """
-    m, minv = a0_pair(g, rho=rho)
+    m, minv = a0_pair(g)
     return np.array([
         -math.pi * c * (minv - m).imag,
         -math.pi * c * (minv + m).real,
@@ -135,9 +136,9 @@ def defect_from_means(g: HoloFn, c: float, rho=1.0):
     ])
 
 
-def flux_from_means(g: HoloFn, c: float, rho=1.0):
+def flux_from_means(g: HoloFn, c: float):
     """Flux triple of the f = c/(2zg) data by the same residue algebra."""
-    m, minv = a0_pair(g, rho=rho)
+    m, minv = a0_pair(g)
     return np.array([
         math.pi * c * (minv - m).real,
         -math.pi * c * (minv + m).imag,
@@ -213,15 +214,14 @@ class MinimalTube:
         m, s, resid = self._fit_profile()
         self.profile = (m, s)
         self.profile_residual = resid
-        scale = 1.0 + abs(s) * math.log(self.annulus.R)
-        if not resid < PROFILE_TOL * scale:
+        lnR = math.log(self.annulus.R)
+        if not resid < PROFILE_TOL * (abs(s) * lnR):
             raise NotATubeError(
                 f"height function deviates from a radial log profile by {resid:.3g}; "
                 "sections are not circles over the time axis", defect=self.defect)
         if s <= 0.0:
             raise NotATubeError(f"height profile slope {s:.3g} is not positive",
                                 defect=self.defect)
-        lnR = math.log(self.annulus.R)
         self.life = (m - s * lnR, m + s * lnR)
 
     def _fit_profile(self):

@@ -1,5 +1,13 @@
-"""End-to-end command-line checks run through subprocess."""
+"""End-to-end command-line checks.
 
+They call ``cli.main`` in this interpreter with its streams captured.  A
+child interpreter runs the command only where the process itself is tested:
+the modules it loads, byte identity from run to run, and the exit status of
+``python -m tubeflux.cli``.
+"""
+
+import contextlib
+import io
 import json
 import math
 import os
@@ -20,9 +28,21 @@ ENV = {**os.environ,
        "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
-def run(*args, cwd=None):
+def run(*args):
+    """The command in this interpreter; argparse's SystemExit gives the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([str(a) for a in args])
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_process(*args):
+    """The command in a child interpreter, through ``python -m tubeflux.cli``."""
     return subprocess.run(
-        CLI + [str(a) for a in args], capture_output=True, text=True, cwd=cwd, env=ENV
+        CLI + [str(a) for a in args], capture_output=True, text=True, env=ENV
     )
 
 
@@ -85,8 +105,8 @@ class TestAnalyze:
     def test_reports_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, R=2.0, g="z + 0.1/z", c=1.5)
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        assert run("analyze", cfg, "--out", out1).returncode == 0
-        assert run("analyze", cfg, "--out", out2).returncode == 0
+        assert run_process("analyze", cfg, "--out", out1).returncode == 0
+        assert run_process("analyze", cfg, "--out", out2).returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_file_output_matches_stdout(self, tmp_path):
@@ -169,6 +189,23 @@ class TestFluxScale:
         report = json.loads(proc.stdout)
         assert (report["verdict"], report["hypothesis"], report["satisfied"]) == \
             ("tube", "ok", True)
+
+    def test_bent_height_profile_at_any_scale(self, tmp_path):
+        # the height bends by 1.9e-13 against a half-range |s| ln R of
+        # 6.8e-13; under an absolute floor of 1e-7 this passed as a tube
+        cfg = write_config(tmp_path, R=2.0, g="z", f="1e-12*(0.5/z^2 + 0.05)")
+        proc = run("analyze", cfg)
+        assert proc.returncode == 2, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "not a tube"
+        assert "deviates from a radial log profile by 1.91e-13" in report["error"]
+
+    def test_downward_flux_is_not_a_tube(self, tmp_path):
+        proc = run("analyze", write_config(tmp_path, R=2.0, g="z", f="-0.5/z^2"))
+        assert proc.returncode == 2, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "not a tube"
+        assert "J3=-6.28319 is not positive" in report["error"]
 
     @pytest.mark.parametrize("c", [1e-10, 1e-12])
     def test_torn_seam_at_any_scale(self, tmp_path, c):
@@ -337,8 +374,8 @@ class TestSweepConjecture:
     def test_sweep_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
-            assert run("sweep", "conjecture", "--q-min", 0.15, "--q-max", 0.45,
-                       "--steps", 2, "--out", out).returncode == 0
+            assert run_process("sweep", "conjecture", "--q-min", 0.15, "--q-max", 0.45,
+                               "--steps", 2, "--out", out).returncode == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_grid_validation(self, tmp_path):
@@ -349,6 +386,24 @@ class TestSweepConjecture:
         assert "0.02" in proc.stderr
         assert run("sweep", "conjecture", "--q-min", 0.1, "--q-max", 0.96,
                    "--steps", 2, "--out", out).returncode == 1
+
+    def test_nome_range_refusal_is_one_line(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        proc = run("sweep", "conjecture", "--q-min", 0.5, "--q-max", 0.95,
+                   "--steps", 2, "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr == \
+            "tubeflux: q=0.95 outside the supported range (0.02, 0.95)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lo, hi", [(0.1, "inf"), ("inf", "inf"), ("nan", 0.3)])
+    def test_non_finite_range_is_refused(self, tmp_path, lo, hi):
+        out = tmp_path / "sweep.csv"
+        proc = run("sweep", "conjecture", "--q-min", lo, "--q-max", hi,
+                   "--steps", 3, "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr == "tubeflux: need -inf < --q-min <= --q-max < inf\n"
+        assert not out.exists()
 
 
 class TestModulus:
@@ -422,3 +477,8 @@ class TestUsage:
 
     def test_sweep_requires_a_kind(self):
         assert run("sweep").returncode == 1
+
+    def test_module_entry_point_exits_with_the_status(self, tmp_path):
+        proc = run_process("analyze", write_config(tmp_path, R=2.0, g="z^2", c=1.0))
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["hypothesis"] == "univalence violated"

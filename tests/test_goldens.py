@@ -8,6 +8,8 @@ defect of a closed tube is quadrature dust, so it is held absolutely, on the
 scale 1 + |Q| at which MinimalTube judges closure.
 """
 
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
@@ -61,3 +63,50 @@ def test_analyze_matches_golden(tmp_path, capsys, name, config, argv, status):
     assert_close(got.pop("defect"), want.pop("defect"), "defect",
                  abs_tol=REL * (1.0 + qnorm))
     assert_close(got, want, "report")
+
+
+# Scaling f (or c) by k > 0 scales the surface by k, so no verdict may move
+# and the life interval scales by k.  The golden configs, explicit catenoid
+# data, a height that bends away from the log profile, and a torn seam.
+SCALE_CASES = [(name, config) for name, config, _, _ in CASES] + [
+    ("explicit_f", {"R": 2.0, "g": "z", "f": "0.5/z^2"}),
+    ("bent_profile", {"R": 2.0, "g": "z", "f": "0.5/z^2 + 0.05"}),
+    ("torn_seam", {"R": 2.0, "g": "z + 3", "c": 1.0}),
+]
+SCALES = [1e-150, 1e-12, 1e12, 1e150]
+
+
+def scaled(config, k):
+    if "c" in config:
+        return {**config, "c": config["c"] * k}
+    return {**config, "f": f"{k!r}*({config['f']})"}
+
+
+@pytest.fixture(scope="module")
+def analyze(tmp_path_factory):
+    """``analyze(config)`` -> (exit status, report), each config run once."""
+    done = {}
+
+    def run(config):
+        text = json.dumps(config)
+        if text not in done:
+            path = tmp_path_factory.mktemp("scale") / "config.json"
+            path.write_text(text)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                status = cli.main(["analyze", str(path)])
+            done[text] = status, json.loads(out.getvalue())
+        return done[text]
+    return run
+
+
+@pytest.mark.parametrize("k", SCALES)
+@pytest.mark.parametrize("name, config", SCALE_CASES, ids=[c[0] for c in SCALE_CASES])
+def test_verdict_does_not_depend_on_scale(analyze, name, config, k):
+    status, want = analyze(config)
+    got_status, got = analyze(scaled(config, k))
+    assert got_status == status
+    for key in ("verdict", "hypothesis", "satisfied"):
+        assert got.get(key) == want.get(key), key
+    if "life" in want:
+        assert got["life"] == pytest.approx([k * t for t in want["life"]], rel=1e-10)

@@ -184,7 +184,20 @@ class TestSweep:
     def test_sweep_is_deterministic(self):
         a = conjecture_sweep([0.15, 0.45])
         b = conjecture_sweep([0.15, 0.45])
-        assert a.as_table() == b.as_table()
+        assert a.rows == b.rows
+
+    def test_failed_row_is_collected_in_order(self, monkeypatch):
+        original = slitmap.calibrate_candidate
+
+        def refusing(q):
+            if q == 0.2:
+                raise CalibrationError("refused at q=0.2")
+            return original(q)
+
+        monkeypatch.setattr(slitmap, "calibrate_candidate", refusing)
+        result = conjecture_sweep([0.3, 0.2, 0.1])
+        assert [row.q for row in result.rows] == [0.3, 0.1]
+        assert result.failures == ((0.2, "CalibrationError: refused at q=0.2"),)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="empty"):
