@@ -441,11 +441,11 @@ def _winding_level(sample, ws, n, live):
     sums = []
     for i in live:
         w = ws[i]
-        if w is not None and not np.isfinite(w):
+        if not np.isfinite(w):
             sums.append(None)
             continue
         with np.errstate(all="ignore"):  # an overflow shows as a non-finite sum
-            den = gv if w is None else gv - w
+            den = gv - w
             sums.append(None if np.any(den == 0) else (TWO_PI_I / n) * np.sum(zeta * (dv / den)))
     return sums, [0.0] * len(live)
 
@@ -475,7 +475,7 @@ def _on_integer(prev, cur):
 
 
 def _windings(g, gprime, rho, ws):
-    """Winding numbers of g - w over |z| = rho for each target w of ws (None: g).
+    """Winding numbers of g - w over |z| = rho for each target w of ws.
 
     Level-major: every try takes g and g' from one evaluation pass per
     trapezoid level and sums each target still refining from that sample.  A
@@ -570,7 +570,7 @@ def _newton_roots(g, gprime, w, margin):
 
 def _zero_excesses(g, gprime, ws):
     """Zeros minus poles of g - w between the circles |z| = R^(+-(1-PROBE_MARGIN)),
-    for each target w of ws (None: g itself).
+    for each target w of ws.
 
     Both windings of every target are always attempted.  Returns, in target
     order, the retry notes and the excess, or None when either winding does
@@ -586,8 +586,9 @@ def _zero_excesses(g, gprime, ws):
 def univalence_probe(g):
     """Probe injectivity and zero-omission of g on (a rim-shrunk copy of) g.annulus.
 
-    Zero counting and preimage counting both ride the argument principle over
-    the circles |z| = R^(1-PROBE_MARGIN) and |z| = R^(PROBE_MARGIN-1).  A
+    The zero count is the preimage count of the target w = 0; it and the
+    sampled targets' counts ride the argument principle over the circles
+    |z| = R^(1-PROBE_MARGIN) and |z| = R^(PROBE_MARGIN-1).  A
     'violated' verdict is certain; 'passed' means no violation was seen among
     the PROBE_TARGETS sampled targets.
     """
@@ -603,7 +604,7 @@ def univalence_probe(g):
             except EvalDomainError:
                 values.append(None)
     (zero_notes, zero_count), *excesses = _zero_excesses(
-        g, gprime, [None] + [w for w in values if w is not None])
+        g, gprime, [0j] + [w for w in values if w is not None])
     notes = list(zero_notes)
     excesses = iter(excesses)
     if zero_count is None:

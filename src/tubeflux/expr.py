@@ -18,7 +18,9 @@ and holds every value until the pass returns.
 
 from __future__ import annotations
 
+import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,27 +114,39 @@ class Log:
 
 @dataclass(frozen=True)
 class Opaque:
-    """Numeric leaf: a named callable, optionally composed with a node.
+    """Numeric leaf: a named callable composed with a node.
 
-    ``fn`` maps a complex ndarray to a complex ndarray: the points z, or,
-    when ``arg`` is a node, the value of ``arg`` there, so the leaf is
-    fn(arg(z)).  ``deriv`` is either None (differentiation raises) or the
-    node of fn's derivative, which the chain rule multiplies by arg's.  In
-    one evaluation pass every node is evaluated once and its value held until
-    the pass returns, so leaves composed with one ``arg`` node share its
-    value.  Lets series-backed functions live in the same trees as parsed
-    expressions.
+    ``fn`` maps a complex ndarray to a complex ndarray, the value of ``arg``
+    at the points z, so the leaf is fn(arg(z)); ``arg`` defaults to Var(),
+    which makes it fn(z).  ``deriv`` is either None (differentiation raises)
+    or the node of fn's derivative, which the chain rule multiplies by arg's.
+    In one evaluation pass every node is evaluated once and its value held
+    until the pass returns, so leaves composed with one ``arg`` node share
+    its value.  Lets series-backed functions live in the same trees as
+    parsed expressions.
     """
     name: str
     fn: object
     deriv: object = None
-    arg: object = None
+    arg: object = Var()
 
     def __eq__(self, other):
         return self is other
 
     def __hash__(self):
         return id(self)
+
+
+# the grammar's binary operators, all left-associative, which parser, printer
+# and evaluator read from here: token, printed form, precedence (see _render),
+# whether an equal-precedence right operand needs parentheses, and the operation
+_BinOp = namedtuple("_BinOp", "token text prec strict_right apply")
+_BINARY = {
+    Add: _BinOp("+", " + ", 1, False, operator.add),
+    Sub: _BinOp("-", " - ", 1, True, operator.sub),
+    Mul: _BinOp("*", "*", 2, False, operator.mul),
+    Div: _BinOp("/", "/", 2, True, operator.truediv),
+}
 
 
 # --- evaluation ------------------------------------------------------------
@@ -167,25 +181,20 @@ class _Walk:
     def _op(self, node):
         # z is always a complex ndarray; results broadcast against it
         z = self.z
+        op = _BINARY.get(type(node))
+        if op is not None:
+            left, right = self(node.left), self(node.right)
+            if type(node) is Div:
+                bad = _first_bad(_shaped(right, z) == 0, z)
+                if bad is not None:
+                    raise EvalDomainError("division by zero", bad)
+            return op.apply(left, right)
         if isinstance(node, Const):
             return np.broadcast_to(np.asarray(node.value, dtype=complex), z.shape)
         if isinstance(node, Var):
             return z
-        if isinstance(node, Add):
-            return self(node.left) + self(node.right)
-        if isinstance(node, Sub):
-            return self(node.left) - self(node.right)
-        if isinstance(node, Mul):
-            return self(node.left) * self(node.right)
         if isinstance(node, Neg):
             return -self(node.arg)
-        if isinstance(node, Div):
-            num = self(node.left)
-            den = _shaped(self(node.right), z)
-            bad = _first_bad(den == 0, z)
-            if bad is not None:
-                raise EvalDomainError("division by zero", bad)
-            return num / den
         if isinstance(node, Pow):
             base = _shaped(self(node.base), z)
             k = node.exponent
@@ -208,7 +217,7 @@ class _Walk:
                 raise EvalDomainError("log evaluated too close to its branch cut", bad)
             return np.log(w)
         if isinstance(node, Opaque):
-            return _shaped(node.fn(z if node.arg is None else self(node.arg)), z)
+            return _shaped(node.fn(self(node.arg)), z)
         raise ExprError(f"unknown node {node!r}")
 
 
@@ -313,7 +322,7 @@ def differentiate(node):
     if isinstance(node, Opaque):
         if node.deriv is None:
             raise ExprError(f"no derivative available for {node.name}")
-        return node.deriv if node.arg is None else _mul(node.deriv, differentiate(node.arg))
+        return _mul(node.deriv, differentiate(node.arg))
     raise ExprError(f"unknown node {node!r}")
 
 
@@ -341,30 +350,13 @@ def _render(node):
         return _const_str(node.value)
     if isinstance(node, Var):
         return "z", 5
-    if isinstance(node, Add):
+    op = _BINARY.get(type(node))
+    if op is not None:
         lt, lp = _render(node.left)
         rt, rp = _render(node.right)
-        lt = f"({lt})" if lp < 1 else lt
-        rt = f"({rt})" if rp < 1 else rt
-        return f"{lt} + {rt}", 1
-    if isinstance(node, Sub):
-        lt, lp = _render(node.left)
-        rt, rp = _render(node.right)
-        lt = f"({lt})" if lp < 1 else lt
-        rt = f"({rt})" if rp <= 1 else rt
-        return f"{lt} - {rt}", 1
-    if isinstance(node, Mul):
-        lt, lp = _render(node.left)
-        rt, rp = _render(node.right)
-        lt = f"({lt})" if lp < 2 else lt
-        rt = f"({rt})" if rp < 2 else rt
-        return f"{lt}*{rt}", 2
-    if isinstance(node, Div):
-        lt, lp = _render(node.left)
-        rt, rp = _render(node.right)
-        lt = f"({lt})" if lp < 2 else lt
-        rt = f"({rt})" if rp <= 2 else rt
-        return f"{lt}/{rt}", 2
+        lt = f"({lt})" if lp < op.prec else lt
+        rt = f"({rt})" if rp < op.prec or (op.strict_right and rp == op.prec) else rt
+        return f"{lt}{op.text}{rt}", op.prec
     if isinstance(node, Neg):
         t, p = _render(node.arg)
         t = f"({t})" if p < 3 else t
@@ -382,8 +374,7 @@ def _render(node):
     if isinstance(node, Log):
         return f"log({_render(node.arg)[0]})", 5
     if isinstance(node, Opaque):
-        arg = "z" if node.arg is None else _render(node.arg)[0]
-        return f"{node.name}({arg})", 5
+        return f"{node.name}({_render(node.arg)[0]})", 5
     raise ExprError(f"unknown node {node!r}")
 
 
@@ -396,6 +387,10 @@ def to_string(node):
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_]+")
+_OP_CHARS = "".join(op.token for op in _BINARY.values()) + "^()"
+# the binary operators' node types by token, one map per precedence level
+_LEVELS = [{op.token: kind for kind, op in _BINARY.items() if op.prec == prec}
+           for prec in sorted({op.prec for op in _BINARY.values()})]
 
 
 class _Tokens:
@@ -412,7 +407,7 @@ class _Tokens:
         if self.pos >= len(self.text):
             return ("end", "", self.pos)
         ch = self.text[self.pos]
-        if ch in "+-*/^()":
+        if ch in _OP_CHARS:
             return ("op", ch, self.pos)
         m = _NUMBER.match(self.text, self.pos)
         if m:
@@ -428,28 +423,18 @@ class _Tokens:
         return kind, text, pos
 
 
-def _parse_expr(tok):
-    node = _parse_term(tok)
+def _parse_expr(tok, level=0):
+    """The operands of _LEVELS[level]'s operators, folded to the left."""
+    if level == len(_LEVELS):
+        return _parse_unary(tok)
+    ops = _LEVELS[level]
+    node = _parse_expr(tok, level + 1)
     while True:
         kind, text, _ = tok.peek()
-        if kind == "op" and text in "+-":
-            tok.take()
-            rhs = _parse_term(tok)
-            node = Add(node, rhs) if text == "+" else Sub(node, rhs)
-        else:
+        if kind != "op" or text not in ops:
             return node
-
-
-def _parse_term(tok):
-    node = _parse_unary(tok)
-    while True:
-        kind, text, _ = tok.peek()
-        if kind == "op" and text in "*/":
-            tok.take()
-            rhs = _parse_unary(tok)
-            node = Mul(node, rhs) if text == "*" else Div(node, rhs)
-        else:
-            return node
+        tok.take()
+        node = ops[text](node, _parse_expr(tok, level + 1))
 
 
 def _parse_unary(tok):

@@ -35,7 +35,8 @@ SNAP_TOL = 1e-11
 
 BOUND_FORM_TOL = 1e-10
 
-# slack granted to the measured life-time when it is checked against the bound
+# slack granted to the measured life-time when it is checked against the
+# bound, relative to the bound
 LIFE_TOL = 1e-8
 
 
@@ -49,7 +50,8 @@ class FluxVector:
 
     def __post_init__(self):
         if not (self.J3 > 0.0):
-            raise ValueError(f"vertical flux must be positive, got J3={self.J3}")
+            raise ValueError(f"vertical flux J3={self.J3:.6g} is not positive; "
+                             "data is not co-oriented tube data")
 
     @property
     def w(self) -> complex:
@@ -85,10 +87,6 @@ def _flux_from_loops(loops) -> FluxVector:
     """
     J = loops.imag.copy()
     J[np.abs(J) < SNAP_TOL * np.max(np.abs(J))] = 0.0
-    if J[2] <= 0.0:
-        raise ValueError(
-            f"vertical flux J3={J[2]:.6g} is not positive; "
-            "data is not co-oriented tube data")
     return FluxVector(*J.tolist())
 
 
@@ -167,6 +165,6 @@ def lifetime_report(tube) -> LifetimeReport:
     # at zero tilt the bound is +inf: satisfied, with margin +inf
     return LifetimeReport(
         lifetime=life, bound=bound,
-        satisfied=bool(life.measured <= bound + LIFE_TOL),
+        satisfied=bool(life.measured <= bound * (1.0 + LIFE_TOL)),
         margin=bound - life.measured,
         hypothesis=hypothesis, probe=probe)

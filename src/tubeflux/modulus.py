@@ -433,8 +433,6 @@ def _crossings(fn, lam):
     f = fn(t)
     nxt = np.roll(f, -1, axis=1)
     row, k = np.nonzero(np.sign(f) * np.sign(nxt) <= 0.0)
-    if not k.size:
-        return [None] * len(f)
     col = np.arange(k.size)
     lo, hi = t[k], np.append(t[1:], t[0] + 2.0 * math.pi)[k]
     # lo keeps the sign its row of fn has at the bracket's start

@@ -67,14 +67,15 @@ class NotATubeError(ValueError):
 class WeierstrassData:
     f: HoloFn
     g: HoloFn
-    annulus: Annulus
-    flux_constant: float | None = None
     # tube_from_gauss's univalence probe, which lifetime_report reuses
     probe: ProbeReport | None = field(default=None, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
-        merged = _merge_annuli(_merge_annuli(self.f.annulus, self.g.annulus), self.annulus)
-        object.__setattr__(self, "annulus", merged)
+        _merge_annuli(self.f.annulus, self.g.annulus)  # refuses a mismatch
+
+    @property
+    def annulus(self) -> Annulus:
+        return self.f.annulus
 
     @cached_property
     def F(self):
@@ -167,7 +168,7 @@ def tube_from_gauss(g: HoloFn, c: float, check_omission=True) -> WeierstrassData
             f"Gauss map has zero/pole excess {probe.zero_count} inside the annulus; "
             "the data cannot describe a tube")
     f = (0.5 * c) / (HoloFn.var(g.annulus) * g)
-    return WeierstrassData(f=f, g=g, annulus=g.annulus, flux_constant=c, probe=probe)
+    return WeierstrassData(f=f, g=g, probe=probe)
 
 
 # --- the tube object -------------------------------------------------------
@@ -205,10 +206,10 @@ class MinimalTube:
             self.flux = _flux_from_loops(loops)
         except ValueError as exc:
             raise NotATubeError(str(exc), defect=self.defect) from exc
-        self.period_tol = PERIOD_TOL * self.flux.norm
-        if not np.max(np.abs(self.defect)) < self.period_tol:
+        period_tol = PERIOD_TOL * self.flux.norm
+        if not np.max(np.abs(self.defect)) < period_tol:
             raise NotATubeError(
-                f"period defect {self.defect} exceeds tolerance {self.period_tol:.3g}; "
+                f"period defect {self.defect} exceeds tolerance {period_tol:.3g}; "
                 "u = Re int F is not single-valued", defect=self.defect)
 
         m, s, resid = self._fit_profile()

@@ -335,24 +335,14 @@ class TestSweepBound:
         assert not out.exists()
 
 
-def failing_row(*_):
-    raise ValueError("row refused")
-
-
-@pytest.mark.parametrize("sweep, column, patch", [
-    ("bound", "lambda", ("max_log_radius", failing_row)),
-    ("conjecture", "q", ("conjecture_sweep",
-                         lambda grid: SweepResult(rows=(), failures=(
-                             (float(grid[0]), "ValueError: row refused"),)))),
-])
-def test_sidecar_rows_carry_the_sweep_column(tmp_path, monkeypatch, capsys, sweep, column, patch):
-    monkeypatch.setattr(cli, *patch)
+def test_sidecar_rows_carry_the_sweep_column(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "conjecture_sweep", lambda grid: SweepResult(rows=(), failures=(
+        (float(grid[0]), "ValueError: row refused"),)))
     out = tmp_path / "t.csv"
-    kind = "lambda" if sweep == "bound" else "q"
-    assert cli.main(["sweep", sweep, f"--{kind}-min", "0.25", f"--{kind}-max", "0.25",
+    assert cli.main(["sweep", "conjecture", "--q-min", "0.25", "--q-max", "0.25",
                      "--steps", "1", "--out", str(out)]) == 0
     log = Path(str(out) + ".errors.log").read_text()
-    assert log == f"{column}=0.25: ValueError: row refused\n"
+    assert log == "q=0.25: ValueError: row refused\n"
     assert "1 row(s) failed" in capsys.readouterr().err
 
 
@@ -386,6 +376,11 @@ class TestSweepConjecture:
         assert "0.02" in proc.stderr
         assert run("sweep", "conjecture", "--q-min", 0.1, "--q-max", 0.96,
                    "--steps", 2, "--out", out).returncode == 1
+        proc = run("sweep", "conjecture", "--q-min", 0.1, "--q-max", 0.3,
+                   "--steps", 0, "--out", out)
+        assert proc.returncode == 1
+        assert "--steps must be at least 1" in proc.stderr
+        assert not out.exists()
 
     def test_nome_range_refusal_is_one_line(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -316,6 +316,16 @@ class TestUnivalenceProbe:
         assert report.univalent == "passed"
         assert report.n_targets == 32
 
+    def test_pole_on_a_node_ends_the_try_for_every_target(self):
+        # g has a pole at a node of the outer winding circle, so its sample
+        # there cannot be evaluated: every count, the zero count included,
+        # retries at a perturbed radius and settles with the pole inside
+        report = univalence_probe(1 / (HoloFn.var(ANN) - ANN.R ** 0.98))
+        assert report.zero_notes == ["winding at rho=1.97247 inconclusive, perturbing"]
+        assert report.notes == report.zero_notes * 33
+        assert report.zero_count == -1 and report.omits_zero == "violated"
+        assert report.univalent == "passed" and report.n_targets == 32
+
     def test_retry_radius_outside_the_annulus_leaves_the_count_unsettled(self):
         # the outer circle R^0.98 hits the zero of g, and on a thin annulus
         # its first retry radius R^0.98 * 1.002 already lies past the rim

@@ -164,7 +164,7 @@ def weierstrass_data(kind, candidate):
         return tube_from_gauss(HoloFn.parse("z + 0.2/z", ann), 1.5)
     if kind == "explicit":
         return WeierstrassData(f=HoloFn.parse("exp(z)/z", ann),
-                               g=HoloFn.parse("z - 0.3/z^2", ann), annulus=ann)
+                               g=HoloFn.parse("z - 0.3/z^2", ann))
     return tube_from_gauss(candidate(0.1).g, 1.0)
 
 

@@ -72,7 +72,7 @@ class TestFluxMeasurement:
         assert "np.float64" not in str(err.value)
 
     def test_negative_orientation_is_rejected(self):
-        data = WeierstrassData(holo("-1/(2*z^2)"), holo("z"), ANN)
+        data = WeierstrassData(holo("-1/(2*z^2)"), holo("z"))
         with pytest.raises(ValueError, match="co-oriented"):
             flux_vector(data)
 

@@ -110,3 +110,8 @@ def test_verdict_does_not_depend_on_scale(analyze, name, config, k):
         assert got.get(key) == want.get(key), key
     if "life" in want:
         assert got["life"] == pytest.approx([k * t for t in want["life"]], rel=1e-10)
+    for key in ("bound", "margin"):  # "inf" stays "inf", a withheld margin null
+        if isinstance(want.get(key), float):
+            assert got[key] == pytest.approx(k * want[key], rel=1e-10), key
+        else:
+            assert got.get(key) == want.get(key), key

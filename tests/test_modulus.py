@@ -7,6 +7,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from tubeflux import (
+    Annulus,
+    HoloFn,
     RingDomain,
     circle_family_module,
     comparison_ring_module,
@@ -178,6 +180,12 @@ class TestGridEstimator:
         with pytest.raises(ValueError, match="refine the grid"):
             grid_module_estimate(dom, 0.5)
 
+    def test_overlapping_conductors_are_refused(self):
+        dom = RingDomain(first=lambda z: z.real <= 0.5, second=lambda z: z.real >= 0.4,
+                         box=(0.0, 1.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="boundary components overlap inside the box"):
+            grid_module_estimate(dom, 0.1)
+
     def test_oversized_grid_is_refused(self):
         # must fail fast, before the node arrays are allocated
         dom = RingDomain.from_json({"kind": "annulus", "ratio": 535.0})
@@ -262,6 +270,12 @@ class TestCrossingWitness:
             with pytest.raises(ValueError, match=match):
                 crossing_witness(cand.g, rho, cand.lam)
         assert calls == []  # refused before g is sampled
+
+    def test_constant_map_crosses_neither_locus(self):
+        # no scan angle brackets a root of either locus; the first is named
+        g = HoloFn.parse("2", Annulus(2.0))
+        with pytest.raises(ValueError, match=r"no sign change for Re g = lam at rho=1\.0"):
+            crossing_witness(g, 1.0, 0.5)
 
     def test_unbalanced_map_reports_residuals(self):
         g = joukowski_map(1.0, 0.3, 0.1, 2.0)

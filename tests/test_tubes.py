@@ -35,7 +35,7 @@ def holo(text, ann=ANN):
 
 class TestSynthesis:
     def test_flat_data_gives_constant_triple(self):
-        data = WeierstrassData(holo("1"), holo("0"), ANN)
+        data = WeierstrassData(holo("1"), holo("0"))
         F = enneper_F(data)
         rng = np.random.default_rng(2)
         for z in rng.normal(size=4) + 1j * rng.normal(size=4):
@@ -56,16 +56,12 @@ class TestSynthesis:
             cf = rng.integers(-3, 4, size=4)
             f = holo(f"({cf[0]} + {cf[1]}*z + z^2)/z^2")
             g = holo(f"({cf[2]} + z*{cf[3]} + z^3)/z")
-            data = WeierstrassData(f, g, ANN)
+            data = WeierstrassData(f, g)
             F = data.F
             z = complex(rng.uniform(0.6, 1.8), rng.uniform(-0.5, 0.5))
             vals = np.array([Fi(z) for Fi in F])
             scale = 1.0 + float(np.max(np.abs(vals) ** 2))
             assert abs(isotropy_defect(F, z)) <= 1e-12 * scale
-
-    def test_flux_constant_is_recorded(self):
-        data = tube_from_gauss(holo("z"), 2.5)
-        assert data.flux_constant == 2.5
 
     def test_constant_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -105,7 +101,7 @@ class TestSynthesis:
         f = HoloFn.parse("1", Annulus(2.0))
         g = HoloFn.parse("z", Annulus(3.0))
         with pytest.raises(ValueError):
-            WeierstrassData(f, g, Annulus(2.0))
+            WeierstrassData(f, g)
 
 
 class TestClosureDefect:
