@@ -19,12 +19,16 @@ Reports contain no timestamps or environment data: identical inputs give
 byte-identical outputs.  Numbers are printed with 12 significant digits and
 infinities as the string "inf".  Files are written atomically (temp file +
 rename); the rows `sweep conjecture` fails on go to a ".errors.log" sidecar
-next to the output table.
+next to the output table.  Any file that cannot be written -- a report, a
+table, or the sidecar -- ends the command with one "cannot write" line and
+exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -57,8 +61,7 @@ def _num(x: float) -> str:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float, np.integer, np.floating)) \
-        and not isinstance(v, bool)
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _dumps(obj, indent: int = 0) -> str:
@@ -72,9 +75,9 @@ def _dumps(obj, indent: int = 0) -> str:
         return "false"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
         return _num(float(obj))
     if isinstance(obj, dict):
         if not obj:
@@ -83,47 +86,41 @@ def _dumps(obj, indent: int = 0) -> str:
             f"{pad}  {json.dumps(str(k))}: {_dumps(v, indent + 1)}"
             for k, v in obj.items())
         return "{\n" + body + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        if all(_is_number(v) for v in seq):
-            return "[" + ", ".join(_dumps(v) for v in seq) + "]"
-        body = ",\n".join(f"{pad}  {_dumps(v, indent + 1)}" for v in seq)
+    if isinstance(obj, list):
+        if all(_is_number(v) for v in obj):
+            return "[" + ", ".join(_dumps(v) for v in obj) + "]"
+        body = ",\n".join(f"{pad}  {_dumps(v, indent + 1)}" for v in obj)
         return "[\n" + body + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _write_atomic(path: str, text: str) -> None:
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".",
-                               prefix=f".{target.name}.")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _err(message: str) -> None:
     print(f"tubeflux: {message}", file=sys.stderr)
 
 
+def _write(path: str, text: str) -> int:
+    """Write text to path atomically (temp file + rename); 1 if that fails."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=Path(path).parent, prefix=f".{Path(path).name}.")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        _err(f"cannot write {path}: {exc}")
+        return 1
+    return 0
+
+
 def _emit(report: dict, out: str | None, status: int) -> int:
     text = _dumps(report) + "\n"
     if out:
-        try:
-            _write_atomic(out, text)
-        except OSError as exc:
-            _err(f"cannot write {out}: {exc}")
-            return 1
-    else:
-        sys.stdout.write(text)
+        return _write(out, text) or status
+    sys.stdout.write(text)
     return status
 
 
@@ -131,6 +128,9 @@ def _emit(report: dict, out: str | None, status: int) -> int:
 
 class SchemaError(ValueError):
     pass
+
+
+_FIELDS = ("R", "g", "f", "c", "N")  # in the order the report echoes them
 
 
 def _check_open(cfg, key: str, lo: float) -> None:
@@ -147,9 +147,8 @@ def _check_open(cfg, key: str, lo: float) -> None:
 def _validate_spec(cfg) -> dict:
     if not isinstance(cfg, dict):
         raise SchemaError("config root must be a JSON object")
-    allowed = {"R", "g", "f", "c", "N"}
     for key in cfg:
-        if key not in allowed:
+        if key not in _FIELDS:
             raise SchemaError(f"unknown field {key!r}")
     if "R" not in cfg or not _is_number(cfg["R"]):
         raise SchemaError("field 'R' (real > 1) is required")
@@ -209,7 +208,7 @@ def cmd_analyze(args) -> int:
             _err("--sections must be a comma-separated list of reals")
             return 1
 
-    echo = {k: spec[k] for k in ("R", "g", "f", "c", "N") if k in spec}
+    echo = {k: spec[k] for k in _FIELDS if k in spec}
     ann = Annulus(float(spec["R"]))
     try:
         g = HoloFn.parse(spec["g"], ann)
@@ -228,18 +227,18 @@ def cmd_analyze(args) -> int:
     except NotATubeError as exc:
         report = {"config": echo, "verdict": "not a tube", "error": str(exc)}
         if exc.defect is not None:
-            report["defect"] = [float(d) for d in exc.defect]
+            report["defect"] = exc.defect.tolist()
         return _emit(report, args.out, status=2)
     except EvalDomainError as exc:
         _err(f"config error: {exc}")
         return 1
 
     rep = lifetime_report(tube)
+    violated = rep.hypothesis == "univalence violated"
     report = {
         "config": echo,
-        "verdict": "tube" if rep.hypothesis != "univalence violated"
-                   else "not a tube",
-        "defect": [float(d) for d in tube.defect],
+        "verdict": "not a tube" if violated else "tube",
+        "defect": tube.defect.tolist(),
         "closed": True,  # MinimalTube refuses an open seam
         "univalent": rep.probe.univalent,
         "omits_zero": rep.probe.omits_zero,
@@ -262,32 +261,17 @@ def cmd_analyze(args) -> int:
             except ValueError as exc:
                 _err(str(exc))
                 return 1
-            sections[format(tau, ".12g")] = [
-                [float(p[0]), float(p[1]), float(p[2])] for p in pts]
+            sections[format(tau, ".12g")] = pts.tolist()
         report["sections"] = sections
-    status = 2 if rep.hypothesis == "univalence violated" else 0
-    return _emit(report, args.out, status=status)
+    return _emit(report, args.out, status=2 if violated else 0)
 
 
 # --- sweeps ------------------------------------------------------------------
 
-def _write_csv(out: str, header: str, lines: list) -> int:
-    text = header + "\n" + "".join(line + "\n" for line in lines)
-    try:
-        _write_atomic(out, text)
-    except OSError as exc:
-        _err(f"cannot write {out}: {exc}")
-        return 1
-    return 0
-
-
-def _write_sidecar(out: str, failures) -> None:
-    """Log each failed row as ``q=<value>: <reason>``."""
-    if not failures:
-        return
-    text = "".join(f"q={x:.12g}: {reason}\n" for x, reason in failures)
-    _write_atomic(out + ".errors.log", text)
-    _err(f"{len(failures)} row(s) failed; see {out}.errors.log")
+def _write_csv(out: str, header: str, rows) -> int:
+    """One line per row of numbers, each printed with 12 significant digits."""
+    return _write(out, header + "\n" + "".join(
+        ",".join(format(x, ".12g") for x in row) + "\n" for row in rows))
 
 
 def cmd_sweep_bound(args) -> int:
@@ -299,9 +283,8 @@ def cmd_sweep_bound(args) -> int:
         return 1
     # within the range checked above both closed forms are finite or +inf
     grid = np.linspace(args.lambda_min, args.lambda_max, args.steps)
-    lines = [f"{lam:.12g},{max_log_radius(lam):.12g},{comparison_ring_module(lam):.12g}"
-             for lam in grid]
-    return _write_csv(args.out, "lambda,lnR0,modD", lines)
+    rows = [(lam, max_log_radius(lam), comparison_ring_module(lam)) for lam in grid]
+    return _write_csv(args.out, "lambda,lnR0,modD", rows)
 
 
 def cmd_sweep_conjecture(args) -> int:
@@ -317,12 +300,15 @@ def cmd_sweep_conjecture(args) -> int:
     except ValueError as exc:
         _err(str(exc))
         return 1
-    lines = [f"{r.q:.12g},{r.R:.12g},{r.lam:.12g},{r.lnR:.12g},"
-             f"{r.lnR0:.12g},{r.ratio:.12g}" for r in result.rows]
-    bad = _write_csv(args.out, "q,R,lambda,lnR,lnR0,ratio", lines)
-    if bad:
+    # SweepRow's fields are in the header's order
+    rows = [dataclasses.astuple(r) for r in result.rows]
+    bad = _write_csv(args.out, "q,R,lambda,lnR,lnR0,ratio", rows)
+    if bad or not result.failures:
         return bad
-    _write_sidecar(args.out, result.failures)
+    sidecar = args.out + ".errors.log"
+    if _write(sidecar, "".join(f"q={x:.12g}: {reason}\n" for x, reason in result.failures)):
+        return 1
+    _err(f"{len(result.failures)} row(s) failed; see {sidecar}")
     return 0
 
 
@@ -355,8 +341,7 @@ def cmd_modulus(args) -> int:
     }
     if domain.exact_module is not None:
         report["exact"] = domain.exact_module
-    sys.stdout.write(_dumps(report) + "\n")
-    return 0
+    return _emit(report, None, status=0)
 
 
 # --- wiring ------------------------------------------------------------------

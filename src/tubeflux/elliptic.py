@@ -179,6 +179,7 @@ def _gauss_comb(v, q, half_step, deriv):
     to the next tooth out starts at exp((+-2d - pi)/t) and shrinks by
     exp(-2 pi/t) a step, until the Gaussians fall below 1e-18 of the largest
     (~exp(y^2/(pi t))).  Three complex exps a point, and no batch dependence.
+    The result has v's shape; a scalar v gives a Python complex.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"nome must satisfy 0 < q < 1, got {q}")
@@ -203,29 +204,26 @@ def _gauss_comb(v, q, half_step, deriv):
         total = total + step if reach.min() >= k else np.where(reach >= k, total + step, total)
     if deriv:
         total = total * (-2.0 / (math.pi * t))
-    return (total / math.sqrt(t)).reshape(arr.shape)
+    out = (total / math.sqrt(t)).reshape(arr.shape)
+    return out if arr.ndim else complex(out)
 
 
 def theta1(v, q):
     """Jacobi theta_1(v, q); vectorized over complex v."""
-    out = _gauss_comb(v, q, 0.5, deriv=False)
-    return out if np.ndim(v) else complex(out)
+    return _gauss_comb(v, q, 0.5, deriv=False)
 
 
 def theta1_prime(v, q):
     """d/dv of theta1."""
-    out = _gauss_comb(v, q, 0.5, deriv=True)
-    return out if np.ndim(v) else complex(out)
+    return _gauss_comb(v, q, 0.5, deriv=True)
 
 
 def theta3(v, q):
     """Jacobi theta_3(v, q); vectorized over complex v."""
-    out = _gauss_comb(v, q, 0.0, deriv=False)
-    return out if np.ndim(v) else complex(out)
+    return _gauss_comb(v, q, 0.0, deriv=False)
 
 
 def theta3_prime(v, q):
     """d/dv of theta3."""
-    out = _gauss_comb(v, q, 0.0, deriv=True)
-    return out if np.ndim(v) else complex(out)
+    return _gauss_comb(v, q, 0.0, deriv=True)
 

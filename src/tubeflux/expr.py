@@ -283,8 +283,6 @@ def _mul(a, b):
 def _div(a, b):
     if _is_zero(a):
         return Const(0)
-    if _is_one(b):
-        return a
     return Div(a, b)
 
 
@@ -469,6 +467,12 @@ def _parse_int_exponent(tok):
     return sign * int(text)
 
 
+def _expect(tok, ch, message):
+    kind, text, pos = tok.take()
+    if not (kind == "op" and text == ch):
+        raise ExprSyntaxError(message, pos)
+
+
 def _parse_base(tok):
     kind, text, pos = tok.take()
     if kind == "number":
@@ -479,20 +483,14 @@ def _parse_base(tok):
         if text == "i":
             return Const(1j)
         if text in ("exp", "log"):
-            k2, t2, p2 = tok.take()
-            if not (k2 == "op" and t2 == "("):
-                raise ExprSyntaxError(f"expected '(' after {text}", p2)
+            _expect(tok, "(", f"expected '(' after {text}")
             arg = _parse_expr(tok)
-            k3, t3, p3 = tok.take()
-            if not (k3 == "op" and t3 == ")"):
-                raise ExprSyntaxError("expected ')'", p3)
+            _expect(tok, ")", "expected ')'")
             return Exp(arg) if text == "exp" else Log(arg)
         raise ExprSyntaxError(f"unknown name {text!r}", pos)
     if kind == "op" and text == "(":
         node = _parse_expr(tok)
-        k2, t2, p2 = tok.take()
-        if not (k2 == "op" and t2 == ")"):
-            raise ExprSyntaxError("expected ')'", p2)
+        _expect(tok, ")", "expected ')'")
         return node
     raise ExprSyntaxError(f"unexpected token {text!r}", pos)
 

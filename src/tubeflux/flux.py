@@ -11,7 +11,8 @@ the time axis, and the life-time bound is
     pi |Q| cos(alpha) / ln tan(pi/4 + alpha/2)  =  pi J3 / arcsinh(tan alpha),
 
 the two forms being the Gudermannian identity in disguise.  Both are computed
-from tan(alpha) = |w| and cross-checked on every call.
+from tan(alpha) = |w| and cross-checked on every call.  lifetime_report
+takes univalence from the datum's own probe (``tube.data.probe``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import ProbeReport, circle_integral, univalence_probe
+from .contour import ProbeReport, circle_integral
 
 __all__ = [
     "FluxVector", "Lifetime", "LifetimeReport",
@@ -150,11 +151,11 @@ def lifetime_report(tube) -> LifetimeReport:
     """Check a tube's life-time against its flux bound.
 
     The bound needs a univalent Gauss map; if the probe reports a violation
-    the verdict is withheld and the report says why.  The probe is the one
-    tube_from_gauss ran (``tube.data.probe``) when there is one, so the same
-    circles are not probed again.
+    the verdict is withheld and the report says why.  The probe is the
+    datum's own (``tube.data.probe``), run at most once per datum, so a tube
+    from tube_from_gauss reuses the probe that checked its zero count.
     """
-    probe = tube.data.probe or univalence_probe(tube.data.g)
+    probe = tube.data.probe
     life = lifetime(tube)
     bound = lifetime_bound(tube.flux)
     if probe.univalent == "violated":

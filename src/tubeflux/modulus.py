@@ -477,9 +477,9 @@ def crossing_witness(g: HoloFn, rho: float, lam: float) -> CrossingWitness:
         if found is None:
             m, minv = a0_pair(g, rho=rho)
             raise ValueError(
-                f"no sign change for {label} at rho={rho}: the balance "
-                f"residuals are a0[g]-lam={m - lam:.3e}, "
-                f"a0[1/g]+lam={minv + lam:.3e}")
+                f"no sign change for {label} at rho={rho}: the scanned "
+                f"functions' circle means are Re a0[g]-lam={m.real - lam:.3e}, "
+                f"Re a0[1/g]+lam={minv.real + lam:.3e}")
         roots, resid, tied = found
         best = int(np.argmax(tied))
         picks.append((float(roots[best]), float(resid[best])))

@@ -23,13 +23,15 @@ first: tube_from_gauss sets f = c/(2zg) so that F3 = c/z exactly, and closure
 of the periods then reduces to a statement about the two circle means a0[g]
 and a0[1/g] (contour.a0_pair).  Both the quadrature route and the
 mean/residue route to the period defect are implemented; they must agree,
-and tests hold them to it.
+and tests hold them to it.  A datum also owns g's univalence probe
+(``data.probe``, run once when first read): tube_from_gauss checks its zero
+count and lifetime_report reads the rest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -67,8 +69,6 @@ class NotATubeError(ValueError):
 class WeierstrassData:
     f: HoloFn
     g: HoloFn
-    # tube_from_gauss's univalence probe, which lifetime_report reuses
-    probe: ProbeReport | None = field(default=None, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         _merge_annuli(self.f.annulus, self.g.annulus)  # refuses a mismatch
@@ -80,6 +80,10 @@ class WeierstrassData:
     @cached_property
     def F(self):
         return enneper_F(self)
+
+    @cached_property
+    def probe(self) -> ProbeReport:
+        return univalence_probe(self.g)
 
     def __call__(self, z):
         """The triple at z, stacked on a new first axis, from one evaluation
@@ -152,23 +156,22 @@ def tube_from_gauss(g: HoloFn, c: float, check_omission=True) -> WeierstrassData
     2 pi c exactly.
 
     g must omit zero on its annulus; c > 0 sets the vertical scale.  Unless
-    the caller already knows, the zero count of univalence_probe checks it,
-    and the whole probe report is kept on the data (``data.probe``), so that
-    lifetime_report does not probe the same circles again.
+    the caller already knows, the zero count of the datum's univalence probe
+    (``data.probe``) checks it; the probe is kept, so lifetime_report does
+    not probe the same circles again.
     """
     if not (c > 0.0):
         raise ValueError(f"flux constant must be positive, got c={c}")
-    probe = univalence_probe(g) if check_omission else None
-    if probe is not None and probe.zero_count is None:
+    data = WeierstrassData(f=(0.5 * c) / (HoloFn.var(g.annulus) * g), g=g)
+    if check_omission and data.probe.zero_count is None:
         raise NotATubeError(
             "cannot certify that the Gauss map omits zero: winding integrals "
-            f"did not settle ({'; '.join(probe.zero_notes) or 'no diagnostics'})")
-    if probe is not None and probe.zero_count != 0:
+            f"did not settle ({'; '.join(data.probe.zero_notes) or 'no diagnostics'})")
+    if check_omission and data.probe.zero_count != 0:
         raise NotATubeError(
-            f"Gauss map has zero/pole excess {probe.zero_count} inside the annulus; "
-            "the data cannot describe a tube")
-    f = (0.5 * c) / (HoloFn.var(g.annulus) * g)
-    return WeierstrassData(f=f, g=g, probe=probe)
+            f"Gauss map has zero/pole excess {data.probe.zero_count} inside the "
+            "annulus; the data cannot describe a tube")
+    return data
 
 
 # --- the tube object -------------------------------------------------------
@@ -263,7 +266,7 @@ def section_polyline(tube: MinimalTube, tau: float, n_points=256):
     m, s = tube.profile
     rho = math.exp((tau - m) / s)
 
-    anchor = path_integral(tube.data, tube.z0, rho).real
+    anchor = immerse(tube, rho)
     # one 32-node panel per arc step, all steps sampled in one array call
     t_edges = np.linspace(0.0, 2.0 * math.pi, n_points + 1)
     t0 = t_edges[:-1, None]

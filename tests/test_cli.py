@@ -109,6 +109,15 @@ class TestAnalyze:
         assert run_process("analyze", cfg, "--out", out2).returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_report_into_a_missing_directory(self, tmp_path):
+        cfg = write_config(tmp_path, R=2.0, g="z", c=1.0)
+        out = tmp_path / "missing" / "report.json"
+        proc = run("analyze", cfg, "--out", out)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"tubeflux: cannot write {out}: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_file_output_matches_stdout(self, tmp_path):
         cfg = write_config(tmp_path, R=2.0, g="z", c=1.0)
         streamed = run("analyze", cfg).stdout
@@ -252,6 +261,8 @@ class TestAnalyzeValidation:
             {"R": 2.0, "g": "z", "c": -1},
             {"R": 2.0, "g": "z", "c": math.nan},
             {"R": 2.0, "g": "z", "c": math.inf},
+            {"R": 2.0, "g": "z", "f": 3},  # f not a string
+            {"R": 2.0, "g": "z", "c": "1"},  # c not a number
         ],
     )
     def test_schema_violations(self, tmp_path, fields):
@@ -275,6 +286,14 @@ class TestAnalyzeValidation:
         assert cli.main(["analyze", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"tubeflux: {message}") and err.count("\n") == 1
+
+    def test_config_root_must_be_an_object(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('[2.0, "z", 1.0]')
+        proc = run("analyze", cfg)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "tubeflux: config error: config root must be a JSON object\n"
 
     def test_unparseable_gauss_map(self, tmp_path):
         cfg = write_config(tmp_path, R=2.0, g="w + 1", c=1.0)
@@ -325,6 +344,14 @@ class TestSweepBound:
         assert run("sweep", "bound", "--lambda-min", 3, "--lambda-max", 2,
                    "--steps", 2, "--out", out).returncode == 1
 
+    def test_table_into_a_missing_directory(self, tmp_path):
+        out = tmp_path / "missing" / "bound.csv"
+        proc = run("sweep", "bound", "--lambda-min", 1, "--lambda-max", 2,
+                   "--steps", 2, "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"tubeflux: cannot write {out}: ")
+        assert proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("lo, hi", [(1, "inf"), ("inf", "inf"), (1, "nan"), ("nan", 2)])
     def test_non_finite_range_is_refused(self, tmp_path, lo, hi):
         out = tmp_path / "bound.csv"
@@ -344,6 +371,20 @@ def test_sidecar_rows_carry_the_sweep_column(tmp_path, monkeypatch, capsys):
     log = Path(str(out) + ".errors.log").read_text()
     assert log == "q=0.25: ValueError: row refused\n"
     assert "1 row(s) failed" in capsys.readouterr().err
+
+
+def test_unwritable_sidecar_is_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "conjecture_sweep", lambda grid: SweepResult(rows=(), failures=(
+        (float(grid[0]), "ValueError: row refused"),)))
+    out = tmp_path / "t.csv"
+    sidecar = tmp_path / "t.csv.errors.log"
+    sidecar.mkdir()  # a directory cannot be replaced by the log
+    assert cli.main(["sweep", "conjecture", "--q-min", "0.25", "--q-max", "0.25",
+                     "--steps", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"tubeflux: cannot write {sidecar}: ")
+    assert err.count("\n") == 1
+    assert out.read_text() == "q,R,lambda,lnR,lnR0,ratio\n"
 
 
 class TestSweepConjecture:

@@ -66,6 +66,9 @@ class TestCircleIntegral:
             circle_integral(holo("z"), 2.0)
         with pytest.raises(ValueError):
             circle_integral(holo("z"), 0.25)
+        for rho in (0.0, -1.0):
+            with pytest.raises(ValueError, match="rho must be positive"):
+                circle_integral(holo("z"), rho)
 
     def test_n_points_validation(self):
         with pytest.raises(ValueError):

@@ -86,6 +86,17 @@ class TestSyntaxErrors:
         with pytest.raises(ExprSyntaxError):
             parse("")
 
+    @pytest.mark.parametrize("text, message, pos", [
+        ("exp z", "expected '(' after exp", 4),
+        ("exp(z", "expected ')'", 5),
+        ("(z", "expected ')'", 2),
+    ])
+    def test_missing_parenthesis_reports_position(self, text, message, pos):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (position {pos})"
+        assert info.value.pos == pos
+
 
 class TestDomainErrors:
     def test_division_by_zero_names_the_point(self):

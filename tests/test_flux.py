@@ -19,7 +19,7 @@ from tubeflux import (
     lifetime_report,
     tube_from_gauss,
 )
-from tubeflux import flux
+from tubeflux import flux, tubes
 
 ANN = Annulus(2.0)
 
@@ -164,9 +164,11 @@ class TestReport:
         assert report.satisfied is None
         assert report.margin is None
 
-    def test_precomputed_probe_is_respected(self, catenoid):
+    def test_precomputed_probe_is_respected(self, catenoid, monkeypatch):
         probe = ProbeReport(univalent="inconclusive", omits_zero="passed", zero_count=0)
-        report = lifetime_report(MinimalTube(dataclasses.replace(catenoid.data, probe=probe)))
+        # a fresh datum runs its own probe, which answers with this report
+        monkeypatch.setattr(tubes, "univalence_probe", lambda g: probe)
+        report = lifetime_report(MinimalTube(dataclasses.replace(catenoid.data)))
         assert report.hypothesis == "univalence unconfirmed"
         assert report.probe is probe
 

@@ -274,8 +274,10 @@ class TestCrossingWitness:
     def test_constant_map_crosses_neither_locus(self):
         # no scan angle brackets a root of either locus; the first is named
         g = HoloFn.parse("2", Annulus(2.0))
-        with pytest.raises(ValueError, match=r"no sign change for Re g = lam at rho=1\.0"):
+        with pytest.raises(ValueError, match=r"no sign change for Re g = lam at rho=1\.0") as err:
             crossing_witness(g, 1.0, 0.5)
+        # the circle means of the scanned functions, without rounding dust
+        assert str(err.value).endswith("Re a0[g]-lam=1.500e+00, Re a0[1/g]+lam=1.000e+00")
 
     def test_unbalanced_map_reports_residuals(self):
         g = joukowski_map(1.0, 0.3, 0.1, 2.0)

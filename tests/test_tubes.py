@@ -91,7 +91,6 @@ class TestSynthesis:
             return univalence_probe(*args)
 
         monkeypatch.setattr(tubes, "univalence_probe", counted)
-        monkeypatch.setattr(flux, "univalence_probe", counted)
         data = tube_from_gauss(holo("z + 0.2/z"), 1.0)
         rep = lifetime_report(MinimalTube(data))
         assert len(calls) == 1 and rep.probe is data.probe
