@@ -7,7 +7,9 @@ successive estimates agree (or differ by less than the rounding level of
 the sum, where QUAD_TOL is out of reach), capped at N=65536.  The levels
 nest, so each doubling evaluates the integrand on its new nodes only
 (Trefethen & Weideman, SIAM Rev. 2014).  Path integrals use 32-node
-Gauss-Legendre panels, doubling from 1 to 256 panels per leg.  Circle and
+Gauss-Legendre panels, doubling from 1 to 256 panels per leg.  A leg is a
+record (a, b, c, d), the curve (a + b t) exp(i (c + d t)) for 0 <= t <= 1,
+and the paths of one call integrate each distinct leg once.  Circle and
 path integrands may return a stack of k rows (the Weierstrass triple, or
 a0_pair's [g, 1/g]), giving k integrals from one sample per level.  One
 routine, ``_refine``, does all of this doubling; it refines a vector of
@@ -320,33 +322,15 @@ GL_NODES, GL_WEIGHTS = 0.5 * (GL_NODES + 1.0), 0.5 * GL_WEIGHTS
 
 
 def _canonical_legs(z0, z1):
-    """Arc at |z0| through the shorter angular gap (ties counterclockwise),
-    then the radial segment at arg(z1)."""
+    """Leg records of the arc at |z0| through the shorter angular gap (ties
+    counterclockwise), then the radial segment at arg(z1); none of length 0."""
     r0, r1 = abs(z0), abs(z1)
     th0, th1 = math.atan2(z0.imag, z0.real), math.atan2(z1.imag, z1.real)
     dth = math.remainder(th1 - th0, 2.0 * math.pi)
     if abs(abs(dth) - math.pi) < 1e-15:
         dth = math.pi  # half turn: go counterclockwise
-    legs = []
-    if dth != 0.0:
-        def arc(t, r0=r0, th0=th0, dth=dth):
-            return r0 * np.exp(1j * (th0 + dth * t))
-
-        def darc(t, r0=r0, th0=th0, dth=dth):
-            return 1j * dth * r0 * np.exp(1j * (th0 + dth * t))
-
-        legs.append((arc, darc))
-    if r1 != r0:
-        e = np.exp(1j * th1)
-
-        def radial(t, r0=r0, r1=r1, e=e):
-            return (r0 + (r1 - r0) * t) * e
-
-        def dradial(t, r0=r0, r1=r1, e=e):
-            return np.full_like(np.asarray(t, dtype=float), r1 - r0) * e
-
-        legs.append((radial, dradial))
-    return legs
+    arc, radial = (r0, 0.0, th0, dth), (r0, r1 - r0, th1, 0.0)
+    return [leg for leg in (arc, radial) if leg[1] or leg[3]]  # b = d = 0: length 0
 
 
 def _check_ends(annulus, z0, ends):
@@ -360,43 +344,43 @@ def _check_ends(annulus, z0, ends):
 def _path_integrals(h, z0, ends):
     """Integrals of h along the canonical paths from z0 to each point of ends.
 
-    The legs of all paths refine together: each panel level evaluates h once,
-    on the Gauss-Legendre nodes of every leg still refining, and each
-    component of each leg stops at its own level (1 to 256 panels).  When h
-    returns a (k, n) stack for n nodes, each path's integral is an array of k.
-    A non-finite sample raises EvalDomainError at its first such node.
+    Each distinct leg record is integrated once, however many paths share it
+    (the ends at one angle share their arc).  The legs refine together: each
+    panel level evaluates h once, on the Gauss-Legendre nodes of every leg
+    still refining, and each component of each leg stops at its own level (1
+    to 256 panels).  A path adds its arc, then its radial leg.  When h returns
+    a (k, n) stack for n nodes, each path's integral is an array of k.  A
+    non-finite sample raises EvalDomainError at its first such node.
     """
     z0 = complex(z0)
     ends = [complex(z1) for z1 in ends]
     _check_ends(getattr(h, "annulus", None), z0, ends)
-    h, legs, owner = _finite(h), [], []
-    for j, z1 in enumerate(ends):
-        for leg in _canonical_legs(z0, z1):
-            legs.append(leg)
-            owner.append(j)
+    h, index = _finite(h), {}
+    paths = [[index.setdefault(leg, len(index)) for leg in _canonical_legs(z0, z1)]
+             for z1 in ends]
+    a, b, c, d = np.reshape(list(index), (-1, 4)).T[:, :, None]
 
-    def sample(panels, used):
+    def sample(panels, used):  # h at the nodes of the legs used, and their tangents
         t = ((np.arange(panels)[:, None] + GL_NODES[None, :]) / panels).ravel()
+        r, e = a[used] + b[used] * t, np.exp(1j * (c[used] + d[used] * t))
         # with no legs, one value at z0 still tells how many components h has
-        z = np.concatenate([legs[i][0](t) for i in used]) if used else np.array([z0])
-        return t, h(z)
+        z = (r * e).ravel() if len(used) else np.array([z0])
+        return h(z), (b[used] + 1j * d[used] * r) * e
 
-    first = sample(1, range(len(legs)))
-    stacked = np.ndim(first[1]) > 1
-    k = len(first[1]) if stacked else 1
+    first = sample(1, range(len(index)))
+    shape = np.shape(first[0])[:-1]  # (k,) when h returns a (k, n) stack
+    k = math.prod(shape)
 
     def quad(panels, live):  # estimate e is component e % k of leg e // k
         used = sorted({e // k for e in live})
-        t, vals = first if panels == 1 else sample(panels, used)
-        vals = np.reshape(vals, (k, len(used), -1))
+        vals, dz = first if panels == 1 else sample(panels, used)
         weights = np.tile(GL_WEIGHTS, panels) / panels
-        return [np.sum(vals[e % k, used.index(e // k)] * legs[e // k][1](t) * weights)
-                for e in live], [0.0] * len(live)
+        sums = np.sum(np.reshape(vals, (k, len(used), -1)) * dz * weights, axis=-1)
+        return [sums[e % k, used.index(e // k)] for e in live], [0.0] * len(live)
 
-    totals = np.zeros((len(ends), k), dtype=complex)
-    for e, est in enumerate(_refine(quad, k * len(legs), 1, 256, 1e-12)):
-        totals[owner[e // k], e % k] += est
-    return list(totals) if stacked else list(totals[:, 0])
+    est = np.reshape(_refine(quad, k * len(index), 1, 256, 1e-12), (-1,) + shape)
+    return list(np.array([sum((est[i] for i in legs), np.zeros(shape, complex))
+                          for legs in paths]))
 
 
 def path_integral(h, z0, z1):

@@ -132,7 +132,7 @@ class RingDomain:
             raw = obj.get(key, default)
             try:
                 x = float(raw)
-            except (TypeError, ValueError):  # null, a list, an object, a word
+            except (TypeError, ValueError, OverflowError):  # null, [], "a", 10**400
                 x = math.nan
             if math.isfinite(x):
                 return x
@@ -257,8 +257,11 @@ def _assemble(domain: RingDomain, h: float):
     order) and the inner and fixed edges.
     """
     x0, x1, y0, y1 = domain.box
-    nx = max(int(round((x1 - x0) / h)) + 1, 4)
-    ny = max(int(round((y1 - y0) / h)) + 1, 4)
+    spans = (x1 - x0) / h, (y1 - y0) / h
+    if not all(map(math.isfinite, spans)):  # no float counts the cells
+        raise ValueError(f"grid needs more than {_MAX_CELLS:,} cells at h={h:g}; "
+                         "coarsen h or shrink the domain")
+    nx, ny = (max(int(round(span)) + 1, 4) for span in spans)
     if nx * ny > _MAX_CELLS:
         raise ValueError(
             f"grid needs {nx * ny:,} cells at h={h:g}; "

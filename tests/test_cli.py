@@ -497,11 +497,12 @@ class TestModulus:
 
     def test_oversized_grid_fails_cleanly(self, tmp_path):
         dom = tmp_path / "dom.json"
-        dom.write_text(json.dumps({"kind": "annulus", "ratio": 535.0}))
-        proc = run("modulus", "--domain", dom, "--h", 0.1)
-        assert proc.returncode == 1
-        assert "estimate failed" in proc.stderr
-        assert "coarsen h" in proc.stderr
+        for ratio in (535.0, 1e308):  # 1e308: the grid's span overflows to inf
+            dom.write_text(json.dumps({"kind": "annulus", "ratio": ratio}))
+            proc = run("modulus", "--domain", dom, "--h", 0.1)
+            assert proc.returncode == 1
+            assert "estimate failed" in proc.stderr
+            assert "coarsen h" in proc.stderr
 
 
 class TestUsage:

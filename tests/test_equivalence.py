@@ -136,9 +136,12 @@ def test_slit_tube_is_frozen(slit_tube, q):
     assert tube_fields(slit_tube(q)) == FROZEN["tube_closed_form_scale"][repr(q)]
 
 
-@pytest.mark.parametrize("q", [0.1, 0.72])
+@pytest.mark.parametrize("q", [0.1, 0.72, "expr"])
 def test_batched_profile_paths_equal_single_path_integrals(slit_tube, q):
-    tube = slit_tube(q)
+    if q == "expr":
+        tube = MinimalTube(tube_from_gauss(HoloFn.parse("1.3*z - 0.1/z", Annulus(2.2)), 0.8))
+    else:
+        tube = slit_tube(q)
     pts = _fit_points(tube.annulus)
     batched = _path_integrals(tube.data.F[2], tube.z0, pts)
     single = [path_integral(tube.data.F[2], tube.z0, z) for z in pts]
@@ -415,12 +418,29 @@ def test_probe_comb_points(candidate, comb_calls, q, points):
 
 def test_tube_samples_g_once_per_node(candidate, comb_calls):
     # f = c/(2zg) holds g's tree, and data(z) and the F3 tree of the profile
-    # fit take g once a node from one pass: 45,056 points when g was sampled
-    # once for itself and once inside f
+    # fit take g once a node from one pass: 2 combs (theta1 and theta3) x
+    # (2,048 loop nodes + 57 distinct legs x 96 fit nodes, 32 and 64 a leg).
+    # It was 22,528 when each of the 48 paths integrated its own two legs,
+    # and 45,056 when g was sampled once for itself and once inside f.
     data = tube_from_gauss(candidate(0.1).g, 1.0, check_omission=False)
     calls = comb_calls()
     MinimalTube(data)
-    assert sum(calls) == 22528
+    assert sum(calls) == 15040
+
+
+def test_paths_integrate_a_shared_leg_once(counting):
+    # four ends up the imaginary axis share the arc from 1 to i: one arc and
+    # four radial legs at 32 and then 64 nodes, where eight legs took 256 and 512
+    calls, inv = [], HoloFn.parse("1/z", Annulus(2.0))
+
+    class Counted:
+        annulus = inv.annulus
+        __call__ = staticmethod(counting(inv, calls))
+
+    ends = [0.6j, 0.8j, 1.25j, 1.6j]
+    batched = _path_integrals(Counted(), 1.0, ends)
+    assert calls == [160, 320]
+    assert batched == [path_integral(inv, 1.0, z) for z in ends]
 
 
 @pytest.mark.parametrize("case", sorted(WITNESS_AND_RING["witness"]))

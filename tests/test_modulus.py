@@ -130,6 +130,8 @@ class TestDomainDescriptors:
             RingDomain.from_json({"kind": "pretzel"})
         with pytest.raises(ValueError, match="finite height"):
             RingDomain.from_json({"kind": "box_conductor", "height": float("nan")})
+        with pytest.raises(ValueError, match="finite ratio"):  # past float range
+            RingDomain.from_json({"kind": "annulus", "ratio": 10 ** 400})
 
 
 class TestGridEstimator:
@@ -187,10 +189,15 @@ class TestGridEstimator:
             grid_module_estimate(dom, 0.1)
 
     def test_oversized_grid_is_refused(self):
-        # must fail fast, before the node arrays are allocated
-        dom = RingDomain.from_json({"kind": "annulus", "ratio": 535.0})
-        with pytest.raises(ValueError, match="coarsen h"):
-            grid_module_estimate(dom, 0.1)
+        # must fail fast, before the node arrays are allocated; the last three
+        # spans over h overflow to inf, so no float counts their cells
+        for descriptor, h in [({"kind": "annulus", "ratio": 535.0}, 0.1),
+                              ({"kind": "annulus", "ratio": 2.0}, 1e-320),
+                              ({"kind": "annulus", "ratio": 1e308}, 0.1),
+                              ({"kind": "D", "lambda": 1e-310}, 0.1)]:
+            dom = RingDomain.from_json(descriptor)
+            with pytest.raises(ValueError, match="coarsen h"):
+                grid_module_estimate(dom, h)
 
 
 class TestGridSolver:
