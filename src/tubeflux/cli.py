@@ -66,32 +66,20 @@ def _is_number(v) -> bool:
 
 def _dumps(obj, indent: int = 0) -> str:
     """Deterministic JSON with 12-significant-digit floats."""
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, float):
-        return _num(float(obj))
+        return _num(obj)
+    if isinstance(obj, list) and all(_is_number(v) for v in obj):
+        return "[" + ", ".join(_dumps(v) for v in obj) + "]"
+    if not isinstance(obj, (dict, list)) or not obj:  # scalars and {}
+        return json.dumps(obj)
+    pad = "  " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         body = ",\n".join(
             f"{pad}  {json.dumps(str(k))}: {_dumps(v, indent + 1)}"
             for k, v in obj.items())
         return "{\n" + body + "\n" + pad + "}"
-    if isinstance(obj, list):
-        if all(_is_number(v) for v in obj):
-            return "[" + ", ".join(_dumps(v) for v in obj) + "]"
-        body = ",\n".join(f"{pad}  {_dumps(v, indent + 1)}" for v in obj)
-        return "[\n" + body + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    body = ",\n".join(f"{pad}  {_dumps(v, indent + 1)}" for v in obj)
+    return "[\n" + body + "\n" + pad + "]"
 
 
 def _err(message: str) -> None:

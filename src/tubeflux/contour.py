@@ -24,7 +24,8 @@ themselves sampled in one call -- where a target-major probe would run one
 adaptive integral per target.  A winding sum stops at the 1e-8 relative
 test or as soon as it sits on an integer at two successive levels (see
 _windings), since the trapezoid error of an analytic integrand falls
-geometrically and the exact sum is an integer multiple of 2 pi i.
+geometrically and the exact sum is an integer multiple of 2 pi i.  A try is
+noted once, however many targets it leaves unsettled.
 """
 
 from __future__ import annotations
@@ -300,18 +301,10 @@ def a0(h, rho=1.0):
 
 
 def a0_pair(g, rho=1.0):
-    """The circle means (a0[g], a0[1/g]), from one sample [g, 1/g] per level."""
+    """The means (a0[g], a0[1/g]) of a HoloFn g, from one sample [g, 1/g] per level."""
     _check_rho(g, rho)
-
-    def pair(zeta):
-        v = g(zeta)
-        bad = _first_bad(v == 0, zeta)  # the check evaluating 1/g makes
-        if bad is not None:
-            raise EvalDomainError("division by zero", bad)
-        with np.errstate(all="ignore"):
-            return np.stack([v, 1 / v])
-
-    return tuple(laurent_coeff(pair, 0, rho))
+    pair = [g.node, Div(Const(1), g.node)]
+    return tuple(laurent_coeff(lambda zeta: np.array(evaluate(pair, zeta)), 0, rho))
 
 
 # --- path integrals --------------------------------------------------------
@@ -403,12 +396,16 @@ class ProbeReport:
     witness when one is found); 'passed' records sampling evidence only."""
 
     univalent: str
-    omits_zero: str
     zero_count: int | None
     witness: tuple | None = None
     n_targets: int = 0
     notes: list = field(default_factory=list)
-    zero_notes: list = field(default_factory=list)  # the zero count's own retries
+
+    @property
+    def omits_zero(self):  # the zero count's verdict
+        if self.zero_count is None:
+            return "inconclusive"
+        return "passed" if self.zero_count == 0 else "violated"
 
 
 def _winding_level(sample, ws, n, live):
@@ -474,33 +471,30 @@ def _windings(g, gprime, rho, ws):
     level near an integer alone could be an unresolved sum passing by.  A
     target that does not settle within _settled_integer's 1e-4 of an
     integer retries at a slightly perturbed radius, up to four radii, while
-    the radius stays inside the annulus.  Returns, per target, the notes of
-    its unsettled tries and the winding (None when no try settled).
+    the radius stays inside the annulus.  Returns the winding of each target
+    (None when no try settled) and the notes of the unsettled tries: one
+    sample serves every target, so a try is noted once, however many targets
+    it leaves unsettled.
     """
-    notes = [[] for _ in ws]
-    wind = [None] * len(ws)
+    wind, notes = [None] * len(ws), []
     live = list(range(len(ws)))
-    r = rho
     for attempt in range(4):
+        r = rho * (1.0 + 2.0e-3 * attempt)
         if not live:
             break
         if not g.annulus.radius_inside(r):
-            for j in live:
-                notes[j].append(f"retry radius rho={r:.6g} leaves the annulus, "
-                                "winding left unsettled")
+            notes.append(f"retry radius rho={r:.6g} leaves the annulus, "
+                         "winding left unsettled")
             break
         sample = _nested(lambda z: np.array(evaluate([gprime.node, g.node], z)), r)
         quad = partial(_winding_level, sample, [ws[j] for j in live])
         ests = _refine(quad, len(live), DEFAULT_N, MAX_N, 1e-8, _on_integer)
-        still = []
         for j, est in zip(live, ests):
             wind[j] = _settled_integer(est)
-            if wind[j] is None:
-                notes[j].append(f"winding at rho={r:.6g} inconclusive, perturbing")
-                still.append(j)
-        live = still
-        r = rho * (1.0 + 2.0e-3 * (attempt + 1))
-    return list(zip(notes, wind))
+        live = [j for j in live if wind[j] is None]
+        if live:
+            notes.append(f"winding at rho={r:.6g} inconclusive, perturbing")
+    return wind, notes
 
 
 def _sample_points(annulus, margin, n):
@@ -509,14 +503,8 @@ def _sample_points(annulus, margin, n):
     lo, hi = -(1.0 - 2.0 * margin), (1.0 - 2.0 * margin)
     radii = R ** np.linspace(lo, hi, num=max(3, int(math.ceil(n / 6))))
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    pts = []
-    j = 0
-    while len(pts) < n:
-        r = radii[j % len(radii)]
-        theta = 2.0 * math.pi * ((j * golden) % 1.0)
-        pts.append(r * np.exp(1j * theta))
-        j += 1
-    return np.array(pts)
+    j = np.arange(n)
+    return radii[j % len(radii)] * np.exp(1j * (2.0 * math.pi * ((j * golden) % 1.0)))
 
 
 def _newton_roots(g, gprime, w, margin):
@@ -556,15 +544,15 @@ def _zero_excesses(g, gprime, ws):
     """Zeros minus poles of g - w between the circles |z| = R^(+-(1-PROBE_MARGIN)),
     for each target w of ws.
 
-    Both windings of every target are always attempted.  Returns, in target
-    order, the retry notes and the excess, or None when either winding does
-    not settle.
+    Both windings of every target are always attempted.  Returns the excess
+    of each target, None when either winding does not settle, and the notes
+    of the outer circle's unsettled tries, then the inner circle's.
     """
     R = g.annulus.R
-    outer = _windings(g, gprime, R ** (1.0 - PROBE_MARGIN), ws)
-    inner = _windings(g, gprime, R ** (PROBE_MARGIN - 1.0), ws)
-    return [(notes_out + notes_in, None if w_out is None or w_in is None else w_out - w_in)
-            for (notes_out, w_out), (notes_in, w_in) in zip(outer, inner)]
+    outer, notes_out = _windings(g, gprime, R ** (1.0 - PROBE_MARGIN), ws)
+    inner, notes_in = _windings(g, gprime, R ** (PROBE_MARGIN - 1.0), ws)
+    return ([None if w_out is None or w_in is None else w_out - w_in
+             for w_out, w_in in zip(outer, inner)], notes_out + notes_in)
 
 
 def univalence_probe(g):
@@ -587,15 +575,9 @@ def univalence_probe(g):
                 values.append(g(zt))
             except EvalDomainError:
                 values.append(None)
-    (zero_notes, zero_count), *excesses = _zero_excesses(
+    (zero_count, *excesses), notes = _zero_excesses(
         g, gprime, [0j] + [w for w in values if w is not None])
-    notes = list(zero_notes)
     excesses = iter(excesses)
-    if zero_count is None:
-        omits = "inconclusive"
-    else:
-        omits = "passed" if zero_count == 0 else "violated"
-
     verdict = "passed"
     witness = None
     counted = 0
@@ -603,8 +585,7 @@ def univalence_probe(g):
         if w is None:
             notes.append(f"sample point {zt:.6g} not evaluable")
             continue
-        retries, count = next(excesses)
-        notes += retries
+        count = next(excesses)
         if count is None:
             notes.append(f"target {w:.6g} skipped (winding unsettled)")
             continue
@@ -621,10 +602,8 @@ def univalence_probe(g):
 
     return ProbeReport(
         univalent=verdict,
-        omits_zero=omits,
         zero_count=zero_count,
         witness=witness,
         n_targets=counted,
         notes=notes,
-        zero_notes=zero_notes,
     )

@@ -158,7 +158,7 @@ def tube_from_gauss(g: HoloFn, c: float, check_omission=True) -> WeierstrassData
     g must omit zero on its annulus; c > 0 sets the vertical scale.  Unless
     the caller already knows, the zero count of the datum's univalence probe
     (``data.probe``) checks it; the probe is kept, so lifetime_report does
-    not probe the same circles again.
+    not probe the same circles again.  An unsettled count cites the probe's notes.
     """
     if not (c > 0.0):
         raise ValueError(f"flux constant must be positive, got c={c}")
@@ -166,7 +166,7 @@ def tube_from_gauss(g: HoloFn, c: float, check_omission=True) -> WeierstrassData
     if check_omission and data.probe.zero_count is None:
         raise NotATubeError(
             "cannot certify that the Gauss map omits zero: winding integrals "
-            f"did not settle ({'; '.join(data.probe.zero_notes) or 'no diagnostics'})")
+            f"did not settle ({'; '.join(data.probe.notes) or 'no diagnostics'})")
     if check_omission and data.probe.zero_count != 0:
         raise NotATubeError(
             f"Gauss map has zero/pole excess {data.probe.zero_count} inside the "

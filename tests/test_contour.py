@@ -324,8 +324,7 @@ class TestUnivalenceProbe:
         # there cannot be evaluated: every count, the zero count included,
         # retries at a perturbed radius and settles with the pole inside
         report = univalence_probe(1 / (HoloFn.var(ANN) - ANN.R ** 0.98))
-        assert report.zero_notes == ["winding at rho=1.97247 inconclusive, perturbing"]
-        assert report.notes == report.zero_notes * 33
+        assert report.notes == ["winding at rho=1.97247 inconclusive, perturbing"]
         assert report.zero_count == -1 and report.omits_zero == "violated"
         assert report.univalent == "passed" and report.n_targets == 32
 
@@ -357,11 +356,14 @@ class TestUnivalenceProbe:
         # exp(800 z) overflows at some of the sampled target points
         report = univalence_probe(holo("exp(800*z)"))
         assert report.univalent == "inconclusive"
-        j = report.notes.index("target inf-infj skipped (winding unsettled)")
-        retries = report.notes[j - 8:j]
+        # the 8 circle tries (4 outer radii, then 4 inner) come before the
+        # skipped targets
+        retries = report.notes[:8]
         assert all(note.endswith("inconclusive, perturbing") for note in retries)
         assert retries[0] == "winding at rho=1.97247 inconclusive, perturbing"
         assert retries[4].startswith(f"winding at rho={ANN.R ** -0.98:.6g} ")
+        assert all(note.endswith("skipped (winding unsettled)") for note in report.notes[8:-1])
+        assert "target inf-infj skipped (winding unsettled)" in report.notes[8:]
 
     def test_unevaluable_target_points_are_noted_one_by_one(self):
         # g refuses one of the sampled target points, so the one call for all
@@ -372,6 +374,21 @@ class TestUnivalenceProbe:
         report = univalence_probe(z + 0.01 / (z - p))
         assert [n for n in report.notes if "not evaluable" in n] == [
             f"sample point {p:.6g} not evaluable"]
+
+    @pytest.mark.parametrize("g, n_notes", [
+        (1 / (HoloFn.var(ANN) - ANN.R ** 0.98), 1), (holo("exp(400*z)"), 39),
+        (holo("exp(800*z)"), 41)])
+    def test_no_try_note_repeats(self, g, n_notes):
+        # one sample serves every target, so a try is noted once for all;
+        # target notes may print alike (exp(800 z) gives several inf-infj)
+        notes = univalence_probe(g).notes
+        tries = [n for n in notes if not n.startswith(("target ", "no preimage"))]
+        assert len(tries) == len(set(tries)) and len(notes) == n_notes
+
+    @pytest.mark.parametrize("count, omits", [
+        (None, "inconclusive"), (0, "passed"), (-1, "violated"), (1, "violated")])
+    def test_omits_zero_follows_the_zero_count(self, count, omits):
+        assert contour.ProbeReport("passed", zero_count=count).omits_zero == omits
 
     @pytest.mark.parametrize("case", ["z + 0.2/z", "exp(z/3) + 0.1/z", "log(z + 3)*z",
                                       0.0025, 0.1, 0.72, 0.95])

@@ -165,7 +165,7 @@ class TestReport:
         assert report.margin is None
 
     def test_precomputed_probe_is_respected(self, catenoid, monkeypatch):
-        probe = ProbeReport(univalent="inconclusive", omits_zero="passed", zero_count=0)
+        probe = ProbeReport(univalent="inconclusive", zero_count=0)
         # a fresh datum runs its own probe, which answers with this report
         monkeypatch.setattr(tubes, "univalence_probe", lambda g: probe)
         report = lifetime_report(MinimalTube(dataclasses.replace(catenoid.data)))
