@@ -28,7 +28,7 @@ ANN = Annulus(2.0)
 
 def inspect(text):
     g = HoloFn.parse(text, ANN)
-    data = tube_from_gauss(g, 1.0, check_omission=False)
+    data = tube_from_gauss(g, 1.0)
     direct = period_defect(data)
     predicted = defect_from_means(g, 1.0)
     m, minv = a0(g), a0(1.0 / g)

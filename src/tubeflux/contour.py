@@ -326,6 +326,13 @@ def _canonical_legs(z0, z1):
     return [leg for leg in (arc, radial) if leg[1] or leg[3]]  # b = d = 0: length 0
 
 
+def _leg_nodes(a, b, c, d, panels):
+    """Nodes and tangents of a stack of legs (a leg a row) on ``panels`` Gauss-Legendre panels."""
+    t = ((np.arange(panels)[:, None] + GL_NODES[None, :]) / panels).ravel()
+    r, e = a + b * t, np.exp(1j * (c + d * t))
+    return r * e, (b + 1j * d * r) * e  # (a + b t) e^{i(c + d t)} and its t-derivative
+
+
 def _check_ends(annulus, z0, ends):
     if annulus is None:
         return
@@ -354,11 +361,9 @@ def _path_integrals(h, z0, ends):
     a, b, c, d = np.reshape(list(index), (-1, 4)).T[:, :, None]
 
     def sample(panels, used):  # h at the nodes of the legs used, and their tangents
-        t = ((np.arange(panels)[:, None] + GL_NODES[None, :]) / panels).ravel()
-        r, e = a[used] + b[used] * t, np.exp(1j * (c[used] + d[used] * t))
+        z, dz = _leg_nodes(a[used], b[used], c[used], d[used], panels)
         # with no legs, one value at z0 still tells how many components h has
-        z = (r * e).ravel() if len(used) else np.array([z0])
-        return h(z), (b[used] + 1j * d[used] * r) * e
+        return h(z.ravel() if len(used) else np.array([z0])), dz
 
     first = sample(1, range(len(index)))
     shape = np.shape(first[0])[:-1]  # (k,) when h returns a (k, n) stack
@@ -587,7 +592,7 @@ def univalence_probe(g):
             continue
         count = next(excesses)
         if count is None:
-            notes.append(f"target {w:.6g} skipped (winding unsettled)")
+            notes.append(f"sample point {zt:.6g} skipped (winding unsettled)")
             continue
         counted += 1
         if count >= 2:

@@ -11,8 +11,8 @@ the time axis, and the life-time bound is
     pi |Q| cos(alpha) / ln tan(pi/4 + alpha/2)  =  pi J3 / arcsinh(tan alpha),
 
 the two forms being the Gudermannian identity in disguise.  Both are computed
-from tan(alpha) = |w| and cross-checked on every call.  lifetime_report
-takes univalence from the datum's own probe (``tube.data.probe``).
+from tan(alpha) = |w| and cross-checked on every call.  A LifetimeReport keeps
+the life-time, the bound and the datum's own probe, and derives its verdicts.
 """
 
 from __future__ import annotations
@@ -139,33 +139,30 @@ def lifetime_bound(Q: FluxVector) -> float:
 
 @dataclass(frozen=True)
 class LifetimeReport:
+    """What lifetime_report measured; the verdicts are read off it, and a
+    violated probe withholds them (satisfied and margin None)."""
+
     lifetime: Lifetime
     bound: float
-    satisfied: bool | None
-    margin: float | None
-    hypothesis: str
     probe: ProbeReport
+
+    @property
+    def hypothesis(self) -> str:
+        return {"passed": "ok", "violated": "univalence violated"}.get(
+            self.probe.univalent, "univalence unconfirmed")
+
+    @property
+    def satisfied(self) -> bool | None:
+        withheld = self.probe.univalent == "violated"
+        return None if withheld else bool(self.lifetime.measured <= self.bound * (1.0 + LIFE_TOL))
+
+    @property
+    def margin(self) -> float | None:  # +inf at zero tilt, where the bound is +inf
+        return None if self.probe.univalent == "violated" else self.bound - self.lifetime.measured
 
 
 def lifetime_report(tube) -> LifetimeReport:
-    """Check a tube's life-time against its flux bound.
-
-    The bound needs a univalent Gauss map; if the probe reports a violation
-    the verdict is withheld and the report says why.  The probe is the
-    datum's own (``tube.data.probe``), run at most once per datum, so a tube
-    from tube_from_gauss reuses the probe that checked its zero count.
-    """
-    probe = tube.data.probe
-    life = lifetime(tube)
-    bound = lifetime_bound(tube.flux)
-    if probe.univalent == "violated":
-        return LifetimeReport(lifetime=life, bound=bound, satisfied=None,
-                              margin=None, hypothesis="univalence violated",
-                              probe=probe)
-    hypothesis = "ok" if probe.univalent == "passed" else "univalence unconfirmed"
-    # at zero tilt the bound is +inf: satisfied, with margin +inf
-    return LifetimeReport(
-        lifetime=life, bound=bound,
-        satisfied=bool(life.measured <= bound * (1.0 + LIFE_TOL)),
-        margin=bound - life.measured,
-        hypothesis=hypothesis, probe=probe)
+    """Check a tube's life-time against its flux bound, on the datum's own
+    probe (``tube.data.probe``, which MinimalTube has already run)."""
+    return LifetimeReport(lifetime=lifetime(tube), bound=lifetime_bound(tube.flux),
+                          probe=tube.data.probe)

@@ -64,7 +64,10 @@ def _check_lambda(lam):
 class MobiusToAnnulus:
     map: HoloFn
     lambda_star: float
-    annulus_ratio: float
+
+    @property
+    def annulus_ratio(self) -> float:
+        return self.map.annulus.R
 
 
 def mobius_to_annulus(lam: float) -> MobiusToAnnulus:
@@ -77,10 +80,9 @@ def mobius_to_annulus(lam: float) -> MobiusToAnnulus:
     """
     _check_lambda(lam)
     ls = math.sqrt(lam * lam + 1.0) - lam
-    ratio = 1.0 / (ls * ls)
-    z = HoloFn.var(Annulus(ratio))
+    z = HoloFn.var(Annulus(1.0 / (ls * ls)))
     fmap = (z + ls) / ((1 - z * ls) * ls)
-    return MobiusToAnnulus(map=fmap, lambda_star=ls, annulus_ratio=ratio)
+    return MobiusToAnnulus(map=fmap, lambda_star=ls)
 
 
 def comparison_ring_module(lam: float) -> float:

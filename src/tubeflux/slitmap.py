@@ -61,8 +61,6 @@ class SlitMapCandidate:
     params: EllipticParams
     g: HoloFn
     scale: float
-    slit_neg: float
-    slit_pos: float
     lam: float | None = None
     residual: float | None = None
 
@@ -70,11 +68,22 @@ class SlitMapCandidate:
     def annulus(self) -> Annulus:
         return self.g.annulus
 
+    @property
+    def _a_geo(self) -> float:  # g0's slit tips are -a_geo and 1/a_geo
+        t2, _, t4 = self.params.theta0
+        return (t4 / t2) ** 2
+
+    @property
+    def slit_neg(self) -> float:
+        return -self._a_geo * self.scale
+
+    @property
+    def slit_pos(self) -> float:
+        return (1.0 / self._a_geo) * self.scale
+
 
 def slit_annulus_map(params: EllipticParams) -> SlitMapCandidate:
     """The geometrically normalized two-slit map g0 on K_R (scale 1)."""
-    t2, _, t4 = params.theta0
-    a_geo = (t4 / t2) ** 2
     q = params.q
     rootq = math.sqrt(q)
     # the ring coordinate v = pi u = log(sqrt(q) z)/(2i), which both theta
@@ -85,8 +94,7 @@ def slit_annulus_map(params: EllipticParams) -> SlitMapCandidate:
     t3 = Opaque(f"theta3[q={q:g}]", lambda w: theta3(w, q),
                 Opaque(f"theta3'[q={q:g}]", lambda w: theta3_prime(w, q), arg=v), v)
     g0 = HoloFn(Pow(Div(t1, t3), 2), Annulus(params.ring_radius))
-    return SlitMapCandidate(params=params, g=g0, scale=1.0,
-                            slit_neg=-a_geo, slit_pos=1.0 / a_geo)
+    return SlitMapCandidate(params=params, g=g0, scale=1.0)
 
 
 RIM_SAMPLES = 256
@@ -141,10 +149,7 @@ def calibrate_candidate(q) -> SlitMapCandidate:
     s_star = math.sqrt(-B / A)
     lam = s_star * A
     residual = abs(s_star * A + B / s_star) / (1.0 + lam)
-    return replace(base, g=base.g * s_star, scale=s_star,
-                   slit_neg=base.slit_neg * s_star,
-                   slit_pos=base.slit_pos * s_star,
-                   lam=lam, residual=residual)
+    return replace(base, g=base.g * s_star, scale=s_star, lam=lam, residual=residual)
 
 
 # --- sweep -------------------------------------------------------------------

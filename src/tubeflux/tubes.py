@@ -24,8 +24,8 @@ of the periods then reduces to a statement about the two circle means a0[g]
 and a0[1/g] (contour.a0_pair).  Both the quadrature route and the
 mean/residue route to the period defect are implemented; they must agree,
 and tests hold them to it.  A datum also owns g's univalence probe
-(``data.probe``, run once when first read): tube_from_gauss checks its zero
-count and lifetime_report reads the rest.
+(``data.probe``, run once when first read): MinimalTube checks its zero
+count with every other tube hypothesis, and lifetime_report reads the rest.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .contour import (
-    GL_NODES, GL_WEIGHTS, Annulus, HoloFn, ProbeReport, _merge_annuli, _path_integrals,
+    GL_WEIGHTS, Annulus, HoloFn, ProbeReport, _leg_nodes, _merge_annuli, _path_integrals,
     a0_pair, circle_integral, path_integral, univalence_probe,
 )
 from .expr import evaluate
@@ -151,27 +151,13 @@ def flux_from_means(g: HoloFn, c: float):
     ])
 
 
-def tube_from_gauss(g: HoloFn, c: float, check_omission=True) -> WeierstrassData:
+def tube_from_gauss(g: HoloFn, c: float) -> WeierstrassData:
     """Weierstrass data on g.annulus with f = c/(2zg), so the vertical flux is
-    2 pi c exactly.
-
-    g must omit zero on its annulus; c > 0 sets the vertical scale.  Unless
-    the caller already knows, the zero count of the datum's univalence probe
-    (``data.probe``) checks it; the probe is kept, so lifetime_report does
-    not probe the same circles again.  An unsettled count cites the probe's notes.
-    """
+    2 pi c exactly (c > 0).  MinimalTube checks the tube hypotheses, g's zero
+    omission included, so a datum whose periods do not close can be measured."""
     if not (c > 0.0):
         raise ValueError(f"flux constant must be positive, got c={c}")
-    data = WeierstrassData(f=(0.5 * c) / (HoloFn.var(g.annulus) * g), g=g)
-    if check_omission and data.probe.zero_count is None:
-        raise NotATubeError(
-            "cannot certify that the Gauss map omits zero: winding integrals "
-            f"did not settle ({'; '.join(data.probe.notes) or 'no diagnostics'})")
-    if check_omission and data.probe.zero_count != 0:
-        raise NotATubeError(
-            f"Gauss map has zero/pole excess {data.probe.zero_count} inside the "
-            "annulus; the data cannot describe a tube")
-    return data
+    return WeierstrassData(f=(0.5 * c) / (HoloFn.var(g.annulus) * g), g=g)
 
 
 # --- the tube object -------------------------------------------------------
@@ -188,11 +174,10 @@ def _fit_points(annulus: Annulus):
 class MinimalTube:
     """A closed immersion with circular sections, built from Weierstrass data.
 
-    Construction takes the period defect and the flux from one pass of loop
-    integrals (a single pass of ``n_points`` trapezoid nodes when given,
-    adaptive otherwise), and fits the height (path integrals of F3 alone,
-    from the base point z0) to m + s ln|z| by least squares; any failed tube
-    hypothesis raises NotATubeError carrying the defect.
+    Construction checks every tube hypothesis: g's zero count (``data.probe``)
+    must settle at 0; one pass of loop integrals (``n_points`` nodes, or
+    adaptive) gives the period defect and the flux; the height (path integrals
+    of F3 from z0) must fit m + s ln|z|.  NotATubeError carries any defect.
     """
 
     # the base point of u = Re int_{z0}^{z} F: 1 lies on the unit circle,
@@ -201,7 +186,14 @@ class MinimalTube:
 
     def __init__(self, data: WeierstrassData, n_points=None):
         self.data = data
-        self.annulus = data.annulus
+        zero_count = data.probe.zero_count
+        if zero_count is None:
+            raise NotATubeError(
+                "cannot certify that the Gauss map omits zero: winding integrals "
+                f"did not settle ({'; '.join(data.probe.notes) or 'no diagnostics'})")
+        if zero_count != 0:
+            raise NotATubeError(f"Gauss map has zero/pole excess {zero_count} inside the "
+                                "annulus; the data cannot describe a tube")
 
         loops = circle_integral(data, 1.0, n_points)
         self.defect = loops.real
@@ -227,6 +219,10 @@ class MinimalTube:
             raise NotATubeError(f"height profile slope {s:.3g} is not positive",
                                 defect=self.defect)
         self.life = (m - s * lnR, m + s * lnR)
+
+    @property
+    def annulus(self) -> Annulus:
+        return self.data.annulus
 
     def _fit_profile(self):
         pts = _fit_points(self.annulus)
@@ -256,9 +252,9 @@ def section_polyline(tube: MinimalTube, tau: float, n_points=256):
     """The section at height tau as a closed polyline of shape (n_points+1, 3).
 
     Inverts the log profile for the section radius, anchors one point by a
-    path integral from the base point, then sweeps the circle with one
-    Gauss-Legendre panel per arc step.  The returned loop is closed exactly:
-    first and last vertices are the same point of the surface.
+    path integral from the base point, then sweeps the circle as n_points arc
+    legs of one Gauss-Legendre panel each.  The returned loop is closed
+    exactly: first and last vertices are the same point of the surface.
     """
     t1, t2 = tube.life
     if not (t1 < tau < t2):
@@ -267,14 +263,9 @@ def section_polyline(tube: MinimalTube, tau: float, n_points=256):
     rho = math.exp((tau - m) / s)
 
     anchor = immerse(tube, rho)
-    # one 32-node panel per arc step, all steps sampled in one array call
-    t_edges = np.linspace(0.0, 2.0 * math.pi, n_points + 1)
-    t0 = t_edges[:-1, None]
-    dt = (2.0 * math.pi / n_points)
-    t_nodes = t0 + dt * GL_NODES[None, :]
-    z_nodes = rho * np.exp(1j * t_nodes)
-    dz = 1j * z_nodes * dt
-    vals = tube.data(z_nodes.ravel()).reshape((3,) + t_nodes.shape)
+    theta = np.linspace(0.0, 2.0 * math.pi, n_points + 1)[:-1, None]
+    z, dz = _leg_nodes(rho, 0.0, theta, 2.0 * math.pi / n_points, 1)
+    vals = tube.data(z.ravel()).reshape((3,) + z.shape)
     steps = np.real(np.sum(vals * dz * GL_WEIGHTS, axis=2)).T
     pts = np.empty((n_points + 1, 3))
     pts[0] = anchor

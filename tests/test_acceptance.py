@@ -121,7 +121,7 @@ def test_05_mean_level_closure_test():
         if np.min(np.abs(g(circle))) <= 0.3:
             continue
         checked += 1
-        data = tube_from_gauss(g, c, check_omission=False)
+        data = tube_from_gauss(g, c)
         direct = period_defect(data)
         means = defect_from_means(g, c)
         scale = 1.0 + float(np.max(np.abs(direct)))

@@ -10,6 +10,8 @@ from tubeflux import (
     Annulus,
     FluxVector,
     HoloFn,
+    Lifetime,
+    LifetimeReport,
     MinimalTube,
     ProbeReport,
     WeierstrassData,
@@ -171,6 +173,18 @@ class TestReport:
         report = lifetime_report(MinimalTube(dataclasses.replace(catenoid.data)))
         assert report.hypothesis == "univalence unconfirmed"
         assert report.probe is probe
+
+    @pytest.mark.parametrize("univalent, hypothesis, satisfied, margin", [
+        ("passed", "ok", True, 0.5), ("inconclusive", "univalence unconfirmed", True, 0.5),
+        ("violated", "univalence violated", None, None)])
+    def test_report_stores_what_it_measured(self, univalent, hypothesis, satisfied, margin):
+        # the verdicts are read off the life-time, the bound and the probe
+        assert [f.name for f in dataclasses.fields(LifetimeReport)] == [
+            "lifetime", "bound", "probe"]
+        report = LifetimeReport(Lifetime(measured=1.5, from_flux=1.5), 2.0,
+                                ProbeReport(univalent, zero_count=0))
+        assert (report.hypothesis, report.satisfied, report.margin) == \
+            (hypothesis, satisfied, margin)
 
     def test_slit_tube_sits_under_its_ceiling(self, slit_tube):
         tube = slit_tube(0.25)

@@ -71,17 +71,35 @@ class TestSynthesis:
 
     def test_gauss_map_zero_inside_is_rejected(self):
         with pytest.raises(NotATubeError):
-            tube_from_gauss(holo("z - 1.2"), 1.0)
+            MinimalTube(tube_from_gauss(holo("z - 1.2"), 1.0))
 
     def test_unsettled_omission_check_is_rejected(self):
         ann = Annulus(1.1)
         with pytest.raises(NotATubeError, match="cannot certify .* leaves the annulus") as info:
-            tube_from_gauss(HoloFn.var(ann) - ann.R ** 0.98, 1.0)
+            MinimalTube(tube_from_gauss(HoloFn.var(ann) - ann.R ** 0.98, 1.0))
         # the zero count's own retry notes, as when the check ran alone
         assert str(info.value) == (
             "cannot certify that the Gauss map omits zero: winding integrals did not "
             "settle (winding at rho=1.09791 inconclusive, perturbing; retry radius "
             "rho=1.1001 leaves the annulus, winding left unsettled)")
+
+    def test_gauss_map_zero_is_refused_by_the_tube_alone(self):
+        # tube_from_gauss builds the datum, whose defect can still be measured;
+        # MinimalTube is the one to refuse it
+        data = tube_from_gauss(holo("z - 1.2"), 1.0)
+        assert np.all(np.isfinite(period_defect(data)))
+        with pytest.raises(NotATubeError) as info:
+            MinimalTube(data)
+        assert str(info.value) == ("Gauss map has zero/pole excess 1 inside the "
+                                   "annulus; the data cannot describe a tube")
+        assert info.value.defect is None
+
+    def test_explicit_f_with_a_gauss_map_zero_is_refused(self):
+        # g = 1.2 - z vanishes inside K_2: whatever f is, either f has a pole
+        # there or the height a critical point, so this is no tube
+        data = WeierstrassData(holo("1/z"), holo("1.2 - z"))
+        with pytest.raises(NotATubeError, match="Gauss map has zero/pole excess 1 inside"):
+            MinimalTube(data)
 
     def test_tube_and_report_probe_once(self, monkeypatch):
         calls = []
@@ -143,7 +161,7 @@ class TestClosureDefect:
         for _ in range(20):
             c = rng.uniform(0.5, 2.0)
             g = self._random_family_map(rng)
-            data = tube_from_gauss(g, c, check_omission=False)
+            data = tube_from_gauss(g, c)
             direct = period_defect(data)
             means = defect_from_means(g, c)
             scale = 1.0 + float(np.max(np.abs(direct)))
@@ -154,7 +172,7 @@ class TestClosureDefect:
         for _ in range(20):
             c = rng.uniform(0.5, 2.0)
             g = self._random_family_map(rng)
-            data = tube_from_gauss(g, c, check_omission=False)
+            data = tube_from_gauss(g, c)
             d = float(np.linalg.norm(period_defect(data)))
             residual = abs(a0(1.0 / g) + np.conj(a0(g)))
             # the defect norm IS pi*c times the balance residual
@@ -164,7 +182,7 @@ class TestClosureDefect:
     def test_flux_mean_formula_matches_quadrature(self):
         g = holo("z + 0.1/z")
         c = 1.3
-        data = tube_from_gauss(g, c, check_omission=False)
+        data = tube_from_gauss(g, c)
         report = flux_from_means(g, c)
         from tubeflux import flux_vector
 
