@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -380,8 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# parsing writes only the namespace it returns, so one tree serves a process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -1,14 +1,13 @@
 """Weierstrass elliptic machinery on rectangular lattices Z + tau*Z, tau = i*t.
 
 The nome q = exp(i*pi*tau) = exp(-pi*t) doubles as the inner radius of the
-annulus q < |z| < 1 that the slit construction lives on.  P is computed by
-row-summing the lattice: each horizontal row collapses to pi^2/sin^2, and the
-remaining sum over rows converges like q^(2|n|), so a 200-term cap keeps
-absolute error under 1e-12 for q <= 0.9.  The theta functions use the
-modular-flipped Gaussian-comb form instead of the q-series, which keeps them
-cancellation-free for nearly real arguments all the way up the nome range.
-The comb sums each point on its own, so a theta value does not depend, even
-in its last bit, on the other points evaluated with it.
+annulus q < |z| < 1 that the slit construction lives on.  The one lattice
+sum is the Gaussian comb, the modular-flipped theta series: cancellation-free
+for nearly real arguments up the whole nome range, and summed point by point,
+so a theta value does not depend, even in its last bit, on its batch.  P is
+the comb quotient e2 + beta0 (theta3/theta1)^2(pi u), beta0 = pi^2 theta2^2
+theta4^2 (Whittaker & Watson, ch. 20-21).  The theta nulls, and e1, e2, e3
+with them, come from products, which keep theta4's relative precision.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ __all__ = [
     "LatticePointError",
 ]
 
-MAX_ROWS = 200
-TERM_STOP = 1e-16
 POLE_TOL = 1e-10
 Q_MAX = 0.95
 
@@ -56,8 +53,8 @@ class EllipticParams:
         if not (0.0 < self.q <= Q_MAX):
             raise ValueError(f"nome must satisfy 0 < q <= {Q_MAX}, got {self.q}")
         self.t = -math.log(self.q) / math.pi  # tau = i*t
-        # branch values through theta null series: the identity e1+e2+e3 = 0
-        # then cancels symbolically instead of between large row sums
+        # branch values through theta null products: the identity e1+e2+e3 = 0
+        # then cancels symbolically instead of between large lattice sums
         t2, t3, t4 = _theta_nulls(self.q)
         self.theta0 = (t2, t3, t4)
         k = math.pi ** 2 / 3.0
@@ -88,62 +85,35 @@ def _reduce(u, t):
     return u - m
 
 
-def _row_sum(u, t, fn):
-    """Sum fn(pi*(u + n*i*t)) over rows n, stopping on relative stagnation."""
-    total = fn(math.pi * u)
-    for n in range(1, MAX_ROWS + 1):
-        shift = 1j * t * n
-        term = fn(math.pi * (u + shift)) + fn(math.pi * (u - shift))
-        total = total + term
-        if np.max(np.abs(term)) < TERM_STOP * max(np.max(np.abs(total)), 1.0):
-            break
-    return total
-
-
-def _sin_m2(w):
-    s = np.sin(w)
-    return 1.0 / (s * s)
-
-
-def _cos_sin_m3(w):
-    s = np.sin(w)
-    return np.cos(w) / (s * s * s)
-
-
-def _lattice_constant(t):
-    # pi^2/3 + sum_{n != 0} pi^2 / sin^2(pi n i t); the sine of an imaginary
-    # argument gives -sinh^2, so the row constants are negative
-    total = math.pi ** 2 / 3.0
-    for n in range(1, MAX_ROWS + 1):
-        term = 2.0 * math.pi ** 2 / math.sinh(math.pi * n * t) ** 2
-        total -= term
-        if term < TERM_STOP * max(abs(total), 1.0):
-            break
-    return total
-
-
-def _lattice_rows(u, t, fn, name):
-    """_row_sum of fn at u reduced to the fundamental cell, refusing lattice
-    points, and a function that gives the result u's shape (complex for 0-d)."""
+def _cell(u, t, name):
+    """pi*u for u reduced to the fundamental cell, refusing lattice points,
+    and a function that gives the result u's shape (complex for 0-d)."""
     arr = np.asarray(u, dtype=complex)
     v = _reduce(arr.reshape(-1), t)
     dist = np.abs(v)
     if np.any(dist < POLE_TOL):
         bad = complex(arr.reshape(-1)[int(np.argmin(dist))])
         raise LatticePointError(f"{name} evaluated within {POLE_TOL} of a lattice point (u={bad})")
-    return _row_sum(v, t, fn), lambda out: complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return math.pi * v, lambda out: complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _beta0(params):  # pi^2 theta2^2 theta4^2, the slit map's g0 * (P - e2)
+    return (math.pi * params.theta0[0] * params.theta0[2]) ** 2
 
 
 def wp(u, params):
     """Weierstrass P at u (scalar or ndarray) on the lattice Z + i*t*Z."""
-    rows, shaped = _lattice_rows(u, params.t, _sin_m2, "P")
-    return shaped(math.pi ** 2 * rows - _lattice_constant(params.t))
+    v, shaped = _cell(u, params.t, "P")
+    ratio = theta3(v, params.q) / theta1(v, params.q)
+    return shaped(params.e2 + _beta0(params) * ratio * ratio)
 
 
 def wp_prime(u, params):
     """Derivative of P; same conventions and guards as wp."""
-    rows, shaped = _lattice_rows(u, params.t, _cos_sin_m3, "P'")
-    return shaped(-2.0 * math.pi ** 3 * rows)
+    v, shaped = _cell(u, params.t, "P'")
+    s1, s3 = theta1(v, params.q), theta3(v, params.q)
+    cross = theta3_prime(v, params.q) * s1 - s3 * theta1_prime(v, params.q)
+    return shaped(2.0 * math.pi * _beta0(params) * s3 * cross / (s1 * s1 * s1))
 
 
 def _theta_nulls(q):

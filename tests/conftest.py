@@ -1,8 +1,10 @@
-"""Shared fixtures: a catenoid band, a memoized calibrated slit family, and
-the counters of the deterministic count tests (circle levels, comb points)."""
+"""Shared fixtures: a catenoid band, a memoized calibrated slit family, the
+counters of the deterministic count tests (circle levels, comb points), and
+a 60-digit Weierstrass P that shares no code with the package."""
 
 from functools import lru_cache
 
+import mpmath as mp
 import pytest
 
 from tubeflux import (
@@ -87,3 +89,22 @@ def comb_calls(monkeypatch):
         return calls
 
     return start
+
+
+def _sn_route_wp(u, q):
+    # the classical route P(u) = e3 + (e1 - e3)/sn(u sqrt(e1 - e3) | m)^2 with
+    # m = (e2 - e3)/(e1 - e3); in floats e1 - e2 = pi^2 theta4^4 vanishes
+    # against e1 for q >= 0.9, so the branch values are formed at 60 digits
+    with mp.workdps(60):
+        t2, t3, t4 = (mp.jtheta(k, 0, mp.mpf(q)) for k in (2, 3, 4))
+        k = mp.pi ** 2 / 3
+        e1, e2, e3 = k * (t3**4 + t4**4), k * (t2**4 - t4**4), -k * (t2**4 + t3**4)
+        sn = mp.ellipfun("sn", mp.mpc(u) * mp.sqrt(e1 - e3), m=(e2 - e3) / (e1 - e3))
+        return complex(e3 + (e1 - e3) / sn**2)
+
+
+@pytest.fixture(scope="session")
+def sn_route_wp():
+    """``sn_route_wp(u, q)``: Weierstrass P at u on the lattice Z + i*t*Z,
+    q = exp(-pi*t), from mpmath's Jacobi sn and theta nulls at 60 digits."""
+    return _sn_route_wp

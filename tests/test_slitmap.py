@@ -18,7 +18,6 @@ from tubeflux import (
     max_log_radius,
     slit_annulus_map,
     univalence_probe,
-    wp,
 )
 from tubeflux import slitmap
 
@@ -46,6 +45,13 @@ LAM_TABLE = {
 }
 
 
+def _agm(a, b):
+    # arithmetic-geometric mean; the gap squares each step, so the loop is short
+    while abs(a - b) > 1e-15 * a:
+        a, b = (a + b) / 2.0, math.sqrt(a * b)
+    return (a + b) / 2.0
+
+
 class TestRawMap:
     def test_slit_endpoints_are_reciprocal_mirrors(self):
         for q in (0.1, 0.3, 0.6):
@@ -60,8 +66,21 @@ class TestRawMap:
         want = (p.e2 - p.e3) / (p.e1 - p.e2)
         assert abs(cand.slit_pos**2 - want) <= 1e-11 * want
 
-    def test_quotient_equals_shifted_reciprocal_wp(self):
-        # g0 * (wp(u) - e2) should be the constant pi^2 * theta2^2 * theta4^2
+    @pytest.mark.parametrize("q", (0.0025, 0.01, 0.1, 0.33, 0.5, 0.72, 0.82, 0.9, 0.95))
+    def test_slit_ring_module_is_the_annulus_module(self, q):
+        # K_R and the plane minus (-inf, slit_neg] and [0, slit_pos] are
+        # conformally equivalent, so they share the module ln R / pi; the slit
+        # ring's is AGM(1, k')/(2 AGM(1, k)) with P = -slit_neg/slit_pos,
+        # k = 1/sqrt(1 + P) and k' = sqrt(P/(1 + P)) (Ahlfors, ch. 4)
+        cand = slit_annulus_map(EllipticParams(q))
+        P = -cand.slit_neg / cand.slit_pos
+        k, kp = 1.0 / math.sqrt(1.0 + P), math.sqrt(P / (1.0 + P))
+        want = math.log(cand.params.ring_radius) / math.pi
+        assert abs(_agm(1.0, kp) / (2.0 * _agm(1.0, k)) - want) <= 1e-13 * want
+
+    def test_quotient_equals_shifted_reciprocal_wp(self, sn_route_wp):
+        # g0 * (P(u) - e2) should be the constant pi^2 * theta2^2 * theta4^2;
+        # the package's wp is this quotient inverted, so P comes from mpmath
         for q in (0.1, 0.3):
             p = EllipticParams(q)
             cand = slit_annulus_map(p)
@@ -72,7 +91,7 @@ class TestRawMap:
             for _ in range(6):
                 z = R ** rng.uniform(-0.8, 0.8) * np.exp(1j * rng.uniform(0, 2 * np.pi))
                 u = np.log(math.sqrt(q) * z) / (2j * math.pi)
-                lhs = cand.g(z) * (wp(u, p) - p.e2)
+                lhs = cand.g(z) * (sn_route_wp(complex(u), q) - p.e2)
                 assert abs(lhs - beta) <= 1e-10 * beta, (q, z)
 
     def test_inversion_symmetry(self):
