@@ -22,8 +22,8 @@ from .slitmap import CalibrationError, FamilyBalanceError, SlitMapCandidate, \
     SweepResult, SweepRow, boundary_reality, calibrate_candidate, \
     conjecture_sweep, joukowski_family, joukowski_map, slit_annulus_map
 from .tubes import MinimalTube, NotATubeError, WeierstrassData, \
-    defect_from_means, enneper_F, flux_from_means, immerse, isotropy_defect, \
-    period_defect, section_polyline, tube_from_gauss
+    defect_from_means, enneper_F, immerse, period_defect, section_polyline, \
+    tube_from_gauss
 
 __version__ = "0.1.0"
 
@@ -44,8 +44,7 @@ __all__ = [
     "calibrate_candidate", "conjecture_sweep", "joukowski_family",
     "joukowski_map", "slit_annulus_map",
     "MinimalTube", "NotATubeError", "WeierstrassData",
-    "defect_from_means", "enneper_F", "flux_from_means", "immerse",
-    "isotropy_defect", "period_defect", "section_polyline",
-    "tube_from_gauss",
+    "defect_from_means", "enneper_F", "immerse", "period_defect",
+    "section_polyline", "tube_from_gauss",
     "__version__",
 ]

@@ -66,8 +66,8 @@ class Annulus:
     R: float
 
     def __post_init__(self):
-        if not (self.R > 1.0):
-            raise ValueError(f"annulus needs R > 1, got R={self.R}")
+        if not 1.0 < self.R < math.inf:
+            raise ValueError(f"annulus needs a finite R > 1, got R={self.R}")
 
     @property
     def inner_radius(self):

@@ -132,9 +132,9 @@ class RingDomain:
 
         def number(key, default):
             raw = obj.get(key, default)
-            try:
-                x = float(raw)
-            except (TypeError, ValueError, OverflowError):  # null, [], "a", 10**400
+            try:  # a JSON string or boolean is not a number, whatever float() makes of it
+                x = math.nan if isinstance(raw, (str, bool)) else float(raw)
+            except (TypeError, ValueError, OverflowError):  # null, [], 10**400
                 x = math.nan
             if math.isfinite(x):
                 return x
@@ -251,7 +251,9 @@ def _assemble(domain: RingDomain, h: float):
     the box edge, the only insulating boundary (horizontal edges on the first
     and last row, vertical edges on the first and last column); edges into a
     conductor become arms of conductance weight/theta, theta the fraction of
-    the segment in neither conductor, found by bisection.  No component of
+    the segment in neither conductor, found by one elementwise bisection of
+    the cut edges of all four edge groups (each bracket ends where its own
+    bisection would, so every arm is as if bisected alone).  No component of
     dofs floats: the grid is connected, so each component has a conductor
     neighbour, and a shortest grid path from one conductor to the other runs
     through dofs only, so unless the conductors touch (refused) some
@@ -287,7 +289,7 @@ def _assemble(domain: RingDomain, h: float):
     index[ins] = np.arange(ndof)
 
     inner_edges = []  # (dof, dof, conductance)
-    fixed_edges = []  # (dof, conductance, boundary value)
+    fixed_edges = []  # (dof, weight, boundary value, dof point, conductor point)
 
     rows = np.full((ny, 1), hy / hx)  # horizontal edges, by row
     rows[[0, -1]] *= 0.5
@@ -305,26 +307,24 @@ def _assemble(domain: RingDomain, h: float):
 
         for sa, sb in ((a, b), (b, a)):
             cut = ins[sa] & ~ins[sb]
-            if not cut.any():
-                continue
-            # fraction of the segment za -> zb (dof -> conductor) in neither conductor
-            za, zb = Z[sa][cut], Z[sb][cut]
-
-            def free(t):
-                z = za + (zb - za) * t
-                return ~(domain.first(z) | domain.second(z))
-
-            _, theta = _bisect(free, np.zeros(za.shape), np.ones(za.shape), 45)
-            c = weight[cut] / np.maximum(theta, _THETA_MIN)
-            fixed_edges.append((index[sa][cut], c, snd[sb][cut].astype(float)))
+            fixed_edges.append((index[sa][cut], weight[cut], snd[sb][cut].astype(float),
+                                Z[sa][cut], Z[sb][cut]))
 
     ia, ib, c = inner_edges = tuple(map(np.concatenate, zip(*inner_edges)))
-    i, cf, val = fixed_edges = tuple(map(np.concatenate, zip(*fixed_edges)))
+    i, w, val, za, zb = map(np.concatenate, zip(*fixed_edges))
+
+    # fraction of the segment za -> zb (dof -> conductor) in neither conductor
+    def free(t):
+        z = za + (zb - za) * t
+        return ~(domain.first(z) | domain.second(z))
+
+    _, theta = _bisect(free, np.zeros(za.shape), np.ones(za.shape), 45)
+    cf = w / np.maximum(theta, _THETA_MIN)
     diag = np.bincount(ia, c, ndof) + np.bincount(ib, c, ndof) + np.bincount(i, cf, ndof)
     off = sp.coo_matrix((np.concatenate([-c, -c]), (np.concatenate([ia, ib]),
                                                     np.concatenate([ib, ia]))),
                         shape=(ndof, ndof)).tocsr()
-    return off + sp.diags(diag), np.bincount(i, cf * val, ndof), ins, inner_edges, fixed_edges
+    return off + sp.diags(diag), np.bincount(i, cf * val, ndof), ins, inner_edges, (i, cf, val)
 
 
 def _hierarchy(A, ins):
@@ -394,6 +394,8 @@ def grid_module_estimate(domain: RingDomain, h: float) -> ModulusEstimate:
     kind "D") are truncated to their box; the estimate is rerun on a padded
     box at spacing h and the difference reported as truncation sensitivity.
     """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"grid spacing must be positive and finite, got h={h}")
     e_coarse, _ = _grid_energy(domain, h)
     e_fine, ndof = _grid_energy(domain, h / 2.0)
     sens = None

@@ -111,14 +111,9 @@ def boundary_reality(cand: SlitMapCandidate) -> dict:
     """
     R = cand.params.ring_radius
     t = 2.0 * math.pi * (np.arange(RIM_SAMPLES) + 0.5) / RIM_SAMPLES
-    worst_abs = 0.0
-    worst_rel = 0.0
-    for rho in (R, 1.0 / R):
-        vals = cand.g(rho * np.exp(1j * t))
-        im = np.abs(vals.imag)
-        worst_abs = max(worst_abs, float(im.max()))
-        worst_rel = max(worst_rel, float((im / (1.0 + np.abs(vals))).max()))
-    return {"abs": worst_abs, "rel": worst_rel}
+    vals = cand.g(np.array([[R], [1.0 / R]]) * np.exp(1j * t))  # both rims, one call
+    im = np.abs(vals.imag)
+    return {"abs": float(im.max()), "rel": float((im / (1.0 + np.abs(vals))).max())}
 
 
 def calibrate_candidate(q) -> SlitMapCandidate:
@@ -213,26 +208,6 @@ def joukowski_map(lam: float, a: float, kappa: float, R: float) -> HoloFn:
     return lam + a * (z + kappa / z)
 
 
-def _family_mean_inv(lam, a, kappa, R):
-    """a0[1/g] for g = lam + a(z + kappa/z), by residues at the zeros of g.
-
-    The integrand of the mean of 1/g is dz/(a(z - r1)(z - r2)) with
-    r1 r2 = kappa, r1 + r2 = -lam/a; only zeros inside the unit circle
-    contribute.  Returns (mean, placement) where placement classifies the
-    zeros against the annulus: "clear" (none in the open ring) or "in_ring".
-    """
-    r = np.roots([a, lam, a * kappa])
-    inside = [rt for rt in r if abs(rt) < 1.0]
-    ring = any(1.0 / R < abs(rt) < R for rt in r)
-    if len(inside) == 2 or len(inside) == 0:
-        mean = 0.0 + 0.0j
-    else:
-        rt = inside[0]
-        other = r[0] if r[1] == rt else r[1]
-        mean = 1.0 / (a * (rt - other))
-    return mean, ("in_ring" if ring else "clear")
-
-
 def joukowski_family(lam: float, R: float):
     """Try to balance g = lam + a(z + kappa/z) on K_R; no instance exists.
 
@@ -249,6 +224,8 @@ def joukowski_family(lam: float, R: float):
     the map stays univalent), finds no sign change to bracket, and raises
     with the measured residual floor.  Parameters that put a zero of g
     inside the ring are skipped, since the map would not omit zero there.
+    The scan is one array pass: the zeros of all the (a, kappa) pairs come
+    from one batched eigenvalue call on their companion matrices.
     """
     if not (lam > 0.0 and R > 1.0):
         raise ValueError(f"need lam > 0 and R > 1, got lam={lam}, R={R}")
@@ -256,23 +233,30 @@ def joukowski_family(lam: float, R: float):
     a_grid = np.concatenate([-np.geomspace(1e-3, 1e3, 61),
                              np.geomspace(1e-3, 1e3, 61)])
     k_grid = np.linspace(-kap_lim, kap_lim, 41)
-    best = None  # admissible: zeros clear of the ring
-    for a in a_grid:
-        for kap in k_grid:
-            mean, placement = _family_mean_inv(lam, a, kap, R)
-            if placement == "in_ring":
-                continue
-            res = abs(mean + lam)
-            if best is None or res < best[0]:
-                best = (res, a, kap)
+    a, kap = (x.ravel() for x in np.meshgrid(a_grid, k_grid, indexing="ij"))
+    # the zeros of g are the eigenvalues of its companion matrix, as np.roots finds them
+    comp = np.zeros((a.size, 2, 2))
+    comp[:, 0, 0], comp[:, 0, 1], comp[:, 1, 0] = -lam / a, -(a * kap) / a, 1.0
+    r = np.linalg.eigvals(comp)
+    mod = np.abs(r)
+    inside = mod < 1.0
+    # 1/(a(z - r1)(z - r2)) has mean 1/(a(r_in - r_out)) when exactly one zero is inside
+    r_in, r_out = np.where(inside[:, :1], r, r[:, ::-1]).T
+    with np.errstate(all="ignore"):
+        mean = np.where(inside.sum(axis=1) == 1, 1.0 / (a * (r_in - r_out)), 0.0)
+    res = np.abs(mean + lam)
+    # skip parameters that put a zero of g inside the ring, and take the
+    # first smallest residual among the rest
+    admissible = np.flatnonzero(~np.any((1.0 / R < mod) & (mod < R), axis=1))
+    k = admissible[np.argmin(res[admissible])] if admissible.size else None
     diagnostics = {
         "lam": lam, "R": R,
-        "residual_floor": None if best is None else best[0],
-        "best_params": None if best is None else (best[1], best[2]),
-        "n_scanned": a_grid.size * k_grid.size,
+        "residual_floor": None if k is None else float(res[k]),
+        "best_params": None if k is None else (a[k], kap[k]),
+        "n_scanned": a.size,
         "theoretical_floor": lam,
     }
-    if best is None:
+    if k is None:
         # the ring is so wide that every scanned (a, kappa) parks a zero of
         # g inside it; there is nothing admissible to balance with
         raise FamilyBalanceError(

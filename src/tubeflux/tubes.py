@@ -10,13 +10,11 @@ real periods of F vanish.  If additionally the third coordinate is a radial
 log profile, the level sections are compact circles and the image is a tube:
 a surface living over an interval of the time axis.
 
-The triple is written once, in ``_triple``.  Applied to the HoloFns f and g
-it builds the expression trees of enneper_F; applied to one sample of g and
-one of f it gives the values of those trees bit for bit, and that is how
-WeierstrassData evaluates itself for quadrature (``data(z)``, a (3, ...)
-stack), so circle_integral and path_integral each give all three integrals.
-g and f come from one evaluation pass, which samples g once although
-f = c/(2zg) holds g's tree.
+The triple is written once, as the expression trees of enneper_F.
+WeierstrassData evaluates itself for quadrature by walking those three trees
+in one pass (``data(z)``, a (3, ...) stack), so circle_integral and
+path_integral each give all three integrals; the pass evaluates a shared node
+once, so g is sampled once although all three trees, and f = c/(2zg), hold it.
 
 The constructor route that matters in practice fixes the vertical component
 first: tube_from_gauss sets f = c/(2zg) so that F3 = c/z exactly, and closure
@@ -45,8 +43,7 @@ from .flux import _flux_from_loops
 
 __all__ = [
     "NotATubeError", "WeierstrassData", "MinimalTube",
-    "enneper_F", "isotropy_defect", "period_defect",
-    "defect_from_means", "flux_from_means",
+    "enneper_F", "period_defect", "defect_from_means",
     "tube_from_gauss", "immerse", "section_polyline",
 ]
 
@@ -87,25 +84,14 @@ class WeierstrassData:
 
     def __call__(self, z):
         """The triple at z, stacked on a new first axis, from one evaluation
-        pass over g and f, so g is sampled once even where f's tree holds it."""
-        g, f = evaluate([self.g.node, self.f.node], z)
-        with np.errstate(all="ignore"):
-            return np.stack(_triple(g, f))
-
-
-def _triple(g, f):
-    """The isotropic triple of g and f, for HoloFns (trees) and samples (arrays) alike."""
-    return (1 - g * g) * f, ((g * g + 1) * 1j) * f, (g * 2) * f
+        pass over its three trees, so g and f are each sampled once."""
+        return np.stack(evaluate([phi.node for phi in self.F], z))
 
 
 def enneper_F(data: WeierstrassData):
     """The isotropic triple ((1-g^2)f, i(1+g^2)f, 2gf) as composed expressions."""
-    return _triple(data.g, data.f)
-
-
-def isotropy_defect(F, z):
-    """Sum of squares of the triple at z; identically zero for enneper_F output."""
-    return sum(phi(z) ** 2 for phi in F)
+    g, f = data.g, data.f
+    return (1 - g * g) * f, ((g * g + 1) * 1j) * f, (g * 2) * f
 
 
 def period_defect(data: WeierstrassData):
@@ -138,16 +124,6 @@ def defect_from_means(g: HoloFn, c: float):
         -math.pi * c * (minv - m).imag,
         -math.pi * c * (minv + m).real,
         0.0,
-    ])
-
-
-def flux_from_means(g: HoloFn, c: float):
-    """Flux triple of the f = c/(2zg) data by the same residue algebra."""
-    m, minv = a0_pair(g)
-    return np.array([
-        math.pi * c * (minv - m).real,
-        -math.pi * c * (minv + m).imag,
-        2.0 * math.pi * c,
     ])
 
 
@@ -256,6 +232,8 @@ def section_polyline(tube: MinimalTube, tau: float, n_points=256):
     legs of one Gauss-Legendre panel each.  The returned loop is closed
     exactly: first and last vertices are the same point of the surface.
     """
+    if not n_points >= 3:
+        raise ValueError(f"a section polyline needs n_points >= 3, got {n_points}")
     t1, t2 = tube.life
     if not (t1 < tau < t2):
         raise ValueError(f"tau={tau} outside the open life interval ({t1:.6g}, {t2:.6g})")

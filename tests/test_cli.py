@@ -483,12 +483,24 @@ class TestModulus:
         assert "domain error" in proc.stderr and "finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_string_parameter_is_refused(self, tmp_path):
+        dom = tmp_path / "dom.json"
+        dom.write_text('{"kind": "annulus", "ratio": "2.5"}')
+        proc = run("modulus", "--domain", dom, "--h", 0.1)
+        assert proc.returncode == 1
+        assert proc.stderr == ("tubeflux: domain error: annulus descriptor needs a "
+                               "finite ratio, got '2.5'\n")
+
     def test_step_validation(self, tmp_path):
         dom = tmp_path / "dom.json"
         dom.write_text(json.dumps({"kind": "box_conductor", "width": 1.0, "height": 1.0}))
         proc = run("modulus", "--domain", dom, "--h", -0.1)
         assert proc.returncode == 1
         assert "--h must be positive" in proc.stderr
+        proc = run("modulus", "--domain", dom, "--h", "inf")
+        assert proc.returncode == 1
+        assert proc.stderr == ("tubeflux: estimate failed: grid spacing must be "
+                               "positive and finite, got h=inf\n")
 
     def test_malformed_domain_file(self, tmp_path):
         dom = tmp_path / "dom.json"

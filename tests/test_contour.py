@@ -34,6 +34,10 @@ class TestAnnulus:
         with pytest.raises(ValueError):
             Annulus(0.5)
 
+    def test_needs_a_finite_outer_radius(self):
+        with pytest.raises(ValueError, match="R > 1"):
+            Annulus(math.inf)
+
     def test_contains_is_strict(self):
         ann = Annulus(2.0)
         assert ann.contains(1.0)

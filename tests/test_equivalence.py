@@ -45,7 +45,14 @@ the network assembled while a RingDomain carried an ``inside`` predicate,
 insulating cuts were found by sampling the predicates beside each edge and
 floating islands were labelled away.  The box minus its two conductors,
 halved weights on the box edge and no labelling give the same network, so
-every figure and message must agree exactly.
+every figure and message must agree exactly.  One bisection of the cut
+edges of all four edge groups gives each arm the bits of its own group's
+bisection, at a quarter of the domain-predicate calls.
+
+The offset family's scan takes the zeros of every (a, kappa) pair from one
+batched eigenvalue call; its message and diagnostics must equal, value and
+type, those of the per-pair np.roots loop kept below.  The rim reality check
+samples both rims in one call and must equal one call per rim bit for bit.
 """
 
 import json
@@ -56,13 +63,16 @@ import numpy as np
 import pytest
 
 from tubeflux import (
-    Annulus, HoloFn, MinimalTube, RingDomain, WeierstrassData, circle_integral,
-    crossing_witness, grid_module_estimate, tube_from_gauss, univalence_probe,
+    Annulus, EllipticParams, FamilyBalanceError, HoloFn, MinimalTube, RingDomain,
+    WeierstrassData, boundary_reality, circle_integral, crossing_witness,
+    grid_module_estimate, joukowski_family, slit_annulus_map, tube_from_gauss,
+    univalence_probe,
 )
 from tubeflux import elliptic, modulus
 from tubeflux.contour import _path_integrals, path_integral
 from tubeflux.expr import EvalDomainError, _Walk, evaluate
 from tubeflux.modulus import _TIE_EPS, _assemble, _bisect, _crossings
+from tubeflux.slitmap import RIM_SAMPLES
 from tubeflux.tubes import _fit_points
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -525,3 +535,81 @@ def test_grid_refusal_is_frozen(case):
     with pytest.raises(ValueError) as err:
         grid_module_estimate(RingDomain.from_json(case["domain"]), case["h"])
     assert str(err.value) == case["message"]
+
+
+def test_assemble_bisects_every_arm_in_one_pass(counting):
+    # 2 calls on the grid + 45 halvings x 2 predicates; 362 when each of the
+    # four edge groups bisected its own cut edges
+    calls, dom = [], RingDomain.comparison(1.0)
+    dom.first, dom.second = counting(dom.first, calls), counting(dom.second, calls)
+    _assemble(dom, 0.1)
+    assert len(calls) == 92
+
+
+def reference_family(lam, R):
+    """The offset-family scan as one np.roots call and one residual per pair."""
+    kap_lim = 0.999 / (R * R)
+    a_grid = np.concatenate([-np.geomspace(1e-3, 1e3, 61), np.geomspace(1e-3, 1e3, 61)])
+    k_grid = np.linspace(-kap_lim, kap_lim, 41)
+    best = None
+    for a in a_grid:
+        for kap in k_grid:
+            r = np.roots([a, lam, a * kap])
+            inside = [rt for rt in r if abs(rt) < 1.0]
+            if any(1.0 / R < abs(rt) < R for rt in r):
+                continue
+            if len(inside) == 1:
+                other = r[0] if r[1] == inside[0] else r[1]
+                mean = 1.0 / (a * (inside[0] - other))
+            else:
+                mean = 0.0 + 0.0j
+            res = abs(mean + lam)
+            if best is None or res < best[0]:
+                best = (res, a, kap)
+    return best, a_grid.size * k_grid.size
+
+
+def typed(value):
+    if isinstance(value, tuple):
+        return tuple(map(typed, value))
+    return type(value), value
+
+
+@pytest.mark.parametrize("R", [1.01, 1.5, 5.0, 30.0])
+@pytest.mark.parametrize("lam", [0.05, 1.0, 5.0])
+def test_family_scan_equals_the_per_pair_roots_loop(monkeypatch, lam, R):
+    best, n = reference_family(lam, R)
+    calls = []
+    monkeypatch.setattr(np, "roots", lambda *args: calls.append(args))
+    with pytest.raises(FamilyBalanceError) as err:
+        joukowski_family(lam, R)
+    assert calls == []
+    diag = err.value.diagnostics
+    assert {k: typed(v) for k, v in diag.items()} == {
+        "lam": typed(lam), "R": typed(R),
+        "residual_floor": typed(None if best is None else best[0]),
+        "best_params": typed(None if best is None else best[1:]),
+        "n_scanned": typed(n), "theoretical_floor": typed(lam)}
+    if best is None:
+        want = (f"all {n} scanned parameters place a zero of g inside the "
+                f"annulus at R={R:g}")
+    else:
+        want = (f"smallest residual over {n} scanned parameters is {best[0]:.6g} "
+                f"(the attainable means keep distance {lam} from the target)")
+    assert str(err.value) == (f"no (a, kappa) with |kappa| < 1/R^2 balances "
+                              f"a0[1/g] = {-lam}: " + want)
+
+
+@pytest.mark.parametrize("q", [0.0025, 0.1, 0.33, 0.72, 0.9, 0.95])
+def test_rims_in_one_call_equal_one_call_per_rim(q):
+    cand = slit_annulus_map(EllipticParams(q))
+    R = cand.params.ring_radius
+    t = 2.0 * math.pi * (np.arange(RIM_SAMPLES) + 0.5) / RIM_SAMPLES
+    worst_abs = worst_rel = 0.0
+    for rho in (R, 1.0 / R):
+        vals = cand.g(rho * np.exp(1j * t))
+        im = np.abs(vals.imag)
+        worst_abs = max(worst_abs, float(im.max()))
+        worst_rel = max(worst_rel, float((im / (1.0 + np.abs(vals))).max()))
+    got = boundary_reality(cand)
+    assert (got["abs"].hex(), got["rel"].hex()) == (worst_abs.hex(), worst_rel.hex())

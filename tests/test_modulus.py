@@ -132,9 +132,21 @@ class TestDomainDescriptors:
             RingDomain.from_json({"kind": "box_conductor", "height": float("nan")})
         with pytest.raises(ValueError, match="finite ratio"):  # past float range
             RingDomain.from_json({"kind": "annulus", "ratio": 10 ** 400})
+        # JSON strings and booleans are not numbers, whatever float() makes of them
+        with pytest.raises(ValueError, match="finite ratio, got '2.5'"):
+            RingDomain.from_json({"kind": "annulus", "ratio": "2.5"})
+        with pytest.raises(ValueError, match="finite width, got True"):
+            RingDomain.from_json({"kind": "box_conductor", "width": True, "height": "1"})
 
 
 class TestGridEstimator:
+    @pytest.mark.parametrize("h", [0.0, math.nan, -0.1, math.inf])
+    def test_spacing_must_be_positive_and_finite(self, h):
+        dom = RingDomain.from_json({"kind": "box_conductor", "width": 1.0, "height": 1.0})
+        with pytest.raises(ValueError) as err:
+            grid_module_estimate(dom, h)
+        assert str(err.value) == f"grid spacing must be positive and finite, got h={h}"
+
     def test_unit_square_is_exact(self):
         dom = RingDomain.from_json({"kind": "box_conductor", "width": 1.0, "height": 1.0})
         est = grid_module_estimate(dom, 0.1)

@@ -12,11 +12,10 @@ from tubeflux import (
     NotATubeError,
     WeierstrassData,
     a0,
+    a0_pair,
     defect_from_means,
     enneper_F,
-    flux_from_means,
     immerse,
-    isotropy_defect,
     joukowski_map,
     period_defect,
     section_polyline,
@@ -27,6 +26,21 @@ from tubeflux import (
 from tubeflux import flux, tubes
 
 ANN = Annulus(2.0)
+
+
+def isotropy_defect(F, z):
+    """Sum of squares of the triple at z; identically zero for enneper_F output."""
+    return sum(phi(z) ** 2 for phi in F)
+
+
+def flux_from_means(g, c):
+    """Flux triple of the f = c/(2zg) data by the residue algebra of defect_from_means."""
+    m, minv = a0_pair(g)
+    return np.array([
+        math.pi * c * (minv - m).real,
+        -math.pi * c * (minv + m).imag,
+        2.0 * math.pi * c,
+    ])
 
 
 def holo(text, ann=ANN):
@@ -257,6 +271,11 @@ class TestSections:
         radii = np.linalg.norm(pts[:-1] - center, axis=1)
         assert np.ptp(radii) < 1e-8
         assert radii.mean() == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("n_points", [0, 1, 2])
+    def test_a_loop_needs_three_arcs(self, catenoid, n_points):
+        with pytest.raises(ValueError, match=f"n_points >= 3, got {n_points}"):
+            section_polyline(catenoid, 0.0, n_points=n_points)
 
     def test_sections_at_other_heights_stay_planar(self, catenoid):
         for tau in (-0.5, 0.4):
