@@ -80,9 +80,6 @@ class Annulus:
         hi = self.R * (1.0 - margin)
         return lo < r < hi
 
-    def radius_inside(self, rho):
-        return self.inner_radius < rho < self.R
-
 
 def _merge_annuli(a, b):
     if abs(a.R - b.R) > 1e-12 * max(a.R, b.R):
@@ -132,16 +129,12 @@ class HoloFn:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, HoloFn):
-            return other.node, _merge_annuli(self.annulus, other.annulus)
-        if isinstance(other, (int, float, complex)):
-            return Const(complex(other)), self.annulus
-        return NotImplemented, None
-
     def _binary(self, other, op, swap=False):
-        node, ann = self._coerce(other)
-        if node is NotImplemented:
+        if isinstance(other, HoloFn):
+            node, ann = other.node, _merge_annuli(self.annulus, other.annulus)
+        elif isinstance(other, (int, float, complex)):
+            node, ann = Const(complex(other)), self.annulus
+        else:
             return NotImplemented
         a, b = (node, self.node) if swap else (self.node, node)
         return HoloFn(op(a, b), ann)
@@ -181,7 +174,7 @@ class HoloFn:
 
 def _check_rho(h, rho):
     ann = getattr(h, "annulus", None)
-    if ann is not None and not ann.radius_inside(rho):
+    if ann is not None and not ann.contains(rho):
         raise ValueError(
             f"radius {rho} is not strictly inside the annulus "
             f"({ann.inner_radius} .. {ann.R})")
@@ -287,6 +280,8 @@ def circle_integral(h, rho, n_points=None):
 
 def laurent_coeff(h, k, rho=1.0):
     """Laurent coefficient a_k[h] = (1/2pi i) * integral of h(z) z^(-k-1) dz over |z|=rho."""
+    if not isinstance(k, (int, np.integer)):  # z^(-k-1) would cross its branch cut
+        raise TypeError(f"Laurent index must be an integer, got k={k!r}")
     _check_rho(h, rho)
 
     def weighted(zeta):
@@ -487,7 +482,7 @@ def _windings(g, gprime, rho, ws):
         r = rho * (1.0 + 2.0e-3 * attempt)
         if not live:
             break
-        if not g.annulus.radius_inside(r):
+        if not g.annulus.contains(r):
             notes.append(f"retry radius rho={r:.6g} leaves the annulus, "
                          "winding left unsettled")
             break
@@ -502,20 +497,20 @@ def _windings(g, gprime, rho, ws):
     return wind, notes
 
 
-def _sample_points(annulus, margin, n):
+def _sample_points(annulus):
     # deterministic low-discrepancy-ish spread: geometric radii, golden angles
     R = annulus.R
-    lo, hi = -(1.0 - 2.0 * margin), (1.0 - 2.0 * margin)
-    radii = R ** np.linspace(lo, hi, num=max(3, int(math.ceil(n / 6))))
+    lo, hi = -(1.0 - 2.0 * PROBE_MARGIN), (1.0 - 2.0 * PROBE_MARGIN)
+    radii = R ** np.linspace(lo, hi, num=max(3, int(math.ceil(PROBE_TARGETS / 6))))
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    j = np.arange(n)
+    j = np.arange(PROBE_TARGETS)
     return radii[j % len(radii)] * np.exp(1j * (2.0 * math.pi * ((j * golden) % 1.0)))
 
 
-def _newton_roots(g, gprime, w, margin):
+def _newton_roots(g, gprime, w):
     """Collect distinct solutions of g(z) = w in g.annulus by Newton iteration."""
     R = g.annulus.R
-    rr = R ** np.linspace(-(1 - margin), 1 - margin, 14)
+    rr = R ** np.linspace(-(1 - PROBE_MARGIN), 1 - PROBE_MARGIN, 14)
     tt = 2.0 * math.pi * (np.arange(16) + 0.31) / 16
     z = (rr[:, None] * np.exp(1j * tt[None, :])).ravel()
     for _ in range(60):
@@ -545,21 +540,6 @@ def _newton_roots(g, gprime, w, margin):
     return roots
 
 
-def _zero_excesses(g, gprime, ws):
-    """Zeros minus poles of g - w between the circles |z| = R^(+-(1-PROBE_MARGIN)),
-    for each target w of ws.
-
-    Both windings of every target are always attempted.  Returns the excess
-    of each target, None when either winding does not settle, and the notes
-    of the outer circle's unsettled tries, then the inner circle's.
-    """
-    R = g.annulus.R
-    outer, notes_out = _windings(g, gprime, R ** (1.0 - PROBE_MARGIN), ws)
-    inner, notes_in = _windings(g, gprime, R ** (PROBE_MARGIN - 1.0), ws)
-    return ([None if w_out is None or w_in is None else w_out - w_in
-             for w_out, w_in in zip(outer, inner)], notes_out + notes_in)
-
-
 def univalence_probe(g):
     """Probe injectivity and zero-omission of g on (a rim-shrunk copy of) g.annulus.
 
@@ -570,7 +550,7 @@ def univalence_probe(g):
     the PROBE_TARGETS sampled targets.
     """
     gprime = g.derivative()
-    points = _sample_points(g.annulus, PROBE_MARGIN, PROBE_TARGETS)
+    points = _sample_points(g.annulus)
     try:
         values = [complex(w) for w in g(points)]
     except EvalDomainError:  # one point at a time, to find those g refuses
@@ -580,8 +560,15 @@ def univalence_probe(g):
                 values.append(g(zt))
             except EvalDomainError:
                 values.append(None)
-    (zero_count, *excesses), notes = _zero_excesses(
-        g, gprime, [0j] + [w for w in values if w is not None])
+    # zeros minus poles of g - w between the circles, for w = 0 and each
+    # evaluable value; the outer circle's notes come first
+    ws = [0j] + [w for w in values if w is not None]
+    R = g.annulus.R
+    outer, notes = _windings(g, gprime, R ** (1.0 - PROBE_MARGIN), ws)
+    inner, inner_notes = _windings(g, gprime, R ** (PROBE_MARGIN - 1.0), ws)
+    notes += inner_notes
+    zero_count, *excesses = [None if w_out is None or w_in is None else w_out - w_in
+                             for w_out, w_in in zip(outer, inner)]
     excesses = iter(excesses)
     verdict = "passed"
     witness = None
@@ -597,7 +584,7 @@ def univalence_probe(g):
         counted += 1
         if count >= 2:
             verdict = "violated"
-            roots = _newton_roots(g, gprime, w, PROBE_MARGIN)
+            roots = _newton_roots(g, gprime, w)
             if len(roots) >= 2:
                 witness = (roots[0], roots[1])
             break

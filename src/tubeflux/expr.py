@@ -130,12 +130,6 @@ class Opaque:
     deriv: object = None
     arg: object = Var()
 
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
-
 
 # the grammar's binary operators, all left-associative, which parser, printer
 # and evaluator read from here: token, printed form, precedence (see _render),
@@ -158,12 +152,6 @@ def _first_bad(mask, z):
     return complex(z[tuple(idx[0])])
 
 
-def _shaped(value, z):
-    """value as an array of z's shape (a broadcast view only where it differs)."""
-    value = np.asarray(value)
-    return value if value.shape == z.shape else np.broadcast_to(value, z.shape)
-
-
 class _Walk:
     """One evaluation pass at the points z: each node (by identity) is
     evaluated at its first use and its value held until the pass returns."""
@@ -179,13 +167,13 @@ class _Walk:
         return value
 
     def _op(self, node):
-        # z is always a complex ndarray; results broadcast against it
+        # z is always a complex ndarray, and every node's value has its shape
         z = self.z
         op = _BINARY.get(type(node))
         if op is not None:
             left, right = self(node.left), self(node.right)
             if type(node) is Div:
-                bad = _first_bad(_shaped(right, z) == 0, z)
+                bad = _first_bad(right == 0, z)
                 if bad is not None:
                     raise EvalDomainError("division by zero", bad)
             return op.apply(left, right)
@@ -196,7 +184,7 @@ class _Walk:
         if isinstance(node, Neg):
             return -self(node.arg)
         if isinstance(node, Pow):
-            base = _shaped(self(node.base), z)
+            base = self(node.base)
             k = node.exponent
             if k < 0:
                 bad = _first_bad(base == 0, z)
@@ -206,7 +194,7 @@ class _Walk:
         if isinstance(node, Exp):
             return np.exp(self(node.arg))
         if isinstance(node, Log):
-            w = _shaped(self(node.arg), z)
+            w = self(node.arg)
             bad = _first_bad(w == 0, z)
             if bad is not None:
                 raise EvalDomainError("log of zero", bad)
@@ -217,7 +205,8 @@ class _Walk:
                 raise EvalDomainError("log evaluated too close to its branch cut", bad)
             return np.log(w)
         if isinstance(node, Opaque):
-            return _shaped(node.fn(self(node.arg)), z)
+            value = np.asarray(node.fn(self(node.arg)))  # shaped as z, a view where it differs
+            return value if value.shape == z.shape else np.broadcast_to(value, z.shape)
         raise ExprError(f"unknown node {node!r}")
 
 
@@ -239,7 +228,7 @@ def evaluate(node, z):
     outs = []
     with np.errstate(all="ignore"):
         for root in roots:
-            out = _shaped(walk(root), arr)
+            out = walk(root)
             outs.append(complex(out[0]) if scalar else out.copy())
     return outs if isinstance(node, (list, tuple)) else outs[0]
 

@@ -43,13 +43,15 @@ LIFE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class FluxVector:
-    """Flux triple (J1, J2, J3) with J3 > 0 (tube co-oriented with time)."""
+    """Finite flux triple (J1, J2, J3) with J3 > 0 (tube co-oriented with time)."""
 
     J1: float
     J2: float
     J3: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.J1, self.J2, self.J3))):
+            raise ValueError(f"flux ({self.J1!r}, {self.J2!r}, {self.J3!r}) is not finite")
         if not (self.J3 > 0.0):
             raise ValueError(f"vertical flux J3={self.J3:.6g} is not positive; "
                              "data is not co-oriented tube data")

@@ -76,11 +76,15 @@ def mobius_to_annulus(lam: float) -> MobiusToAnnulus:
     f(z) = (1/l*) (z + l*) / (1 - z l*) with l* = sqrt(lambda^2+1) - lambda
     sends the boundary circle of D to |w| = 1 and the boundary line
     Re z = lambda to |w| = 1/l*^2.  The attached annulus records the image
-    ring; the map itself is a rational function of the whole plane.
+    ring; the map itself is a rational function of the whole plane.  l* and
+    1/l*^2 come from 1/l* = sqrt(lambda^2+1) + lambda, which does not cancel.
     """
     _check_lambda(lam)
-    ls = math.sqrt(lam * lam + 1.0) - lam
-    z = HoloFn.var(Annulus(1.0 / (ls * ls)))
+    s = math.hypot(lam, 1.0) + lam
+    if not 1.0 < s * s < math.inf:
+        raise ValueError(f"lambda={lam} gives no finite annulus ratio above 1")
+    ls = 1.0 / s
+    z = HoloFn.var(Annulus(s * s))
     fmap = (z + ls) / ((1 - z * ls) * ls)
     return MobiusToAnnulus(map=fmap, lambda_star=ls)
 
@@ -139,7 +143,13 @@ class RingDomain:
             if math.isfinite(x):
                 return x
             raise ValueError(f"{kind} descriptor needs a finite {key}, got {raw!r}")
+
+        def only(*keys):  # as analyze's schema does, refuse a field the kind does not read
+            extra = [key for key in obj if key not in ("kind",) + keys]
+            if extra:
+                raise ValueError(f"{kind} descriptor has unknown field {extra[0]!r}")
         if kind == "annulus":
+            only("ratio")
             ratio = number("ratio", 0.0)
             if not ratio > 1.0:
                 raise ValueError(f"annulus descriptor needs ratio > 1, got {ratio!r}")
@@ -152,11 +162,13 @@ class RingDomain:
                 exact_module=joining_family_module(ratio),
             )
         if kind == "D":
+            only("lambda")
             lam = number("lambda", 0.0)
             if not lam > 0.0:
                 raise ValueError(f"D descriptor needs lambda > 0, got {lam!r}")
             return cls.comparison(lam)
         if kind == "box_conductor":
+            only("width", "height")
             w = number("width", 1.0)
             hgt = number("height", 1.0)
             if w <= 0.0 or hgt <= 0.0:
@@ -199,10 +211,10 @@ class RingDomain:
 @dataclass(frozen=True)
 class ModulusEstimate:
     value: float
-    h: float | None = None
-    indicator: float | None = None
-    truncation_sensitivity: float | None = None
-    dof: int | None = None
+    h: float
+    indicator: float
+    truncation_sensitivity: float | None  # None unless the domain is a D(lambda)
+    dof: int
 
 
 # --- grid estimator ---------------------------------------------------------

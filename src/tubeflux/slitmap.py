@@ -198,9 +198,9 @@ def conjecture_sweep(q_grid) -> SweepResult:
 class FamilyBalanceError(RuntimeError):
     """No admissible (a, kappa) balances the family; carries diagnostics."""
 
-    def __init__(self, message, diagnostics=None):
+    def __init__(self, message, diagnostics):
         super().__init__(message)
-        self.diagnostics = diagnostics or {}
+        self.diagnostics = diagnostics
 
 
 def joukowski_map(lam: float, a: float, kappa: float, R: float) -> HoloFn:

@@ -129,10 +129,10 @@ def defect_from_means(g: HoloFn, c: float):
 
 def tube_from_gauss(g: HoloFn, c: float) -> WeierstrassData:
     """Weierstrass data on g.annulus with f = c/(2zg), so the vertical flux is
-    2 pi c exactly (c > 0).  MinimalTube checks the tube hypotheses, g's zero
+    2 pi c exactly (finite c > 0).  MinimalTube checks the tube hypotheses, g's zero
     omission included, so a datum whose periods do not close can be measured."""
-    if not (c > 0.0):
-        raise ValueError(f"flux constant must be positive, got c={c}")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"flux constant must be positive and finite, got c={c}")
     return WeierstrassData(f=(0.5 * c) / (HoloFn.var(g.annulus) * g), g=g)
 
 

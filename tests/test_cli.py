@@ -491,6 +491,14 @@ class TestModulus:
         assert proc.stderr == ("tubeflux: domain error: annulus descriptor needs a "
                                "finite ratio, got '2.5'\n")
 
+    def test_unknown_field_is_refused(self, tmp_path):
+        dom = tmp_path / "dom.json"
+        dom.write_text('{"kind": "annulus", "ratio": 2, "bogus": 1}')
+        proc = run("modulus", "--domain", dom, "--h", 0.1)
+        assert proc.returncode == 1
+        assert proc.stderr == ("tubeflux: domain error: annulus descriptor has "
+                               "unknown field 'bogus'\n")
+
     def test_step_validation(self, tmp_path):
         dom = tmp_path / "dom.json"
         dom.write_text(json.dumps({"kind": "box_conductor", "width": 1.0, "height": 1.0}))

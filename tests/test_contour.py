@@ -49,7 +49,7 @@ class TestAnnulus:
     def test_radii(self):
         ann = Annulus(4.0)
         assert ann.inner_radius == 0.25
-        assert ann.radius_inside(0.5) == pytest.approx(1.0)
+        assert ann.contains(0.5)
 
 
 class TestCircleIntegral:
@@ -139,6 +139,7 @@ class TestNestedLevels:
 class TestLaurentCoefficients:
     def test_monomial_picks_out_its_own_index(self):
         assert abs(laurent_coeff(holo("z^2"), 2) - 1.0) < 1e-14
+        assert abs(laurent_coeff(holo("z^2"), np.int64(2)) - 1.0) < 1e-14
 
     def test_exponential_constant_term(self):
         assert abs(laurent_coeff(holo("exp(z)"), 0) - 1.0) < 1e-13
@@ -165,6 +166,20 @@ class TestLaurentCoefficients:
             atlo = laurent_coeff(h, k, rho=0.6)
             assert abs(at1 - athi) < 1e-10
             assert abs(at1 - atlo) < 1e-10
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, -1.5])
+    def test_index_must_be_an_integer(self, k):
+        # z^(-k-1) of a fractional k has a branch cut on the circle (k = 0.5
+        # would give -0.2122-1.5e-5j for z^2)
+        with pytest.raises(TypeError, match=f"must be an integer, got k={k}"):
+            laurent_coeff(holo("z^2"), k)
+
+    def test_negative_radius_is_refused_as_not_positive(self):
+        # Annulus.contains reads |rho|, so the quadrature's own check speaks
+        for fn in (lambda: laurent_coeff(holo("z"), 1, rho=-1.0),
+                   lambda: a0_pair(holo("z + 3"), rho=-1.0)):
+            with pytest.raises(ValueError, match="rho must be positive"):
+                fn()
 
 
 class TestPathIntegral:
@@ -368,14 +383,14 @@ class TestUnivalenceProbe:
         assert retries[4].startswith(f"winding at rho={ANN.R ** -0.98:.6g} ")
         # every target is skipped, named by its sample point, since several
         # values (inf-infj among them) print alike
-        points = contour._sample_points(ANN, contour.PROBE_MARGIN, contour.PROBE_TARGETS)
+        points = contour._sample_points(ANN)
         assert report.notes[8:-1] == [
             f"sample point {zt:.6g} skipped (winding unsettled)" for zt in points]
 
     def test_unevaluable_target_points_are_noted_one_by_one(self):
         # g refuses one of the sampled target points, so the one call for all
         # 32 targets fails and they are taken point by point
-        points = contour._sample_points(ANN, contour.PROBE_MARGIN, contour.PROBE_TARGETS)
+        points = contour._sample_points(ANN)
         z = HoloFn.var(ANN)
         p = complex(points[5])
         report = univalence_probe(z + 0.01 / (z - p))
@@ -400,7 +415,7 @@ class TestUnivalenceProbe:
                                       0.0025, 0.1, 0.72, 0.95])
     def test_targets_in_one_call_equal_one_call_per_point(self, candidate, case):
         g = holo(case) if isinstance(case, str) else candidate(case).g
-        points = contour._sample_points(g.annulus, contour.PROBE_MARGIN, contour.PROBE_TARGETS)
+        points = contour._sample_points(g.annulus)
         assert g(points).tobytes() == np.array([g(z) for z in points]).tobytes()
 
 

@@ -37,6 +37,14 @@ class TestFluxVector:
         with pytest.raises(ValueError):
             FluxVector(1.0, 2.0, 0.0)
 
+    @pytest.mark.parametrize("J", [(math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0),
+                                   (0.0, -math.inf, 1.0), (0.0, 0.0, math.inf),
+                                   (0.0, 0.0, math.nan)])
+    def test_components_must_be_finite(self, J):
+        # a NaN J1 would give a NaN bound, an infinite J1 the bound 0.0
+        with pytest.raises(ValueError, match=r"is not finite"):
+            FluxVector(*J)
+
     def test_three_four_five_tilt(self):
         Q = FluxVector(3.0, 4.0, 5.0)
         assert abs(abs(Q.w) - 1.0) < 1e-15

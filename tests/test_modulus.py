@@ -1,7 +1,9 @@
 """Ring-module closed forms, the grid conductance estimator, and crossings."""
 
 import math
+import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -90,6 +92,22 @@ class TestMobiusTransport:
         w = np.asarray([mt.map(z) for z in line])
         assert np.max(np.abs(np.abs(w) - mt.annulus_ratio)) < 1e-10 * mt.annulus_ratio
 
+    @pytest.mark.parametrize("lam", (1e3, 1e7, 1e8, 1e9))
+    def test_large_lambda_has_no_cancellation(self, lam):
+        # l* = exp(-asinh(lambda)); the form sqrt(lambda^2 + 1) - lambda
+        # cancels (5.029e-8 at lambda = 1e7, and 0 from 1e8 on)
+        mt = mobius_to_annulus(lam)
+        with mp.workdps(40):
+            exact = mp.exp(-mp.asinh(lam))
+            assert abs(mt.lambda_star - exact) <= 1e-15 * exact
+            assert abs(mt.annulus_ratio - 1 / exact ** 2) <= 1e-15 / exact ** 2
+
+    @pytest.mark.parametrize("lam", (1e-17, 1e155))
+    def test_unrepresentable_ratio_is_refused(self, lam):
+        # the ratio (sqrt(lambda^2 + 1) + lambda)^2 rounds to 1 or overflows
+        with pytest.raises(ValueError, match=re.escape(f"lambda={lam} gives no finite annulus ratio")):
+            mobius_to_annulus(lam)
+
     def test_endpoint_of_slit_hits_outer_circle(self):
         mt = mobius_to_annulus(1.0)
         assert abs(abs(mt.map(1.0)) - mt.annulus_ratio) < 1e-12
@@ -137,6 +155,15 @@ class TestDomainDescriptors:
             RingDomain.from_json({"kind": "annulus", "ratio": "2.5"})
         with pytest.raises(ValueError, match="finite width, got True"):
             RingDomain.from_json({"kind": "box_conductor", "width": True, "height": "1"})
+        # each kind reads its own fields only, as analyze's schema does
+        with pytest.raises(ValueError, match="annulus descriptor has unknown field 'bogus'"):
+            RingDomain.from_json({"kind": "annulus", "ratio": 2, "bogus": 1})
+        with pytest.raises(ValueError, match="D descriptor has unknown field 'bogus'"):
+            RingDomain.from_json({"kind": "D", "lambda": 1.0, "bogus": 1})
+        with pytest.raises(ValueError, match="D descriptor has unknown field 'ratio'"):
+            RingDomain.from_json({"kind": "D", "ratio": 2.0, "lambda": 1.0})
+        with pytest.raises(ValueError, match="box_conductor descriptor has unknown field 'h'"):
+            RingDomain.from_json({"kind": "box_conductor", "width": 1.0, "h": 0.1})
 
 
 class TestGridEstimator:

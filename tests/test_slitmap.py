@@ -1,7 +1,9 @@
 """Two-slit ring candidates: construction, calibration, and the q-sweep."""
 
 import math
+from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from tubeflux import (
     conjecture_sweep,
     joukowski_family,
     joukowski_map,
+    lifetime_report,
     max_log_radius,
     slit_annulus_map,
     univalence_probe,
@@ -50,6 +53,36 @@ def _agm(a, b):
     while abs(a - b) > 1e-15 * a:
         a, b = (a + b) / 2.0, math.sqrt(a * b)
     return (a + b) / 2.0
+
+
+@lru_cache(maxsize=None)
+def _oracle_lam(q):
+    """lambda = (2 eta1 + e2)/beta0 of the calibrated slit map at 40 digits.
+
+    g0 = beta0/(p(u) - e2), the addition formula (p(u) - e2)(p(u + w2) - e2)
+    = (e2 - e1)(e2 - e3), and the mean -2 eta1 of p along a horizontal period
+    line give it, with eta1 = (pi^2/6)(1 - 24 sum q^2n/(1 - q^2n)^2),
+    e2 = (pi^2/3)(theta2^4 - theta4^4) and beta0 = pi^2 theta2^2 theta4^2
+    (Whittaker & Watson, ch. 20-21).
+    """
+    with mp.workdps(40):
+        q = mp.mpf(q)
+        t2, t4 = mp.jtheta(2, 0, q), mp.jtheta(4, 0, q)
+        total, n = mp.mpf(0), 1
+        while True:
+            x = q ** (2 * n)
+            term = x / (1 - x) ** 2
+            total += term
+            if term < mp.mpf(10) ** -45 * total:
+                break
+            n += 1
+        eta1 = mp.pi ** 2 / 6 * (1 - 24 * total)
+        e2 = mp.pi ** 2 / 3 * (t2 ** 4 - t4 ** 4)
+        return (2 * eta1 + e2) / (mp.pi ** 2 * t2 ** 2 * t4 ** 2)
+
+
+def _rel(got, want):
+    return float(abs(mp.mpf(got) - want) / abs(want))
 
 
 class TestRawMap:
@@ -186,6 +219,33 @@ class TestCalibration:
         monkeypatch.setattr(slitmap, "a0_pair", lambda g: pair)
         with pytest.raises(CalibrationError, match=match):
             calibrate_candidate(0.2)
+
+
+class TestOracle:
+    """The slit family's numbers against closed forms at 40 digits.
+
+    Measured worst relative errors: 5.2e-15 for lambda (q = 0.86) and
+    4.0e-15 for the tube (J1 at q = 0.82); each is held at 1e-13.
+    """
+
+    @pytest.mark.parametrize("q", (0.0025, 0.01, 0.1, 0.33, 0.5, 0.72, 0.82, 0.86, 0.9, 0.95))
+    def test_level_is_the_closed_form(self, candidate, q):
+        assert _rel(candidate(q).lam, _oracle_lam(q)) <= 1e-13
+
+    # the thin-ring band q in [0.86, 0.95] is still refused as a tube
+    @pytest.mark.parametrize("q", (0.0025, 0.01, 0.1, 0.33, 0.5, 0.72, 0.82))
+    def test_tube_is_the_closed_form(self, slit_tube, q):
+        # balance gives Q = (-2 pi lambda c, 0, 2 pi c), so tan alpha = lambda,
+        # life = -c ln q and bound = 2 pi^2 c/asinh(lambda); here c = 1
+        tube = slit_tube(q)
+        report = lifetime_report(tube)
+        lam = _oracle_lam(q)
+        with mp.workdps(40):
+            assert _rel(tube.flux.J1, -2 * mp.pi * lam) <= 1e-13
+            assert abs(tube.flux.J2) <= 1e-13 * tube.flux.norm
+            assert _rel(tube.flux.J3, 2 * mp.pi) <= 1e-13
+            assert _rel(report.lifetime.measured, -mp.log(q)) <= 1e-13
+            assert _rel(report.bound, 2 * mp.pi ** 2 / mp.asinh(lam)) <= 1e-13
 
 
 class TestSweep:

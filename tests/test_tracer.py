@@ -5,6 +5,7 @@ the probe's notes; a renamed binding or note text would silently zero a layer
 of the benchmark.  The tracer is loaded from its source, writing nothing.
 """
 
+import importlib
 import types
 from pathlib import Path
 
@@ -34,3 +35,12 @@ def test_probe_retries_count_circle_tries(tracer):
         retries.append(tracer.layer_totals(tr.spans, 1)["contour.probe.retries"])
     assert retries == [1, 1, 8]
     assert contour.univalence_probe is probe  # the tracer put it back
+
+
+def test_every_hook_resolves_in_the_package(tracer):
+    # an inline or a rename would leave a layer with nothing to wrap
+    for _, home, attr, _ in tracer._FUNCTIONS:
+        assert callable(getattr(importlib.import_module(home), attr, None)), (home, attr)
+    for _, home, attr in tracer._CLASSES:
+        assert isinstance(getattr(importlib.import_module(home), attr, None), type), (home, attr)
+    assert callable(importlib.import_module("tubeflux.modulus").spla.cg)
