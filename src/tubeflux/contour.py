@@ -173,6 +173,9 @@ class HoloFn:
 # --- circle quadrature -----------------------------------------------------
 
 def _check_rho(h, rho):
+    """Refuse a radius that is not positive, then one outside h's annulus."""
+    if not rho > 0.0:
+        raise ValueError(f"rho must be positive, got rho={rho}")
     ann = getattr(h, "annulus", None)
     if ann is not None and not ann.contains(rho):
         raise ValueError(
@@ -252,10 +255,10 @@ def circle_integral(h, rho, n_points=None):
     rounding level, capped at 65536, evaluating h on the new nodes only.
     When h returns a (k, n) stack for n nodes, the result is the array of k
     integrals, each kept at the level where it settled.  A non-finite sample
-    raises EvalDomainError at its first such node.
+    raises EvalDomainError at its first such node, and finite samples whose
+    sum overflows raise OverflowError naming the node count.  rho must be
+    positive and, when h carries an annulus, strictly inside it.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
     _check_rho(h, rho)
     if n_points is None:
         n0, n_max = DEFAULT_N, MAX_N
@@ -269,9 +272,13 @@ def circle_integral(h, rho, n_points=None):
 
     def quad(n, live):
         zeta, vals = first if n == n0 else sample(n)
-        terms = [zeta * row for row in np.reshape(vals, (-1, n))[live]]
-        return ([(TWO_PI_I / n) * np.sum(w) for w in terms],
-                [ROUND_EPS * (2.0 * math.pi / n) * np.sum(np.abs(w)) for w in terms])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite sum
+            terms = [zeta * row for row in np.reshape(vals, (-1, n))[live]]
+            sums = [(np.sum(w), np.sum(np.abs(w))) for w in terms]
+        if not np.isfinite(sums).all():
+            raise OverflowError(f"circle sum of finite samples is not finite at n={n} nodes")
+        return ([(TWO_PI_I / n) * w for w, _ in sums],
+                [ROUND_EPS * (2.0 * math.pi / n) * a for _, a in sums])
 
     if np.ndim(first[1]) == 1:
         return _refine(quad, 1, n0, n_max, QUAD_TOL)[0]

@@ -18,6 +18,7 @@ by one V-cycle of a multigrid that merges 2x2 blocks of nodes per level.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -239,6 +240,8 @@ _COARSEST = 2000
 def _bisect(stays, lo, hi, iters):
     """Bisect the brackets [lo, hi] elementwise, at most iters halvings each.
 
+    It serves the grid arms; the crossing witnesses take _illinois steps.
+
     ``stays(mid)`` is True where the midpoint is on lo's side of the root,
     so it replaces lo there and hi elsewhere.  Stops at the first halving
     that moves no bracket: the brackets then sit at adjacent (or equal)
@@ -427,6 +430,11 @@ def grid_module_estimate(domain: RingDomain, h: float) -> ModulusEstimate:
 # crossing residuals closer than this many ulps of |t| |d fn/dt| + |lam| tie
 _TIE_EPS = 4.0 * np.finfo(float).eps
 
+# steps a witness bracket may take beyond bisection's count (ITP's n0), in
+# exchange for the secant's speed; at 3 and above none of test_10's 600
+# witnesses feels the cap, at 2 its comb calls rise from 16.7 to 26.5
+_SLACK = 4
+
 
 @dataclass(frozen=True)
 class CrossingWitness:
@@ -436,30 +444,67 @@ class CrossingWitness:
     residual2: float
 
 
+def _illinois(sample, lo, hi, flo, fhi):
+    """Narrow the brackets [lo, hi] of roots elementwise by Illinois steps.
+
+    ``sample(x, j)`` returns fn at x for the brackets listed in j; flo and
+    fhi are fn at the ends, of opposite signs or zero.  Each step samples fn
+    once for every open bracket, at the secant point through its ends, where
+    an end kept twice in a row counts with half its value (Illinois).  At
+    step k the point moves to within r = w0 2**(_SLACK - k - 1) - width/2 of
+    the midpoint, w0 the bracket's first width (ITP's projection), so after
+    _SLACK + m steps no bracket is wider than m halvings would leave it; a
+    point that rounds onto an end moves to the next float inside.  A
+    bracket closes when fn is 0 at an end or its ends are adjacent floats:
+    at most _SLACK + 1 steps after bisection would close it, the 1 for the
+    rounding of the last halvings.  Returns the final (lo, hi, flo, fhi).
+    """
+    lo, hi, flo, fhi = (np.array(v, float) for v in (lo, hi, flo, fhi))
+    w0, wlo, whi = hi - lo, flo.copy(), fhi.copy()  # wlo, whi: the secant's end values
+    moved_lo = np.zeros(lo.shape, bool)  # whether the last step moved lo
+    for k in itertools.count():
+        mid = 0.5 * (lo + hi)
+        j = np.nonzero((lo < mid) & (mid < hi) & (flo != 0.0) & (fhi != 0.0))[0]
+        if not j.size:
+            return lo, hi, flo, fhi
+        a, b, m = lo[j], hi[j], mid[j]
+        r = np.maximum(w0[j] * 2.0 ** (_SLACK - k - 1) - 0.5 * (b - a), 0.0)
+        x = np.clip(a + (b - a) * (wlo[j] / (wlo[j] - whi[j])),
+                    np.maximum(m - r, np.nextafter(a, b)), np.minimum(m + r, np.nextafter(b, a)))
+        fx = sample(x, j)
+        left = (fx <= 0.0) == (flo[j] <= 0.0)  # x takes lo's place
+        again = (moved_lo[j] == left) & (k > 0)  # the other end is kept twice in a row
+        lo[j[left]], flo[j[left]], wlo[j[left]] = x[left], fx[left], fx[left]
+        hi[j[~left]], fhi[j[~left]], whi[j[~left]] = x[~left], fx[~left], fx[~left]
+        whi[j[left & again]] *= 0.5
+        wlo[j[~left & again]] *= 0.5
+        moved_lo[j] = left
+
+
 def _crossings(fn, lam):
     """Roots of each row of a stacked fn on [0, 2 pi), and their residuals.
 
-    fn(t) returns a (k, n) stack for n angles.  A row's roots come one per
-    sign change among 512 scan angles, in bracket order; the brackets of all
-    rows are bisected together, so each halving, like the scan and the
-    residual call, samples fn once.  Returns one entry per row: None when its
-    scan finds no sign change, else its roots, their residuals |fn| and which
-    tie with the smallest.  Near the rims the residual floor is
-    |d fn/dt| * eps, so residuals within _TIE_EPS (|t| |d fn/dt| + |lam|) of
-    it tie (slope from the scan bracket).
+    fn(t) returns a (k, n) stack for n angles in [0, 2 pi).  A row's roots
+    come one per sign change among 512 scan angles (a 513th, past 2 pi,
+    closes the circle), in bracket order; _illinois narrows the brackets of
+    all rows together, so each step, like the scan, samples fn once, at the
+    angles taken mod 2 pi.  A root is the end of its final bracket with the
+    smaller |fn|, and that |fn| is its residual.  Returns one entry per row:
+    None when its scan finds no sign change, else its roots, their residuals
+    and which tie with the smallest.  Near the rims the residual floor is
+    |d fn/dt| * eps, so residuals within _TIE_EPS (|t| |d fn/dt| + |lam|)
+    of it tie (slope from the scan bracket).
     """
-    t = 2.0 * math.pi * (np.arange(512) + 0.5) / 512
-    f = fn(t)
-    nxt = np.roll(f, -1, axis=1)
-    row, k = np.nonzero(np.sign(f) * np.sign(nxt) <= 0.0)
-    col = np.arange(k.size)
-    lo, hi = t[k], np.append(t[1:], t[0] + 2.0 * math.pi)[k]
-    # lo keeps the sign its row of fn has at the bracket's start
-    neg = f[row, k] <= 0.0
-    lo, hi = _bisect(lambda mid: (fn(mid)[row, col] <= 0.0) == neg, lo, hi, 80)
-    roots = (0.5 * (lo + hi)) % (2.0 * math.pi)
-    resid = np.abs(fn(roots)[row, col])
-    slope = np.abs(nxt - f)[row, k] * (512 / (2.0 * math.pi))
+    t = 2.0 * math.pi * (np.arange(513) + 0.5) / 512
+    f = fn(t % (2.0 * math.pi))
+    row, k = np.nonzero(np.sign(f[:, :-1]) * np.sign(f[:, 1:]) <= 0.0)
+    lo, hi, flo, fhi = _illinois(
+        lambda x, j: fn(x % (2.0 * math.pi))[row[j], np.arange(j.size)],
+        t[k], t[k + 1], f[row, k], f[row, k + 1])
+    at_lo = np.abs(flo) <= np.abs(fhi)
+    roots = np.where(at_lo, lo, hi) % (2.0 * math.pi)
+    resid = np.abs(np.where(at_lo, flo, fhi))
+    slope = np.abs(f[row, k + 1] - f[row, k]) * (512 / (2.0 * math.pi))
     tol = _TIE_EPS * (roots * slope + abs(lam))
     found = []
     for j in range(len(f)):
@@ -473,7 +518,7 @@ def crossing_witness(g: HoloFn, rho: float, lam: float) -> CrossingWitness:
     """Angles where the section trace crosses the two balance loci.
 
     Finds t1 with Re g(rho e^{i t1}) = lam and t2 with Re(1/g)(rho e^{i t2})
-    = -lam by sign scanning at 512 angles plus bisection, and reports for
+    = -lam by sign scanning at 512 angles plus Illinois steps, and reports for
     each the first root whose residual ties with the smallest.  One sample
     w = g(rho e^{it}) per step serves both loci, as the stack
     [Re w - lam, Re(1/w) + lam].  Both crossings exist whenever the means
@@ -483,8 +528,6 @@ def crossing_witness(g: HoloFn, rho: float, lam: float) -> CrossingWitness:
     is Re(1/w) = -lam rewritten).  rho must be positive and strictly inside
     g.annulus.
     """
-    if not rho > 0.0:
-        raise ValueError(f"rho must be positive, got rho={rho}")
     _check_rho(g, rho)
 
     def loci(tt):

@@ -171,7 +171,10 @@ class MinimalTube:
             raise NotATubeError(f"Gauss map has zero/pole excess {zero_count} inside the "
                                 "annulus; the data cannot describe a tube")
 
-        loops = circle_integral(data, 1.0, n_points)
+        try:
+            loops = circle_integral(data, 1.0, n_points)
+        except OverflowError as exc:
+            raise NotATubeError(str(exc)) from exc
         self.defect = loops.real
         try:
             self.flux = _flux_from_loops(loops)

@@ -12,6 +12,7 @@ from tubeflux import (
     a0,
     a0_pair,
     circle_integral,
+    crossing_witness,
     laurent_coeff,
     path_integral,
     univalence_probe,
@@ -100,6 +101,12 @@ class TestCircleIntegral:
         first = np.exp(1j * theta[np.argmax(np.sin(theta) < -0.5)])
         assert err.value.z == first
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sum_of_finite_samples_is_refused(self):
+        # every sample is 1e308, but 1024 of them sum past the largest float
+        with pytest.raises(OverflowError, match="is not finite at n=1024 nodes"):
+            circle_integral(lambda z: 1e308 + 0 * z, 1.0)
+
     def test_non_finite_row_of_a_stack_is_refused(self):
         # exp(800 z) overflows on the unit circle near z = 1
         h = holo("exp(800*z)/z^2")
@@ -175,11 +182,15 @@ class TestLaurentCoefficients:
             laurent_coeff(holo("z^2"), k)
 
     def test_negative_radius_is_refused_as_not_positive(self):
-        # Annulus.contains reads |rho|, so the quadrature's own check speaks
-        for fn in (lambda: laurent_coeff(holo("z"), 1, rho=-1.0),
-                   lambda: a0_pair(holo("z + 3"), rho=-1.0)):
-            with pytest.raises(ValueError, match="rho must be positive"):
-                fn()
+        # Annulus.contains reads |rho|, so positivity is checked first: |-3|
+        # lies past R = 2 and 0 short of 1/R, yet every entry point says so
+        g = holo("z + 3")
+        for rho in (-1.0, -3.0, 0.0):
+            for fn in (lambda: circle_integral(g, rho), lambda: laurent_coeff(g, 1, rho),
+                       lambda: a0(g, rho), lambda: a0_pair(g, rho),
+                       lambda: crossing_witness(g, rho, 0.5)):
+                with pytest.raises(ValueError, match="rho must be positive"):
+                    fn()
 
 
 class TestPathIntegral:
