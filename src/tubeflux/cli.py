@@ -366,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--out", required=True)
     pb.set_defaults(func=cmd_sweep_bound)
 
-    pc = kinds.add_parser("conjecture",
-                          help="calibrated two-slit candidates: lnR vs lnR0")
+    desc = "calibrated two-slit candidates: lnR vs lnR0, each row from the closed-form slit level"
+    pc = kinds.add_parser("conjecture", help=desc, description=desc)
     pc.add_argument("--q-min", type=float, required=True, dest="q_min")
     pc.add_argument("--q-max", type=float, required=True, dest="q_max")
     pc.add_argument("--steps", type=int, required=True)

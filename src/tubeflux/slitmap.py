@@ -3,7 +3,7 @@
 The candidate Gauss map sends K_R onto the plane minus two real slits.  Let
 q = e^{-pi t} and R = q^{-1/2}; the ring coordinate u = log(sqrt(q) z)/(2 pi i)
 identifies K_R with the strip 0 <= Im u <= t/2 on the rectangular lattice
-generated by 1 and i t.  The base map is the squared theta quotient
+generated by 1 and i t.  The map is the squared theta quotient
 
     g0(z) = (theta1(pi u) / theta3(pi u))^2,
 
@@ -19,71 +19,85 @@ zero.  The half-period identity
     g0(-1/z) = -1/g0(z)
 
 (z -> -1/z is u -> (1+it)/2 - u, which swaps theta1 and theta3 up to a
-common factor) makes the circle means of g0 and 1/g0 opposite by symmetry,
-so the balance calibration reduces to one real scale factor with root
-essentially at 1.
+common factor) makes the circle means of g0 and 1/g0 opposite exactly, so
+g0 is balanced as it stands, a0[g0] = lambda = -a0[1/g0], at the level
+lambda = (2 eta1 + e2)/beta0 (Whittaker & Watson, ch. 20-21).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import Annulus, HoloFn, a0_pair
-from .elliptic import EllipticParams, theta1, theta1_prime, theta3, theta3_prime
+from .contour import Annulus, HoloFn
+from .elliptic import EllipticParams, _theta_nulls, theta1, theta1_prime, theta3, theta3_prime
 from .expr import Const, Div, Opaque, Pow, Var
 from .modulus import max_log_radius
 
 __all__ = [
-    "SlitMapCandidate", "CalibrationError", "FamilyBalanceError",
+    "SlitMapCandidate", "FamilyBalanceError",
     "SweepRow", "SweepResult",
     "slit_annulus_map", "calibrate_candidate", "boundary_reality",
     "conjecture_sweep", "joukowski_map", "joukowski_family",
 ]
 
 
-class CalibrationError(RuntimeError):
-    """Balance calibration failed; the message names q and the circle means."""
-
-
 @dataclass(frozen=True)
 class SlitMapCandidate:
     """A slit-plane Gauss map on the symmetric annulus of its parameters.
 
-    g is the working map (scale * base construction); slit_neg and slit_pos
-    are the finite endpoints of the two boundary slits (-inf, slit_neg] and
-    (0, slit_pos].  lam and residual are set once the candidate has been
-    calibrated so that a0[g] = lam = -a0[1/g].
+    g is the map g0, lam its level a0[g] = lam = -a0[1/g]; slit_neg and
+    slit_pos are the finite endpoints of the boundary slits (-inf, slit_neg]
+    and (0, slit_pos].
     """
 
     params: EllipticParams
     g: HoloFn
-    scale: float
-    lam: float | None = None
-    residual: float | None = None
+    lam: float
 
     @property
     def annulus(self) -> Annulus:
         return self.g.annulus
 
     @property
-    def _a_geo(self) -> float:  # g0's slit tips are -a_geo and 1/a_geo
+    def slit_neg(self) -> float:  # g0's slit tips are -(theta4/theta2)^2 and its reciprocal
         t2, _, t4 = self.params.theta0
-        return (t4 / t2) ** 2
-
-    @property
-    def slit_neg(self) -> float:
-        return -self._a_geo * self.scale
+        return -(t4 / t2) ** 2
 
     @property
     def slit_pos(self) -> float:
-        return (1.0 / self._a_geo) * self.scale
+        return -1.0 / self.slit_neg
+
+
+def _level(params: EllipticParams) -> float:
+    """lambda = N(q)/(3 theta2^2 theta4^2), N = theta2^4 - (theta4^4 - 1) + (E2 - 1).
+
+    That is (2 eta1 + e2)/beta0 with eta1 = (pi^2/6) E2.  Below t = 1 the
+    modular flip tau -> -1/tau (theta2 = theta4'/sqrt(t), theta4 =
+    theta2'/sqrt(t) and E2 = 6/(pi t) - E2'/t^2 at q' = e^{-pi/t}; Apostol,
+    Modular Functions and Dirichlet Series, ch. 3) gives it instead as
+    (2t/pi - N(q')/3)/(theta2'^2 theta4'^2), so N is only taken at nomes
+    x <= e^{-pi}, where 13 terms of the Lambert series theta4^4 - 1 =
+    8 sum n(-x)^n/(1 + x^n) and E2 - 1 = -24 sum x^2n/(1 - x^2n)^2 reach
+    full precision; neither is formed as a product minus 1, which cancels.
+    """
+    t = params.t
+    x = params.q if t >= 1.0 else math.exp(-math.pi / t)
+    t2, _, t4 = _theta_nulls(x)
+    n = np.arange(1, 14)
+    sx = (-x) ** n
+    x2n = sx * sx
+    big_n = (t2 ** 4 - 8.0 * float(np.sum(n * sx / (1.0 + np.abs(sx))))
+             - 24.0 * float(np.sum(x2n / (1.0 - x2n) ** 2)))
+    if t >= 1.0:
+        return big_n / (3.0 * (t2 * t4) ** 2)
+    return (2.0 * t / math.pi - big_n / 3.0) / (t2 * t4) ** 2
 
 
 def slit_annulus_map(params: EllipticParams) -> SlitMapCandidate:
-    """The geometrically normalized two-slit map g0 on K_R (scale 1)."""
+    """The two-slit map g0 on K_R, with its level in closed form."""
     q = params.q
     rootq = math.sqrt(q)
     # the ring coordinate v = pi u = log(sqrt(q) z)/(2i), which both theta
@@ -94,7 +108,7 @@ def slit_annulus_map(params: EllipticParams) -> SlitMapCandidate:
     t3 = Opaque(f"theta3[q={q:g}]", lambda w: theta3(w, q),
                 Opaque(f"theta3'[q={q:g}]", lambda w: theta3_prime(w, q), arg=v), v)
     g0 = HoloFn(Pow(Div(t1, t3), 2), Annulus(params.ring_radius))
-    return SlitMapCandidate(params=params, g=g0, scale=1.0)
+    return SlitMapCandidate(params=params, g=g0, lam=_level(params))
 
 
 RIM_SAMPLES = 256
@@ -117,34 +131,11 @@ def boundary_reality(cand: SlitMapCandidate) -> dict:
 
 
 def calibrate_candidate(q) -> SlitMapCandidate:
-    """Scale the two-slit map so a0[g] = lambda and a0[1/g] = -lambda.
-
-    With g = s g0 the two means are s A and B/s where A = a0[g0] and
-    B = a0[1/g0], so the balance s A + B/s = 0 has the one positive root
-    s* = sqrt(-B/A) when A > 0 > B, and then lambda = s* A > 0.  Any other
-    sign pattern (means of one sign, the orientation A < 0 < B, or a NaN
-    mean) raises CalibrationError naming A and B.  By the half-period
-    identity B = -A, so s* = 1 up to quadrature error; the scale is kept
-    because balance is the defining property, the identity only explains
-    why it is close to 1.
-    """
-    params = EllipticParams(float(q))
-    base = slit_annulus_map(params)
-    mean_g, mean_inv = map(complex, a0_pair(base.g))
-    A, B = mean_g.real, mean_inv.real
-    drift = max(abs(mean_g.imag), abs(mean_inv.imag))
-    if drift > 1e-9 * (1.0 + abs(A) + abs(B)):
-        raise CalibrationError(
-            f"circle means are not real (imaginary drift {drift:.3e}); "
-            f"the slit construction is broken at q={params.q}")
-    if not A > 0.0 > B:
-        raise CalibrationError(
-            f"the balance needs a0[g0] > 0 > a0[1/g0] at q={params.q}, "
-            f"got A={A:.6e}, B={B:.6e}")
-    s_star = math.sqrt(-B / A)
-    lam = s_star * A
-    residual = abs(s_star * A + B / s_star) / (1.0 + lam)
-    return replace(base, g=base.g * s_star, scale=s_star, lam=lam, residual=residual)
+    """The two-slit map at nome q, balanced as it stands: a0[g] = lambda and
+    a0[1/g] = -lambda by the half-period identity, with lambda in closed
+    form.  No integral is taken; a tube built on g measures its balance
+    through its period defect."""
+    return slit_annulus_map(EllipticParams(float(q)))
 
 
 # --- sweep -------------------------------------------------------------------
@@ -169,7 +160,8 @@ def conjecture_sweep(q_grid) -> SweepResult:
     """Calibrate a candidate per q and compare ln R with ln R0(lambda).
 
     Rows keep the input order (they are independent; any parallel execution
-    must still emit them in this order).  Per-row calibration failures are
+    must still emit them in this order).  Each row rests on the closed-form
+    level alone: no circle mean is measured.  Per-row failures are
     collected, not raised.
     """
     qs = [float(q) for q in q_grid]
@@ -182,7 +174,7 @@ def conjecture_sweep(q_grid) -> SweepResult:
     for q in qs:
         try:
             cand = calibrate_candidate(q)
-        except (CalibrationError, ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             failures.append((q, f"{type(exc).__name__}: {exc}"))
             continue
         R = cand.params.ring_radius

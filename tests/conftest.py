@@ -25,7 +25,7 @@ def _candidate(q):
 
 @pytest.fixture(scope="session")
 def candidate():
-    # Memoized across the whole run; calibration at large q is the slow part.
+    # Memoized across the whole run, so each nome's tests share one g.
     return _candidate
 
 

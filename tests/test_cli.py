@@ -47,7 +47,7 @@ def run_process(*args):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
-    # calibration takes its scale in closed form, so nothing needs
+    # calibration takes the slit level in closed form, so nothing needs
     # scipy.optimize; the grid network needs no labelling, so nothing needs
     # scipy.ndimage.  scipy.sparse stays: the grid solve runs on it.
     cfg = write_config(tmp_path, R=2.0, g="z", c=1.0)

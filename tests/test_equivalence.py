@@ -15,6 +15,12 @@ Calibrating by the closed-form root s* = sqrt(-B/A) instead of Brent's
 method moves the scale by at most one ulp, and the q = 0.33 tube by at most
 5.6e-15 (its defect), so "tube_pointwise_comb" holds at an absolute 1e-14
 and "tube_closed_form_scale" exactly.  The probe reports did not move.
+Calibrating with no scale at all, g0 as it stands with its level in closed
+form, moves the q = 0.72 tube's defect from -0.0 to -6.97e-10, which is
+2.0e-15 |Q| with |Q| = 3.49e5, and its flux by 5.8e-11, one ulp of J1; the
+three older keys hold with those moves added to their tolerances (1e-14
+for "tube_closed_form_scale", whose profile and life move by 4.4e-16), and
+"tube_closed_form_level" holds exactly.
 
 "probe_relative_stop" holds every ProbeReport field at the inputs whose
 winding levels the integer stop lowers (slit nomes from 0.0025 to 0.95 and
@@ -35,10 +41,14 @@ smaller |fn|, not at a midpoint sampled once more: the angles move by at
 most 8.9e-16 and the residuals by 2.1e-14, and no pick changes root, so
 both keys hold at those tolerances and "witness_illinois" holds exactly.
 On 25 of test_10's 600 witnesses each pick is the 80-halving one to
-8.9e-16, or a root tied with it.  The witness that samples g once per step for both
-loci must equal each locus scanned on its own, with each bracket narrowed
-on its own, bit for bit: the comb sums each point on its own, and each
-bracket's steps read only its own ends.  The grid estimate was frozen from
+8.9e-16, or a root tied with it.  The closed-form level moves the angles by
+at most 2.3e-15 and the residuals by 2.4e-14 against the three 80-halving
+and Illinois keys, and no pick changes root: those keys hold at those
+tolerances and "witness_closed_form_level" holds exactly.  The witness
+that samples g once per step for both loci must equal each locus scanned
+on its own, with each bracket narrowed on its own, bit for bit: the comb
+sums each point on its own, and each bracket's steps read only its own
+ends.  The grid estimate was frozen from
 a Jacobi-preconditioned solve; the V-cycle-preconditioned solve agrees with
 it to 1e-12 and exactly with its own freeze, "ring_e_h0.04_vcycle".
 
@@ -129,24 +139,35 @@ def tube_fields(tube):
     }
 
 
+def assert_level_moved(tube, want, atol):
+    # g0 unscaled, with its level in closed form, moves the q = 0.72 defect
+    # by 2.0e-15 |Q| and its flux by one ulp of |Q|
+    got, norm = tube_fields(tube), tube.flux.norm
+    for key, value in want.items():
+        tol = atol + {"defect": 2.0e-15 * norm, "flux": np.spacing(norm)}.get(key, 0.0)
+        assert np.allclose(got[key], value, rtol=0.0, atol=tol), key
+
+
 @pytest.mark.parametrize("q", [0.1, 0.33, 0.72])
 def test_slit_tube_is_unchanged(slit_tube, q):
-    got, want = tube_fields(slit_tube(q)), FROZEN["tube"][repr(q)]
-    for key, value in want.items():
-        assert np.allclose(got[key], value, rtol=0.0, atol=1e-10), key
+    assert_level_moved(slit_tube(q), FROZEN["tube"][repr(q)], 1e-10)
 
 
 @pytest.mark.parametrize("q", [0.1, 0.33, 0.72])
 def test_slit_tube_keeps_its_pointwise_comb_values(slit_tube, q):
-    # the closed-form scale moves the q = 0.33 defect by 5.6e-15
-    got, want = tube_fields(slit_tube(q)), FROZEN["tube_pointwise_comb"][repr(q)]
-    for key, value in want.items():
-        assert np.allclose(got[key], value, rtol=0.0, atol=1e-14), key
+    # the closed-form scale moved the q = 0.33 defect by 5.6e-15
+    assert_level_moved(slit_tube(q), FROZEN["tube_pointwise_comb"][repr(q)], 1e-14)
+
+
+@pytest.mark.parametrize("q", [0.1, 0.33, 0.72])
+def test_slit_tube_keeps_its_closed_form_scale_values(slit_tube, q):
+    # the q = 0.72 profile and life move by at most 4.4e-16
+    assert_level_moved(slit_tube(q), FROZEN["tube_closed_form_scale"][repr(q)], 1e-14)
 
 
 @pytest.mark.parametrize("q", [0.1, 0.33, 0.72])
 def test_slit_tube_is_frozen(slit_tube, q):
-    assert tube_fields(slit_tube(q)) == FROZEN["tube_closed_form_scale"][repr(q)]
+    assert tube_fields(slit_tube(q)) == FROZEN["tube_closed_form_level"][repr(q)]
 
 
 @pytest.mark.parametrize("q", [0.1, 0.72, "expr"])
@@ -248,14 +269,13 @@ def test_one_pass_over_several_roots_equals_separate_walks(candidate, text):
 
 
 def slit_pair_apart(cand, z):
-    """s g0 and s g0' at z, each by its own theta formula, as the slit map
+    """g0 and g0' at z, each by its own theta formula, as the slit map
     formed them while it was one leaf whose derivative was a second leaf."""
-    q, s = cand.params.q, complex(cand.scale)
+    q = cand.params.q
     v = np.log(math.sqrt(q) * z) / 2j
     t1v, t3v = elliptic.theta1(v, q), elliptic.theta3(v, q)
     quot = (elliptic.theta1_prime(v, q) * t3v - t1v * elliptic.theta3_prime(v, q)) / (t3v * t3v)
-    return (elliptic.theta1(v, q) / elliptic.theta3(v, q)) ** 2 * s, \
-        (t1v / t3v) * quot / (1j * z) * s
+    return (elliptic.theta1(v, q) / elliptic.theta3(v, q)) ** 2, (t1v / t3v) * quot / (1j * z)
 
 
 # g' from the theta leaves' chain rule, 2 (t1/t3) (t1' t3 - t1 t3') v'/t3^2
@@ -453,15 +473,17 @@ def test_early_stop_equals_all_halvings_on_grid_arms(monkeypatch, counting, doma
 
 
 def test_witness_samples_g_once_per_step_for_both_loci(candidate, comb_calls):
-    # one scan and 9 Illinois steps, the most any of the four brackets takes
-    # (6, 6, 9 and 6), two combs a sample (theta1 and theta3): 2 * 10 = 20.
-    # With 47 halvings and a residual call it took 2 * 49 = 98, and two loci
-    # with 80 halvings each 2 * 82 * 2 = 328.  The witness evaluates g alone,
-    # so the theta' leaves never run.
+    # one scan and 8 Illinois steps, the most any of the four brackets takes
+    # (6, 6, 8 and 6), two combs a sample (theta1 and theta3): 2 * 9 = 18.
+    # The third bracket took 9 steps, and the witness 20 calls, on g0 times
+    # the quadrature scale and at the quadrature level.  With 47 halvings and
+    # a residual call it took 2 * 49 = 98, and two loci with 80 halvings each
+    # 2 * 82 * 2 = 328.  The witness evaluates g alone, so the theta' leaves
+    # never run.
     cand = candidate(0.1)
     calls = comb_calls()
     crossing_witness(cand.g, 1.0, cand.lam)
-    assert len(calls) == 20
+    assert len(calls) == 18
 
 
 # The probe's winding samples take g and g' from one pass, four combs a node
@@ -518,10 +540,11 @@ def test_crossing_witness_keeps_its_crossings(candidate, case):
         assert abs(pick - old) <= 1e-12 or np.any(near & tied & (resid < 1e-10))
 
 
-def bisection_drift(got, want):
+def level_drift(got, want):
     # ending a root at a sampled bracket end moved the 80-halving angles by
-    # at most 8.9e-16 and their residuals by 2.1e-14
-    return np.all(np.abs(np.subtract(got, want)) <= [8.9e-16, 8.9e-16, 2.1e-14, 2.1e-14])
+    # at most 8.9e-16 and their residuals by 2.1e-14; the closed-form level
+    # then moved every frozen angle by at most 2.3e-15 and residual by 2.4e-14
+    return np.all(np.abs(np.subtract(got, want)) <= [2.3e-15, 2.3e-15, 2.4e-14, 2.4e-14])
 
 
 @pytest.mark.parametrize("case", sorted(WITNESS_AND_RING["witness"]))
@@ -530,7 +553,7 @@ def test_crossing_witness_keeps_its_pointwise_comb_values(candidate, case):
     cand = candidate(q)
     w = crossing_witness(cand.g, cand.annulus.R ** u, cand.lam)
     got = [w.t1, w.t2, w.residual1, w.residual2]
-    assert bisection_drift(got, WITNESS_AND_RING["witness_pointwise_comb"][case])
+    assert level_drift(got, WITNESS_AND_RING["witness_pointwise_comb"][case])
 
 
 @pytest.mark.parametrize("case", sorted(WITNESS_AND_RING["witness"]))
@@ -539,7 +562,16 @@ def test_crossing_witness_keeps_its_closed_form_scale_values(candidate, case):
     cand = candidate(q)
     w = crossing_witness(cand.g, cand.annulus.R ** u, cand.lam)
     got = [w.t1, w.t2, w.residual1, w.residual2]
-    assert bisection_drift(got, WITNESS_AND_RING["witness_closed_form_scale"][case])
+    assert level_drift(got, WITNESS_AND_RING["witness_closed_form_scale"][case])
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_AND_RING["witness"]))
+def test_crossing_witness_keeps_its_illinois_values(candidate, case):
+    q, u = (float(part.split("=")[1]) for part in case.split())
+    cand = candidate(q)
+    w = crossing_witness(cand.g, cand.annulus.R ** u, cand.lam)
+    got = [w.t1, w.t2, w.residual1, w.residual2]
+    assert level_drift(got, WITNESS_AND_RING["witness_illinois"][case])
 
 
 @pytest.mark.parametrize("case", sorted(WITNESS_AND_RING["witness"]))
@@ -547,7 +579,8 @@ def test_crossing_witness_is_frozen(candidate, case):
     q, u = (float(part.split("=")[1]) for part in case.split())
     cand = candidate(q)
     w = crossing_witness(cand.g, cand.annulus.R ** u, cand.lam)
-    assert [w.t1, w.t2, w.residual1, w.residual2] == WITNESS_AND_RING["witness_illinois"][case]
+    got = [w.t1, w.t2, w.residual1, w.residual2]
+    assert got == WITNESS_AND_RING["witness_closed_form_level"][case]
 
 
 @pytest.mark.parametrize("q", [0.0025, 0.1, 0.33])
