@@ -18,10 +18,10 @@ own level.
 
 The univalence probe counts zeros and preimages by the argument principle
 on two circles.  It works level-major: at each trapezoid level it takes g
-and g' from one evaluation pass and sums, from that one sample, every
+and g' from one evaluation pass (a theta leaf's value and derivative from
+one comb walk-out) and sums, in two buffers reused for each target, every
 target still refining -- the zero count and the PROBE_TARGETS values of g,
-themselves sampled in one call -- where a target-major probe would run one
-adaptive integral per target.  A winding sum stops at the 1e-8 relative
+themselves sampled in one call.  A winding sum stops at the 1e-8 relative
 test or as soon as it sits on an integer at two successive levels (see
 _windings), since the trapezoid error of an analytic integrand falls
 geometrically and the exact sum is an integer multiple of 2 pi i.  A try is
@@ -419,22 +419,24 @@ def _winding_level(sample, ws, n, live):
     """Argument-principle sums of g'/(g - w) at n nodes of a circle, for the
     targets ws[i], i in live, from the sample (g', g) = sample(n)[1].
 
-    A target's sum is None when g - w vanishes at a node (or when the sample
-    itself cannot be evaluated), and when w is not finite.
+    Each target fills two buffers allocated once per level.  Its sum is None
+    when g - w vanishes at a node (sought only in a non-finite sum), when
+    the sample cannot be evaluated, or when w is not finite.
     """
     try:
         zeta, (dv, gv) = sample(n)
     except EvalDomainError:
         return [None] * len(live), [0.0] * len(live)
-    sums = []
+    sums, den, term = [], np.empty_like(gv), np.empty_like(gv)
     for i in live:
         w = ws[i]
         if not np.isfinite(w):
             sums.append(None)
             continue
         with np.errstate(all="ignore"):  # an overflow shows as a non-finite sum
-            den = gv - w
-            sums.append(None if np.any(den == 0) else (TWO_PI_I / n) * np.sum(zeta * (dv / den)))
+            np.multiply(zeta, np.divide(dv, np.subtract(gv, w, out=den), out=term), out=term)
+            total = (TWO_PI_I / n) * np.sum(term)
+        sums.append(None if not np.isfinite(total) and np.any(den == 0) else total)
     return sums, [0.0] * len(live)
 
 

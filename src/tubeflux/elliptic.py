@@ -4,10 +4,11 @@ The nome q = exp(i*pi*tau) = exp(-pi*t) doubles as the inner radius of the
 annulus q < |z| < 1 that the slit construction lives on.  The one lattice
 sum is the Gaussian comb, the modular-flipped theta series: cancellation-free
 for nearly real arguments up the whole nome range, and summed point by point,
-so a theta value does not depend, even in its last bit, on its batch.  P is
-the comb quotient e2 + beta0 (theta3/theta1)^2(pi u), beta0 = pi^2 theta2^2
-theta4^2 (Whittaker & Watson, ch. 20-21).  The theta nulls, and e1, e2, e3
-with them, come from products, which keep theta4's relative precision.
+so a theta value does not depend, even in its last bit, on its batch.  One
+walk-out of the comb serves theta and theta' alike.  P is the comb quotient
+e2 + beta0 (theta3/theta1)^2(pi u), beta0 = pi^2 theta2^2 theta4^2
+(Whittaker & Watson, ch. 20-21).  The theta nulls, and e1, e2, e3 with
+them, come from products, which keep theta4's relative precision.
 """
 
 from __future__ import annotations
@@ -111,9 +112,8 @@ def wp(u, params):
 def wp_prime(u, params):
     """Derivative of P; same conventions and guards as wp."""
     v, shaped = _cell(u, params.t, "P'")
-    s1, s3 = theta1(v, params.q), theta3(v, params.q)
-    cross = theta3_prime(v, params.q) * s1 - s3 * theta1_prime(v, params.q)
-    return shaped(2.0 * math.pi * _beta0(params) * s3 * cross / (s1 * s1 * s1))
+    (s1, d1), (s3, d3) = _gauss_comb(v, params.q, 0.5, True), _gauss_comb(v, params.q, 0.0, True)
+    return shaped(2.0 * math.pi * _beta0(params) * s3 * (d3 * s1 - s3 * d1) / (s1 * s1 * s1))
 
 
 def _theta_nulls(q):
@@ -135,7 +135,7 @@ def _theta_nulls(q):
     return t2, t3, t4
 
 
-def _gauss_comb(v, q, half_step, deriv):
+def _gauss_comb(v, q, half_step, jet):
     """Theta sum in heat-kernel form: t^(-1/2) * sum_m s(m) exp(-(v - pi*m)^2 / (pi*t)).
 
     m runs over Z (s = 1, giving theta_3) or Z + 1/2 (s(m) = sin(pi*m),
@@ -149,7 +149,8 @@ def _gauss_comb(v, q, half_step, deriv):
     to the next tooth out starts at exp((+-2d - pi)/t) and shrinks by
     exp(-2 pi/t) a step, until the Gaussians fall below 1e-18 of the largest
     (~exp(y^2/(pi t))).  Three complex exps a point, and no batch dependence.
-    The result has v's shape; a scalar v gives a Python complex.
+    ``jet`` asks for (theta, theta') from one walk-out, each bit for bit its
+    own walk-out's.  Results have v's shape; a scalar v gives a Python complex.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"nome must satisfy 0 < q < 1, got {q}")
@@ -166,34 +167,37 @@ def _gauss_comb(v, q, half_step, deriv):
         hi = lo = np.where(n0 % 2.0 == 0.0, hi, -hi)
         up, down = -up, -down
     kappa = math.exp(-2.0 * math.pi / t)
-    total = hi * d if deriv else hi
+    total, slope = hi, hi * d if jet else None
     for k in range(1, int(reach.max(initial=0.0)) + 1):
         hi, lo = hi * up, lo * down
         up, down = up * kappa, down * kappa
-        step = hi * (d - math.pi * k) + lo * (d + math.pi * k) if deriv else hi + lo
-        total = total + step if reach.min() >= k else np.where(reach >= k, total + step, total)
-    if deriv:
-        total = total * (-2.0 / (math.pi * t))
-    out = (total / math.sqrt(t)).reshape(arr.shape)
-    return out if arr.ndim else complex(out)
+        full = reach.min() >= k
+        total = total + (hi + lo) if full else np.where(reach >= k, total + (hi + lo), total)
+        if jet:
+            step = hi * (d - math.pi * k) + lo * (d + math.pi * k)
+            slope = slope + step if full else np.where(reach >= k, slope + step, slope)
+
+    def shaped(s):
+        out = (s / math.sqrt(t)).reshape(arr.shape)
+        return out if arr.ndim else complex(out)
+    return (shaped(total), shaped(slope * (-2.0 / (math.pi * t)))) if jet else shaped(total)
 
 
 def theta1(v, q):
     """Jacobi theta_1(v, q); vectorized over complex v."""
-    return _gauss_comb(v, q, 0.5, deriv=False)
+    return _gauss_comb(v, q, 0.5, jet=False)
 
 
 def theta1_prime(v, q):
     """d/dv of theta1."""
-    return _gauss_comb(v, q, 0.5, deriv=True)
+    return _gauss_comb(v, q, 0.5, jet=True)[1]
 
 
 def theta3(v, q):
     """Jacobi theta_3(v, q); vectorized over complex v."""
-    return _gauss_comb(v, q, 0.0, deriv=False)
+    return _gauss_comb(v, q, 0.0, jet=False)
 
 
 def theta3_prime(v, q):
     """d/dv of theta3."""
-    return _gauss_comb(v, q, 0.0, deriv=True)
-
+    return _gauss_comb(v, q, 0.0, jet=True)[1]

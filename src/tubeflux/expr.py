@@ -122,13 +122,15 @@ class Opaque:
     or the node of fn's derivative, which the chain rule multiplies by arg's.
     In one evaluation pass every node is evaluated once and its value held
     until the pass returns, so leaves composed with one ``arg`` node share
-    its value.  Lets series-backed functions live in the same trees as
-    parsed expressions.
+    its value.  ``jet``, if given, maps x to the pair (fn(x), deriv.fn(x)),
+    each shaped as x, for an Opaque ``deriv`` on the same ``arg`` node.
+    Lets series-backed functions live in parsed expressions' trees.
     """
     name: str
     fn: object
     deriv: object = None
     arg: object = Var()
+    jet: object = None
 
 
 # the grammar's binary operators, all left-associative, which parser, printer
@@ -153,12 +155,21 @@ def _first_bad(mask, z):
 
 
 class _Walk:
-    """One evaluation pass at the points z: each node (by identity) is
-    evaluated at its first use and its value held until the pass returns."""
+    """One evaluation pass of ``roots`` at z: each node (by identity) is
+    evaluated at its first use and held until the pass returns.  A jet leaf
+    gives both values when several roots reach its deriv (listed at need)."""
 
-    def __init__(self, z):
-        self.z = z
-        self.memo = {}
+    def __init__(self, z, roots=()):
+        self.z, self.roots, self.memo, self.reached = z, roots, {}, None
+
+    def _reaches(self, node):
+        if self.reached is None:  # one root takes no jet: its pass lists nothing
+            self.reached, new = set(), {id(r): r for r in self.roots} if len(self.roots) > 1 else {}
+            while new:  # the operands one step further, by id, each node once
+                self.reached.update(new)
+                new = {id(v): v for n in new.values() for f, v in vars(n).items()
+                       if f in ("left", "right", "base", "arg") and id(v) not in self.reached}
+        return id(node) in self.reached
 
     def __call__(self, node):
         value = self.memo.get(id(node))
@@ -205,6 +216,9 @@ class _Walk:
                 raise EvalDomainError("log evaluated too close to its branch cut", bad)
             return np.log(w)
         if isinstance(node, Opaque):
+            if node.jet is not None and node.deriv.arg is node.arg and self._reaches(node.deriv):
+                value, self.memo[id(node.deriv)] = node.jet(self(node.arg))
+                return value
             value = np.asarray(node.fn(self(node.arg)))  # shaped as z, a view where it differs
             return value if value.shape == z.shape else np.broadcast_to(value, z.shape)
         raise ExprError(f"unknown node {node!r}")
@@ -215,16 +229,17 @@ def evaluate(node, z):
 
     ``node`` may also be a list or tuple of roots: they are evaluated in order
     in one pass, and the list of their values is returned.  A node that
-    several roots (or several parents) share is evaluated once; every value
-    equals, bit for bit, that of a separate call, and an EvalDomainError
-    names the point a separate call on each root in turn would.
+    several roots (or several parents) share is evaluated once; with two or
+    more roots, an Opaque leaf whose ``deriv`` they reach gives both from its
+    ``jet``.  Every value equals, bit for bit, that of a separate call, and
+    an EvalDomainError names the point a separate call on each root would.
     """
     roots = list(node) if isinstance(node, (list, tuple)) else [node]
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
     if scalar:
         arr = arr.reshape(1)
-    walk = _Walk(arr)
+    walk = _Walk(arr, roots)
     outs = []
     with np.errstate(all="ignore"):
         for root in roots:

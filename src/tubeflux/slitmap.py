@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import elliptic
 from .contour import Annulus, HoloFn
 from .elliptic import EllipticParams, _theta_nulls, theta1, theta1_prime, theta3, theta3_prime
 from .expr import Const, Div, Opaque, Pow, Var
@@ -100,13 +101,15 @@ def slit_annulus_map(params: EllipticParams) -> SlitMapCandidate:
     """The two-slit map g0 on K_R, with its level in closed form."""
     q = params.q
     rootq = math.sqrt(q)
-    # the ring coordinate v = pi u = log(sqrt(q) z)/(2i), which both theta
-    # leaves and their derivatives take, so one pass forms it once
+    # the ring coordinate v = pi u = log(sqrt(q) z)/(2i), formed once a pass;
+    # a pass that needs theta and theta' takes both from one comb walk-out
     v = Opaque("v", lambda z: np.log(rootq * z) / 2j, Div(Const(-0.5j), Var()))
     t1 = Opaque(f"theta1[q={q:g}]", lambda w: theta1(w, q),
-                Opaque(f"theta1'[q={q:g}]", lambda w: theta1_prime(w, q), arg=v), v)
+                Opaque(f"theta1'[q={q:g}]", lambda w: theta1_prime(w, q), arg=v), v,
+                lambda w: elliptic._gauss_comb(w, q, 0.5, jet=True))
     t3 = Opaque(f"theta3[q={q:g}]", lambda w: theta3(w, q),
-                Opaque(f"theta3'[q={q:g}]", lambda w: theta3_prime(w, q), arg=v), v)
+                Opaque(f"theta3'[q={q:g}]", lambda w: theta3_prime(w, q), arg=v), v,
+                lambda w: elliptic._gauss_comb(w, q, 0.0, jet=True))
     g0 = HoloFn(Pow(Div(t1, t3), 2), Annulus(params.ring_radius))
     return SlitMapCandidate(params=params, g=g0, lam=_level(params))
 

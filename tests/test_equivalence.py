@@ -66,6 +66,12 @@ The offset family's scan takes the zeros of every (a, kappa) pair from one
 batched eigenvalue call; its message and diagnostics must equal, value and
 type, those of the per-pair np.roots loop kept below.  The rim reality check
 samples both rims in one call and must equal one call per rim bit for bit.
+
+One walk-out of the theta comb gives theta and theta' together (the jet).
+Each must equal, bit for bit and in type, the walk-out of its own that the
+comb made before, kept below as separate_comb; goldens/wp_prime.json holds
+P' as that comb gave it.  A pass of g' and g takes one jet per theta and
+must equal separate passes of each.
 """
 
 import json
@@ -82,7 +88,7 @@ from tubeflux import (
     univalence_probe,
 )
 from tubeflux import elliptic, modulus
-from tubeflux.contour import _path_integrals, path_integral
+from tubeflux.contour import PROBE_MARGIN, _path_integrals, path_integral
 from tubeflux.expr import EvalDomainError, _Walk, evaluate
 from tubeflux.modulus import _SLACK, _TIE_EPS, _assemble, _bisect, _crossings, _illinois
 from tubeflux.slitmap import RIM_SAMPLES
@@ -92,6 +98,7 @@ GOLDENS = Path(__file__).parent / "goldens"
 FROZEN = json.loads((GOLDENS / "probe_and_tube.json").read_text())
 WITNESS_AND_RING = json.loads((GOLDENS / "witness_and_ring.json").read_text())
 GRID_NETWORK = json.loads((GOLDENS / "grid_network.json").read_text())
+WP_PRIME = json.loads((GOLDENS / "wp_prime.json").read_text())
 
 
 def probe_fields(report):
@@ -296,6 +303,101 @@ def test_slit_joint_pass_equals_value_and_derivative_apart(candidate, q):
     assert np.max(np.abs(dv - want_dg) / np.abs(want_dg)) <= SLIT_DERIVATIVE_RTOL
 
 
+def comb_reach(v, q):
+    """How many teeth the comb walks out from each point of v."""
+    t = -math.log(q) / math.pi
+    return np.ceil(np.sqrt(math.pi * t * 42.0 + np.imag(v) ** 2) / math.pi + 0.5)
+
+
+def separate_comb(v, q, half_step, deriv):
+    """The theta comb before one walk-out served theta and theta': a call
+    accumulates the value or, with ``deriv``, the derivative."""
+    t = -math.log(q) / math.pi
+    arr = np.asarray(v, dtype=complex)
+    n0 = np.rint(arr.real.reshape(-1) / math.pi - half_step)
+    d = arr.reshape(-1) - math.pi * (n0 + half_step)
+    reach = comb_reach(d, q)
+    hi = lo = np.exp(-d * d / (math.pi * t))
+    up, down = np.exp((2.0 * d - math.pi) / t), np.exp((-2.0 * d - math.pi) / t)
+    if half_step:
+        hi = lo = np.where(n0 % 2.0 == 0.0, hi, -hi)
+        up, down = -up, -down
+    kappa = math.exp(-2.0 * math.pi / t)
+    total = hi * d if deriv else hi
+    for k in range(1, int(reach.max(initial=0.0)) + 1):
+        hi, lo = hi * up, lo * down
+        up, down = up * kappa, down * kappa
+        step = hi * (d - math.pi * k) + lo * (d + math.pi * k) if deriv else hi + lo
+        total = total + step if reach.min() >= k else np.where(reach >= k, total + step, total)
+    if deriv:
+        total = total * (-2.0 / (math.pi * t))
+    out = (total / math.sqrt(t)).reshape(arr.shape)
+    return out if arr.ndim else complex(out)
+
+
+JET_NOMES = (0.0025, 0.1, 0.33, 0.72, 0.9, 0.95)
+
+
+def jet_inputs(q):
+    """Ring coordinates v: the probe's outer circle, points whose Im v (and
+    so the comb's reach) varies, and a 0-d array."""
+    zeta = (q ** -0.5) ** (1.0 - PROBE_MARGIN) * np.exp(2j * math.pi * np.arange(1024) / 1024)
+    spread = np.linspace(-3.0, 3.0, 257) + 1j * np.linspace(-1.0, 1.0, 257) * (
+        1.5 * math.pi - 2.0 * math.log(q))
+    return {"circle": np.log(math.sqrt(q) * zeta) / 2j, "spread": spread,
+            "0-d": np.asarray(spread[40])}
+
+
+@pytest.mark.parametrize("q", JET_NOMES)
+@pytest.mark.parametrize("k", [1, 3])
+def test_one_walk_out_gives_theta_and_theta_prime_bit_for_bit(q, k):
+    half_step = 0.5 if k == 1 else 0.0
+    theta, theta_prime = {1: (elliptic.theta1, elliptic.theta1_prime),
+                          3: (elliptic.theta3, elliptic.theta3_prime)}[k]
+    inputs = jet_inputs(q)
+    reach = comb_reach(inputs["spread"], q)
+    assert reach.min() < reach.max()  # the spread runs the comb's np.where branch
+    for name, v in inputs.items():
+        value, slope = elliptic._gauss_comb(v, q, half_step, jet=True)
+        want_value, want_slope = (separate_comb(v, q, half_step, deriv) for deriv in (False, True))
+        for got in (value, theta(v, q)):
+            assert type(got) is type(want_value) and same_bits(got, want_value), name
+        for got in (slope, theta_prime(v, q)):
+            assert type(got) is type(want_slope) and same_bits(got, want_slope), name
+    assert type(value) is complex  # the last input is 0-d
+
+
+@pytest.mark.parametrize("q", JET_NOMES)
+def test_pass_of_g_prime_and_g_takes_one_jet_a_theta(candidate, comb_calls, q):
+    # one jet walk-out for theta1 and one for theta3, where g' alone takes
+    # four combs (one root takes no jet) and g two
+    g = candidate(q).g
+    gprime = g.derivative()
+    z = ring_points(g.annulus.R)
+    calls = comb_calls()
+    dv, gv = evaluate([gprime.node, g.node], z)
+    assert len(calls) == 2
+    assert same_bits(dv, evaluate(gprime.node, z)) and same_bits(gv, evaluate(g.node, z))
+    assert len(calls) == 2 + 4 + 2
+    assert same_bits(dv, plain_evaluate(gprime.node, z))
+
+
+# the cell points of goldens/wp_prime.json, as (Re u, Im u / t)
+WP_CELL = [(0.13, 0.21), (0.37, -0.08), (-0.22, 0.4), (0.31, 0.0), (0.02, 0.49), (-0.45, -0.3)]
+
+
+@pytest.mark.parametrize("q", JET_NOMES)
+def test_wp_prime_keeps_its_separate_comb_values(q):
+    p = EllipticParams(q)
+    u = np.array([a + 1j * b * p.t for a, b in WP_CELL])
+    got = elliptic.wp_prime(u, p)
+    want = WP_PRIME["separate_comb"][f"q={q}"]
+    assert [[w.real.hex(), w.imag.hex()] for w in got.tolist()] == [
+        [x.hex() for x in pair] for pair in want]
+    one = elliptic.wp_prime(complex(u[0]), p)
+    assert type(one) is complex and one == got[0]
+
+
 def first_error(fn):
     with pytest.raises(EvalDomainError) as info:
         fn()
@@ -486,13 +588,15 @@ def test_witness_samples_g_once_per_step_for_both_loci(candidate, comb_calls):
     assert len(calls) == 18
 
 
-# The probe's winding samples take g and g' from one pass, four combs a node
-# (theta1, theta3 and their derivatives) where g and the old g' took two and
-# four; its 32 targets take one call of two combs, where they took 32 calls.
-# With the integer stop, q = 0.1 winds at 1024 and 2048 nodes on each circle
-# (2 * 2048 * 4 + 64 points), and q = 0.9 up to 16,384 where it went to the
-# 65,536 cap (2 * 16384 * 4 + 64): the counts were 24,640 and 786,496.
-@pytest.mark.parametrize("q, points", [(0.1, 16448), (0.9, 131136)])
+# The probe's winding samples take g and g' from one pass, two combs a node:
+# theta1 and theta3 each give value and derivative from one jet walk-out,
+# where the theta and theta' leaves took four combs a node (and g and the old
+# g', sampled apart, six).  Its 32 targets take one call of two combs, where
+# they took 32 calls.  With the integer stop, q = 0.1 winds at 1024 and 2048
+# nodes on each circle (2 * 2048 * 2 + 64 points), and q = 0.9 up to 16,384
+# where it went to the 65,536 cap (2 * 16384 * 2 + 64).  The counts were
+# 16,448 and 131,136 at four combs a node, and 24,640 and 786,496 before that.
+@pytest.mark.parametrize("q, points", [(0.1, 8256), (0.9, 65600)])
 def test_probe_comb_points(candidate, comb_calls, q, points):
     g = candidate(q).g
     calls = comb_calls()
