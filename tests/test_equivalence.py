@@ -76,6 +76,7 @@ must equal separate passes of each.
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +90,7 @@ from tubeflux import (
 )
 from tubeflux import elliptic, modulus
 from tubeflux.contour import PROBE_MARGIN, _path_integrals, path_integral
-from tubeflux.expr import EvalDomainError, _Walk, evaluate
+from tubeflux.expr import Div, EvalDomainError, Pow, _Walk, evaluate
 from tubeflux.modulus import _SLACK, _TIE_EPS, _assemble, _bisect, _crossings, _illinois
 from tubeflux.slitmap import RIM_SAMPLES
 from tubeflux.tubes import _fit_points
@@ -588,20 +589,38 @@ def test_witness_samples_g_once_per_step_for_both_loci(candidate, comb_calls):
     assert len(calls) == 18
 
 
-# The probe's winding samples take g and g' from one pass, two combs a node:
-# theta1 and theta3 each give value and derivative from one jet walk-out,
-# where the theta and theta' leaves took four combs a node (and g and the old
-# g', sampled apart, six).  Its 32 targets take one call of two combs, where
-# they took 32 calls.  With the integer stop, q = 0.1 winds at 1024 and 2048
-# nodes on each circle (2 * 2048 * 2 + 64 points), and q = 0.9 up to 16,384
-# where it went to the 65,536 cap (2 * 16384 * 2 + 64).  The counts were
-# 16,448 and 131,136 at four combs a node, and 24,640 and 786,496 before that.
-@pytest.mark.parametrize("q, points", [(0.1, 8256), (0.9, 65600)])
+def without_jets(g):
+    """The slit map g with theta leaves that carry no jet: a pass takes theta
+    and theta' from a walk-out each, as before one walk-out gave both."""
+    t1, t3 = g.node.base.left, g.node.base.right
+    return HoloFn(Pow(Div(replace(t1, jet=None), replace(t3, jet=None)), 2), g.annulus)
+
+
+# The probe's 32 targets take one call of two combs, where they took 32
+# calls.  With the integer stop, q = 0.1 winds at 1024 and 2048 nodes on each
+# circle, and q = 0.9 up to 16,384 where it went to the 65,536 cap.  Its
+# winding samples take g and g' from one pass: without jets that is four
+# combs a node (theta1, theta1', theta3 and theta3'), 2 * 2048 * 4 + 64 and
+# 2 * 16384 * 4 + 64 points (24,640 and 786,496 when g and g' were sampled
+# apart, six combs a node).
+@pytest.mark.parametrize("q, points", [(0.1, 16448), (0.9, 131136)])
 def test_probe_comb_points(candidate, comb_calls, q, points):
-    g = candidate(q).g
+    g = without_jets(candidate(q).g)
     calls = comb_calls()
     univalence_probe(g)
     assert sum(calls) == points
+
+
+# With jets theta1 and theta3 each give value and derivative from one
+# walk-out: two combs a node, 2 * 2048 * 2 + 64 and 2 * 16384 * 2 + 64
+# points, at the same levels and with the same report as without.
+@pytest.mark.parametrize("q, points", [(0.1, 8256), (0.9, 65600)])
+def test_probe_jet_comb_points(candidate, comb_calls, q, points):
+    g = candidate(q).g
+    calls = comb_calls()
+    report = univalence_probe(g)
+    assert sum(calls) == points
+    assert probe_fields(report) == probe_fields(univalence_probe(without_jets(g)))
 
 
 def test_tube_samples_g_once_per_node(candidate, comb_calls):
