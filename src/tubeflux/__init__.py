@@ -18,9 +18,9 @@ from .modulus import CrossingWitness, ModulusEstimate, RingDomain, \
     circle_family_module, comparison_ring_module, \
     crossing_witness, grid_module_estimate, joining_family_module, \
     max_log_radius, mobius_to_annulus
-from .slitmap import FamilyBalanceError, SlitMapCandidate, SweepResult, \
-    SweepRow, boundary_reality, calibrate_candidate, conjecture_sweep, \
-    joukowski_family, joukowski_map, slit_annulus_map
+from .slitmap import FamilyBalanceError, SlitMapCandidate, SweepRow, \
+    boundary_reality, calibrate_candidate, conjecture_sweep, \
+    joukowski_family, joukowski_map
 from .tubes import MinimalTube, NotATubeError, WeierstrassData, \
     defect_from_means, enneper_F, immerse, period_defect, section_polyline, \
     tube_from_gauss
@@ -40,9 +40,9 @@ __all__ = [
     "crossing_witness", "grid_module_estimate", "joining_family_module",
     "max_log_radius", "mobius_to_annulus",
     "FamilyBalanceError", "SlitMapCandidate",
-    "SweepResult", "SweepRow", "boundary_reality",
+    "SweepRow", "boundary_reality",
     "calibrate_candidate", "conjecture_sweep", "joukowski_family",
-    "joukowski_map", "slit_annulus_map",
+    "joukowski_map",
     "MinimalTube", "NotATubeError", "WeierstrassData",
     "defect_from_means", "enneper_F", "immerse", "period_defect",
     "section_polyline", "tube_from_gauss",

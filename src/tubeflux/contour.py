@@ -31,7 +31,7 @@ noted once, however many targets it leaves unsettled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -404,9 +404,9 @@ class ProbeReport:
 
     univalent: str
     zero_count: int | None
-    witness: tuple | None = None
-    n_targets: int = 0
-    notes: list = field(default_factory=list)
+    witness: tuple | None
+    n_targets: int
+    notes: list
 
     @property
     def omits_zero(self):  # the zero count's verdict

@@ -39,8 +39,7 @@ from .modulus import max_log_radius
 
 __all__ = [
     "SlitMapCandidate", "FamilyBalanceError",
-    "SweepRow", "SweepResult",
-    "slit_annulus_map", "calibrate_candidate", "boundary_reality",
+    "SweepRow", "calibrate_candidate", "boundary_reality",
     "conjecture_sweep", "joukowski_map", "joukowski_family",
 ]
 
@@ -97,23 +96,6 @@ def _level(params: EllipticParams) -> float:
     return (2.0 * t / math.pi - big_n / 3.0) / (t2 * t4) ** 2
 
 
-def slit_annulus_map(params: EllipticParams) -> SlitMapCandidate:
-    """The two-slit map g0 on K_R, with its level in closed form."""
-    q = params.q
-    rootq = math.sqrt(q)
-    # the ring coordinate v = pi u = log(sqrt(q) z)/(2i), formed once a pass;
-    # a pass that needs theta and theta' takes both from one comb walk-out
-    v = Opaque("v", lambda z: np.log(rootq * z) / 2j, Div(Const(-0.5j), Var()))
-    t1 = Opaque(f"theta1[q={q:g}]", lambda w: theta1(w, q),
-                Opaque(f"theta1'[q={q:g}]", lambda w: theta1_prime(w, q), arg=v), v,
-                lambda w: elliptic._gauss_comb(w, q, 0.5, jet=True))
-    t3 = Opaque(f"theta3[q={q:g}]", lambda w: theta3(w, q),
-                Opaque(f"theta3'[q={q:g}]", lambda w: theta3_prime(w, q), arg=v), v,
-                lambda w: elliptic._gauss_comb(w, q, 0.0, jet=True))
-    g0 = HoloFn(Pow(Div(t1, t3), 2), Annulus(params.ring_radius))
-    return SlitMapCandidate(params=params, g=g0, lam=_level(params))
-
-
 RIM_SAMPLES = 256
 
 
@@ -138,7 +120,20 @@ def calibrate_candidate(q) -> SlitMapCandidate:
     a0[1/g] = -lambda by the half-period identity, with lambda in closed
     form.  No integral is taken; a tube built on g measures its balance
     through its period defect."""
-    return slit_annulus_map(EllipticParams(float(q)))
+    params = EllipticParams(float(q))
+    q = params.q
+    rootq = math.sqrt(q)
+    # the ring coordinate v = pi u = log(sqrt(q) z)/(2i), formed once a pass;
+    # a pass that needs theta and theta' takes both from one comb walk-out
+    v = Opaque("v", lambda z: np.log(rootq * z) / 2j, Div(Const(-0.5j), Var()))
+    t1 = Opaque(f"theta1[q={q:g}]", lambda w: theta1(w, q),
+                Opaque(f"theta1'[q={q:g}]", lambda w: theta1_prime(w, q), arg=v), v,
+                lambda w: elliptic._gauss_comb(w, q, 0.5, jet=True))
+    t3 = Opaque(f"theta3[q={q:g}]", lambda w: theta3(w, q),
+                Opaque(f"theta3'[q={q:g}]", lambda w: theta3_prime(w, q), arg=v), v,
+                lambda w: elliptic._gauss_comb(w, q, 0.0, jet=True))
+    g0 = HoloFn(Pow(Div(t1, t3), 2), Annulus(params.ring_radius))
+    return SlitMapCandidate(params=params, g=g0, lam=_level(params))
 
 
 # --- sweep -------------------------------------------------------------------
@@ -153,19 +148,12 @@ class SweepRow:
     ratio: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple
-    failures: tuple  # (q, reason) pairs, input order
-
-
-def conjecture_sweep(q_grid) -> SweepResult:
+def conjecture_sweep(q_grid) -> tuple:
     """Calibrate a candidate per q and compare ln R with ln R0(lambda).
 
-    Rows keep the input order (they are independent; any parallel execution
-    must still emit them in this order).  Each row rests on the closed-form
-    level alone: no circle mean is measured.  Per-row failures are
-    collected, not raised.
+    One SweepRow per q, in input order (rows are independent; any parallel
+    execution must still emit them in this order).  Each row rests on the
+    closed-form level alone: no circle mean is measured.
     """
     qs = [float(q) for q in q_grid]
     if not qs:
@@ -173,19 +161,15 @@ def conjecture_sweep(q_grid) -> SweepResult:
     for q in qs:
         if not 0.02 < q < 0.95:
             raise ValueError(f"q={q} outside the supported range (0.02, 0.95)")
-    rows, failures = [], []
+    rows = []
     for q in qs:
-        try:
-            cand = calibrate_candidate(q)
-        except (ValueError, ArithmeticError) as exc:
-            failures.append((q, f"{type(exc).__name__}: {exc}"))
-            continue
+        cand = calibrate_candidate(q)
         R = cand.params.ring_radius
         lnR = math.log(R)
         lnR0 = max_log_radius(cand.lam)
         rows.append(SweepRow(q=q, R=R, lam=cand.lam, lnR=lnR, lnR0=lnR0,
                              ratio=lnR / lnR0))
-    return SweepResult(rows=tuple(rows), failures=tuple(failures))
+    return tuple(rows)
 
 
 # --- the z + kappa/z test family --------------------------------------------

@@ -1,9 +1,12 @@
 """Every exported name resolves, so a deletion cannot leave an export behind,
-and no exported callable grows a boolean option."""
+README states the export count, and no exported callable grows a boolean
+option."""
 
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,12 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(tubeflux.__path__))
 
 def test_package_exports_resolve():
     assert [n for n in tubeflux.__all__ if not hasattr(tubeflux, n)] == []
+
+
+def test_readme_states_the_export_count():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    stated = re.findall(r"The package exports (\d+) names", readme)
+    assert stated == [str(len(tubeflux.__all__))]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -18,8 +18,7 @@ from pathlib import Path
 import pytest
 
 import tubeflux
-from tubeflux import cli
-from tubeflux.slitmap import SweepResult
+from tubeflux import cli, slitmap
 
 CLI = [sys.executable, "-m", "tubeflux.cli"]
 # the child interpreters import the same tubeflux as this one
@@ -362,29 +361,16 @@ class TestSweepBound:
         assert not out.exists()
 
 
-def test_sidecar_rows_carry_the_sweep_column(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "conjecture_sweep", lambda grid: SweepResult(rows=(), failures=(
-        (float(grid[0]), "ValueError: row refused"),)))
-    out = tmp_path / "t.csv"
-    assert cli.main(["sweep", "conjecture", "--q-min", "0.25", "--q-max", "0.25",
-                     "--steps", "1", "--out", str(out)]) == 0
-    log = Path(str(out) + ".errors.log").read_text()
-    assert log == "q=0.25: ValueError: row refused\n"
-    assert "1 row(s) failed" in capsys.readouterr().err
+def test_failing_row_propagates_and_writes_no_table(tmp_path, monkeypatch):
+    def refusing(q):
+        raise ArithmeticError(f"refused at q={q}")
 
-
-def test_unwritable_sidecar_is_one_line(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "conjecture_sweep", lambda grid: SweepResult(rows=(), failures=(
-        (float(grid[0]), "ValueError: row refused"),)))
+    monkeypatch.setattr(slitmap, "calibrate_candidate", refusing)
     out = tmp_path / "t.csv"
-    sidecar = tmp_path / "t.csv.errors.log"
-    sidecar.mkdir()  # a directory cannot be replaced by the log
-    assert cli.main(["sweep", "conjecture", "--q-min", "0.25", "--q-max", "0.25",
-                     "--steps", "1", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"tubeflux: cannot write {sidecar}: ")
-    assert err.count("\n") == 1
-    assert out.read_text() == "q,R,lambda,lnR,lnR0,ratio\n"
+    with pytest.raises(ArithmeticError, match="refused at q=0.25"):
+        cli.main(["sweep", "conjecture", "--q-min", "0.25", "--q-max", "0.25",
+                  "--steps", "1", "--out", str(out)])
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestSweepConjecture:
@@ -400,7 +386,7 @@ class TestSweepConjecture:
             q, R, lam, lnR, lnR0, ratio = map(float, line.split(","))
             assert 0.0 < ratio < 1.0
             assert R == pytest.approx(q**-0.5, rel=1e-11)
-        assert not (tmp_path / "sweep.csv.errors.log").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
     def test_sweep_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -504,7 +490,8 @@ class TestModulus:
         dom.write_text(json.dumps({"kind": "box_conductor", "width": 1.0, "height": 1.0}))
         proc = run("modulus", "--domain", dom, "--h", -0.1)
         assert proc.returncode == 1
-        assert "--h must be positive" in proc.stderr
+        assert proc.stderr == ("tubeflux: estimate failed: grid spacing must be "
+                               "positive and finite, got h=-0.1\n")
         proc = run("modulus", "--domain", dom, "--h", "inf")
         assert proc.returncode == 1
         assert proc.stderr == ("tubeflux: estimate failed: grid spacing must be "

@@ -422,7 +422,8 @@ class TestUnivalenceProbe:
     @pytest.mark.parametrize("count, omits", [
         (None, "inconclusive"), (0, "passed"), (-1, "violated"), (1, "violated")])
     def test_omits_zero_follows_the_zero_count(self, count, omits):
-        assert contour.ProbeReport("passed", zero_count=count).omits_zero == omits
+        assert contour.ProbeReport("passed", zero_count=count, witness=None,
+                                   n_targets=0, notes=[]).omits_zero == omits
 
     @pytest.mark.parametrize("case", ["z + 0.2/z", "exp(z/3) + 0.1/z", "log(z + 3)*z",
                                       0.0025, 0.1, 0.72, 0.95])

@@ -84,8 +84,8 @@ import pytest
 
 from tubeflux import (
     Annulus, EllipticParams, FamilyBalanceError, HoloFn, MinimalTube, RingDomain,
-    WeierstrassData, boundary_reality, circle_integral, crossing_witness,
-    grid_module_estimate, joukowski_family, slit_annulus_map, tube_from_gauss,
+    WeierstrassData, boundary_reality, calibrate_candidate, circle_integral,
+    crossing_witness, grid_module_estimate, joukowski_family, tube_from_gauss,
     univalence_probe,
 )
 from tubeflux import elliptic, modulus
@@ -822,7 +822,7 @@ def test_family_scan_equals_the_per_pair_roots_loop(monkeypatch, lam, R):
 
 @pytest.mark.parametrize("q", [0.0025, 0.1, 0.33, 0.72, 0.9, 0.95])
 def test_rims_in_one_call_equal_one_call_per_rim(q):
-    cand = slit_annulus_map(EllipticParams(q))
+    cand = calibrate_candidate(q)
     R = cand.params.ring_radius
     t = 2.0 * math.pi * (np.arange(RIM_SAMPLES) + 0.5) / RIM_SAMPLES
     worst_abs = worst_rel = 0.0

@@ -12,6 +12,7 @@ from tubeflux.expr import (
     ExprSyntaxError,
     Mul,
     Opaque,
+    Pow,
     Var,
     differentiate,
     evaluate,
@@ -157,8 +158,9 @@ class TestDifferentiate:
         assert abs(evaluate(d, z) - 2 * z * np.exp(z * z)) < 1e-13
 
     def test_constant_derivative_folds_to_zero(self):
-        d = differentiate(parse("3 + i"))
-        assert isinstance(d, Const) and d.value == 0
+        for text in ("3 + i", "z^0"):
+            d = differentiate(parse(text))
+            assert isinstance(d, Const) and d.value == 0, text
 
     def test_opaque_without_derivative_raises(self):
         node = Opaque("blob", lambda z: z, None)
@@ -196,6 +198,23 @@ class TestRoundTrip:
     def test_var_and_const_render(self):
         assert to_string(Var()) == "z"
         assert parse(to_string(Const(1.5 + 2j))) is not None
+
+    # the printer's -i and k*i forms, and a constant base under a power
+    CONSTANT_FORMS = {
+        "-i*z": Mul(Const(-1j), Var()),
+        "2.5*i*z": Mul(Const(2.5j), Var()),
+        "-2.5*i*z": Mul(Const(-2.5j), Var()),
+        "2.0^3": Pow(Const(2), 3),
+        "(-2.0)^3": Pow(Const(-2), 3),
+        "(2.0*i)^2": Pow(Const(2j), 2),
+    }
+
+    @pytest.mark.parametrize("text", list(CONSTANT_FORMS))
+    def test_imaginary_and_power_constants_reparse(self, text):
+        node = self.CONSTANT_FORMS[text]
+        assert to_string(node) == text
+        pts = np.array([0.7 + 0.3j, -1.2 + 0.5j, 2.0 - 1.0j])
+        assert np.array_equal(evaluate(parse(text), pts), evaluate(node, pts))
 
 
 class TestSeveralRoots:

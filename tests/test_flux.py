@@ -175,7 +175,8 @@ class TestReport:
         assert report.margin is None
 
     def test_precomputed_probe_is_respected(self, catenoid, monkeypatch):
-        probe = ProbeReport(univalent="inconclusive", zero_count=0)
+        probe = ProbeReport(univalent="inconclusive", zero_count=0, witness=None,
+                            n_targets=0, notes=[])
         # a fresh datum runs its own probe, which answers with this report
         monkeypatch.setattr(tubes, "univalence_probe", lambda g: probe)
         report = lifetime_report(MinimalTube(dataclasses.replace(catenoid.data)))
@@ -190,7 +191,8 @@ class TestReport:
         assert [f.name for f in dataclasses.fields(LifetimeReport)] == [
             "lifetime", "bound", "probe"]
         report = LifetimeReport(Lifetime(measured=1.5, from_flux=1.5), 2.0,
-                                ProbeReport(univalent, zero_count=0))
+                                ProbeReport(univalent, zero_count=0, witness=None,
+                                            n_targets=0, notes=[]))
         assert (report.hypothesis, report.satisfied, report.margin) == \
             (hypothesis, satisfied, margin)
 

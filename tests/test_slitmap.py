@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from tubeflux import (
-    EllipticParams,
     FamilyBalanceError,
     a0,
     a0_pair,
@@ -19,10 +18,10 @@ from tubeflux import (
     joukowski_map,
     lifetime_report,
     max_log_radius,
-    slit_annulus_map,
     univalence_probe,
 )
 from tubeflux import slitmap
+from tubeflux.expr import Div, Pow
 
 # calibrated slit levels, frozen from a converged run; the huge values at
 # large q are genuine (the slits run away from each other exponentially)
@@ -88,13 +87,13 @@ def _rel(got, want):
 class TestRawMap:
     def test_slit_endpoints_are_reciprocal_mirrors(self):
         for q in (0.1, 0.3, 0.6):
-            cand = slit_annulus_map(EllipticParams(q))
+            cand = calibrate_candidate(q)
             assert cand.slit_neg < 0.0 < cand.slit_pos
             assert abs(cand.slit_neg * cand.slit_pos + 1.0) < 1e-13
 
     def test_endpoints_match_branch_value_gaps(self):
-        p = EllipticParams(0.3)
-        cand = slit_annulus_map(p)
+        cand = calibrate_candidate(0.3)
+        p = cand.params
         want = (p.e2 - p.e3) / (p.e1 - p.e2)
         assert abs(cand.slit_pos**2 - want) <= 1e-11 * want
 
@@ -104,7 +103,7 @@ class TestRawMap:
         # conformally equivalent, so they share the module ln R / pi; the slit
         # ring's is AGM(1, k')/(2 AGM(1, k)) with P = -slit_neg/slit_pos,
         # k = 1/sqrt(1 + P) and k' = sqrt(P/(1 + P)) (Ahlfors, ch. 4)
-        cand = slit_annulus_map(EllipticParams(q))
+        cand = calibrate_candidate(q)
         P = -cand.slit_neg / cand.slit_pos
         k, kp = 1.0 / math.sqrt(1.0 + P), math.sqrt(P / (1.0 + P))
         want = math.log(cand.params.ring_radius) / math.pi
@@ -114,8 +113,8 @@ class TestRawMap:
         # g0 * (P(u) - e2) should be the constant pi^2 * theta2^2 * theta4^2;
         # the package's wp is this quotient inverted, so P comes from mpmath
         for q in (0.1, 0.3):
-            p = EllipticParams(q)
-            cand = slit_annulus_map(p)
+            cand = calibrate_candidate(q)
+            p = cand.params
             t2, _, t4 = p.theta0
             beta = math.pi**2 * t2**2 * t4**2
             rng = np.random.default_rng(int(q * 100) + 2)
@@ -129,7 +128,7 @@ class TestRawMap:
     def test_inversion_symmetry(self):
         # swapping the rims flips the map into its negative reciprocal
         for q in (0.1, 0.5, 0.9):
-            cand = slit_annulus_map(EllipticParams(q))
+            cand = calibrate_candidate(q)
             rng = np.random.default_rng(int(q * 10) + 5)
             R = cand.annulus.R
             for _ in range(5):
@@ -138,7 +137,7 @@ class TestRawMap:
                 assert abs(prod + 1.0) < 1e-12, (q, z)
 
     def test_derivative_against_finite_differences(self):
-        cand = slit_annulus_map(EllipticParams(0.3))
+        cand = calibrate_candidate(0.3)
         dg = cand.g.derivative()
         h = 1e-6
         for z in (1.1 + 0.2j, 0.8j, -1.3 + 0.4j):
@@ -147,14 +146,14 @@ class TestRawMap:
 
     @pytest.mark.parametrize("q", (0.1, 0.5, 0.9))
     def test_rim_images_are_real(self, q):
-        cand = slit_annulus_map(EllipticParams(q))
+        cand = calibrate_candidate(q)
         reality = boundary_reality(cand)
         assert reality["rel"] < 1e-12
         if q == 0.1:
             assert reality["abs"] < 1e-9
 
     def test_rim_images_land_on_the_slits(self):
-        cand = slit_annulus_map(EllipticParams(0.2))
+        cand = calibrate_candidate(0.2)
         R = cand.annulus.R
         ts = np.linspace(0.0, 2 * math.pi, 64, endpoint=False) + 1e-3
         outer = cand.g(R * 0.9999999 * np.exp(1j * ts)).real
@@ -169,11 +168,13 @@ ORACLE_NOMES = (0.0025, 0.01, 0.1, 0.33, 0.5, 0.72, 0.82, 0.86, 0.9, 0.95)
 
 class TestCalibration:
     def test_scale_is_already_balanced(self, candidate):
-        # the calibrated map is g0 itself, with no scale node
-        cand, raw = candidate(0.3), slit_annulus_map(EllipticParams(0.3))
-        z = 1.2 * np.exp(1j * np.linspace(0.0, 6.0, 7))
-        assert cand.g(z).tobytes() == raw.g(z).tobytes()
-        assert cand.lam == raw.lam > 0.0
+        # the calibrated map is g0 = (theta1/theta3)^2 itself, with no scale node
+        cand = candidate(0.3)
+        node = cand.g.node
+        assert isinstance(node, Pow) and node.exponent == 2
+        assert isinstance(node.base, Div)
+        assert (node.base.left.name, node.base.right.name) == ("theta1[q=0.3]", "theta3[q=0.3]")
+        assert cand.lam > 0.0
 
     def test_balance_conditions_hold(self, candidate):
         # the circle means of g0 and 1/g0 against the closed-form level;
@@ -238,10 +239,10 @@ class TestOracle:
 
 class TestSweep:
     def test_ratio_stays_below_one(self):
-        result = conjecture_sweep([0.1, 0.2, 0.3])
-        assert result.failures == ()
-        assert [row.q for row in result.rows] == [0.1, 0.2, 0.3]
-        for row in result.rows:
+        rows = conjecture_sweep([0.1, 0.2, 0.3])
+        assert isinstance(rows, tuple)
+        assert [row.q for row in rows] == [0.1, 0.2, 0.3]
+        for row in rows:
             assert row.ratio < 1.0
             assert row.R == pytest.approx(row.q**-0.5, rel=1e-14)
             assert row.lnR == pytest.approx(math.log(row.R), rel=1e-13)
@@ -253,9 +254,7 @@ class TestSweep:
         # q' = e^{-pi/t}: the ratio is 1/4 + t ln(t/pi)/(2 pi) + O(q'), below
         # 1/4 for every t < pi (max 0.2358 here; 0.875 of the bound at worst)
         qs = np.linspace(0.02, 0.95, 402)[1:-1]
-        result = conjecture_sweep(qs)
-        assert result.failures == ()
-        ratios = np.array([row.ratio for row in result.rows])
+        ratios = np.array([row.ratio for row in conjecture_sweep(qs)])
         assert np.all(np.diff(ratios) > 0.0) and ratios.max() < 0.25
         t = -np.log(qs) / math.pi
         law = 0.25 + t * np.log(t / math.pi) / (2.0 * math.pi)
@@ -264,20 +263,22 @@ class TestSweep:
     def test_sweep_is_deterministic(self):
         a = conjecture_sweep([0.15, 0.45])
         b = conjecture_sweep([0.15, 0.45])
-        assert a.rows == b.rows
+        assert a == b
 
-    def test_failed_row_is_collected_in_order(self, monkeypatch):
+    def test_failed_row_is_raised(self, monkeypatch):
         original = slitmap.calibrate_candidate
+        calls = []
 
         def refusing(q):
+            calls.append(q)
             if q == 0.2:
                 raise ArithmeticError("refused at q=0.2")
             return original(q)
 
         monkeypatch.setattr(slitmap, "calibrate_candidate", refusing)
-        result = conjecture_sweep([0.3, 0.2, 0.1])
-        assert [row.q for row in result.rows] == [0.3, 0.1]
-        assert result.failures == ((0.2, "ArithmeticError: refused at q=0.2"),)
+        with pytest.raises(ArithmeticError, match="refused at q=0.2"):
+            conjecture_sweep([0.3, 0.2, 0.1])
+        assert calls == [0.3, 0.2]  # the sweep stops at the row that raised
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="empty"):
@@ -306,6 +307,12 @@ class TestJoukowskiFamily:
         assert diag["residual_floor"] == pytest.approx(1.0, abs=1e-9)
         assert diag["theoretical_floor"] == pytest.approx(1.0)
         assert diag["n_scanned"] > 1000
+
+    @pytest.mark.parametrize("lam, R", [(0.0, 2.0), (-1.0, 2.0), (1.0, 1.0), (1.0, 0.5)])
+    def test_refuses_a_level_or_ring_out_of_range(self, lam, R):
+        with pytest.raises(ValueError) as err:
+            joukowski_family(lam, R)
+        assert str(err.value) == f"need lam > 0 and R > 1, got lam={lam}, R={R}"
 
     def test_floor_tracks_the_offset(self):
         with pytest.raises(FamilyBalanceError) as err:
