@@ -13,7 +13,9 @@ for the loop integrals) must be even and within [16, 65536].
 
 Exit codes: 0 success; 1 I/O, argument or schema error; 2 hypothesis
 failure (the data does not close up to a tube, or univalence is violated) --
-a diagnostic report is still written in that case.
+a diagnostic report is still written in that case.  A command refuses by
+raising _Refusal, and ``main`` alone prints its one line and returns 1;
+any other error propagates.
 
 Reports contain no timestamps or environment data: identical inputs give
 byte-identical outputs.  Numbers are printed with 12 significant digits and
@@ -81,12 +83,12 @@ def _dumps(obj, indent: int = 0) -> str:
     return "[\n" + body + "\n" + pad + "]"
 
 
-def _err(message: str) -> None:
-    print(f"tubeflux: {message}", file=sys.stderr)
+class _Refusal(Exception):
+    """A one-line refusal, which ``main`` prints before it returns 1."""
 
 
-def _write(path: str, text: str) -> int:
-    """Write text to path atomically (temp file + rename); 1 if that fails."""
+def _write(path: str, text: str) -> None:
+    """Write text to path atomically (temp file + rename), or refuse."""
     try:
         fd, tmp = tempfile.mkstemp(dir=Path(path).parent, prefix=f".{Path(path).name}.")
         try:
@@ -98,24 +100,19 @@ def _write(path: str, text: str) -> int:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        _err(f"cannot write {path}: {exc}")
-        return 1
-    return 0
+        raise _Refusal(f"cannot write {path}: {exc}")
 
 
 def _emit(report: dict, out: str | None, status: int) -> int:
     text = _dumps(report) + "\n"
     if out:
-        return _write(out, text) or status
-    sys.stdout.write(text)
+        _write(out, text)
+    else:
+        sys.stdout.write(text)
     return status
 
 
 # --- analyze -----------------------------------------------------------------
-
-class SchemaError(ValueError):
-    pass
-
 
 _FIELDS = ("R", "g", "f", "c", "N")  # in the order the report echoes them
 
@@ -127,73 +124,60 @@ def _check_open(cfg, key: str, lo: float) -> None:
     except OverflowError:
         x = math.inf
     if not lo < x < math.inf:
-        raise SchemaError(f"field {key!r} must be finite and exceed {lo:g}, "
-                          f"got {cfg[key]}")
+        raise _Refusal(f"config error: field {key!r} must be finite and exceed {lo:g}, "
+                       f"got {cfg[key]}")
 
 
 def _validate_spec(cfg) -> dict:
     if not isinstance(cfg, dict):
-        raise SchemaError("config root must be a JSON object")
+        raise _Refusal("config error: config root must be a JSON object")
     for key in cfg:
         if key not in _FIELDS:
-            raise SchemaError(f"unknown field {key!r}")
+            raise _Refusal(f"config error: unknown field {key!r}")
     if "R" not in cfg or not _is_number(cfg["R"]):
-        raise SchemaError("field 'R' (real > 1) is required")
+        raise _Refusal("config error: field 'R' (real > 1) is required")
     _check_open(cfg, "R", 1.0)
     if "g" not in cfg or not isinstance(cfg["g"], str):
-        raise SchemaError("field 'g' (expression string) is required")
+        raise _Refusal("config error: field 'g' (expression string) is required")
     has_f = "f" in cfg
     has_c = "c" in cfg
     if has_f == has_c:
-        raise SchemaError("exactly one of 'f' (expression) or 'c' (real) is required")
+        raise _Refusal("config error: exactly one of 'f' (expression) or 'c' (real) is required")
     if has_f and not isinstance(cfg["f"], str):
-        raise SchemaError("field 'f' must be an expression string")
+        raise _Refusal("config error: field 'f' must be an expression string")
     if has_c and not _is_number(cfg["c"]):
-        raise SchemaError("field 'c' must be a real number")
+        raise _Refusal("config error: field 'c' must be a real number")
     if has_c:
         _check_open(cfg, "c", 0.0)
     if "N" in cfg:
         n = cfg["N"]
         if not isinstance(n, int) or isinstance(n, bool) or not 16 <= n <= MAX_N \
                 or n % 2:
-            raise SchemaError(f"field 'N' must be an even integer in [16, {MAX_N}]")
+            raise _Refusal(f"config error: field 'N' must be an even integer in [16, {MAX_N}]")
     return cfg
 
 
 def _load_json(path: str):
-    """Returns (parsed, None) or (None, exit-code) with the error printed."""
+    """The parsed UTF-8 JSON file, or a refusal naming what is wrong."""
     try:
-        text = Path(path).read_text()
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        _err(f"cannot read {path}: {exc}")
-        return None, 1
-    try:
-        return json.loads(text), None
+        raise _Refusal(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        _err(f"malformed JSON in {path}: {exc.msg} (line {exc.lineno}, "
-             f"column {exc.colno})")
-        return None, 1
-    except ValueError as exc:  # an integer literal past the interpreter's digit limit
-        _err(f"malformed JSON in {path}: {exc}")
-        return None, 1
+        raise _Refusal(f"malformed JSON in {path}: {exc.msg} (line {exc.lineno}, "
+                       f"column {exc.colno})")
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer past the digit limit
+        raise _Refusal(f"malformed JSON in {path}: {exc}")
 
 
 def cmd_analyze(args) -> int:
-    cfg, bad = _load_json(args.config)
-    if bad is not None:
-        return bad
-    try:
-        spec = _validate_spec(cfg)
-    except SchemaError as exc:
-        _err(f"config error: {exc}")
-        return 1
+    spec = _validate_spec(_load_json(args.config))
     taus = []
     if args.sections:
         try:
             taus = [float(tok) for tok in args.sections.split(",") if tok.strip()]
         except ValueError:
-            _err("--sections must be a comma-separated list of reals")
-            return 1
+            raise _Refusal("--sections must be a comma-separated list of reals")
 
     echo = {k: spec[k] for k in _FIELDS if k in spec}
     ann = Annulus(float(spec["R"]))
@@ -201,8 +185,7 @@ def cmd_analyze(args) -> int:
         g = HoloFn.parse(spec["g"], ann)
         f = HoloFn.parse(spec["f"], ann) if "f" in spec else None
     except ExprError as exc:
-        _err(f"config error: bad expression: {exc}")
-        return 1
+        raise _Refusal(f"config error: bad expression: {exc}")
 
     n = spec.get("N")
     try:
@@ -217,8 +200,7 @@ def cmd_analyze(args) -> int:
             report["defect"] = exc.defect.tolist()
         return _emit(report, args.out, status=2)
     except EvalDomainError as exc:
-        _err(f"config error: {exc}")
-        return 1
+        raise _Refusal(f"config error: {exc}")
 
     rep = lifetime_report(tube)
     violated = rep.hypothesis == "univalence violated"
@@ -246,8 +228,7 @@ def cmd_analyze(args) -> int:
             try:
                 pts = section_polyline(tube, tau)
             except ValueError as exc:
-                _err(str(exc))
-                return 1
+                raise _Refusal(str(exc))
             sections[format(tau, ".12g")] = pts.tolist()
         report["sections"] = sections
     return _emit(report, args.out, status=2 if violated else 0)
@@ -255,58 +236,50 @@ def cmd_analyze(args) -> int:
 
 # --- sweeps ------------------------------------------------------------------
 
-def _write_csv(out: str, header: str, rows) -> int:
+def _write_csv(out: str, header: str, rows) -> None:
     """One line per row of numbers, each printed with 12 significant digits."""
-    return _write(out, header + "\n" + "".join(
+    _write(out, header + "\n" + "".join(
         ",".join(format(x, ".12g") for x in row) + "\n" for row in rows))
 
 
 def cmd_sweep_bound(args) -> int:
     if args.steps < 1:
-        _err("--steps must be at least 1")
-        return 1
+        raise _Refusal("--steps must be at least 1")
     if not 0.0 < args.lambda_min <= args.lambda_max < math.inf:
-        _err("need 0 < --lambda-min <= --lambda-max < inf")
-        return 1
+        raise _Refusal("need 0 < --lambda-min <= --lambda-max < inf")
     # within the range checked above both closed forms are finite or +inf
     grid = np.linspace(args.lambda_min, args.lambda_max, args.steps)
     rows = [(lam, max_log_radius(lam), comparison_ring_module(lam)) for lam in grid]
-    return _write_csv(args.out, "lambda,lnR0,modD", rows)
+    _write_csv(args.out, "lambda,lnR0,modD", rows)
+    return 0
 
 
 def cmd_sweep_conjecture(args) -> int:
     if args.steps < 1:
-        _err("--steps must be at least 1")
-        return 1
+        raise _Refusal("--steps must be at least 1")
     if not -math.inf < args.q_min <= args.q_max < math.inf:
-        _err("need -inf < --q-min <= --q-max < inf")
-        return 1
+        raise _Refusal("need -inf < --q-min <= --q-max < inf")
     grid = np.linspace(args.q_min, args.q_max, args.steps)
     try:
         rows = conjecture_sweep(grid)  # refuses nomes outside its range
     except ValueError as exc:
-        _err(str(exc))
-        return 1
+        raise _Refusal(str(exc))
     # SweepRow's fields are in the header's order
-    return _write_csv(args.out, "q,R,lambda,lnR,lnR0,ratio", map(dataclasses.astuple, rows))
+    _write_csv(args.out, "q,R,lambda,lnR,lnR0,ratio", map(dataclasses.astuple, rows))
+    return 0
 
 
 # --- modulus -----------------------------------------------------------------
 
 def cmd_modulus(args) -> int:
-    desc, bad = _load_json(args.domain)
-    if bad is not None:
-        return bad
     try:
-        domain = RingDomain.from_json(desc)
+        domain = RingDomain.from_json(_load_json(args.domain))
     except ValueError as exc:
-        _err(f"domain error: {exc}")
-        return 1
+        raise _Refusal(f"domain error: {exc}")
     try:
         est = grid_module_estimate(domain, args.h)
     except (ValueError, RuntimeError) as exc:
-        _err(f"estimate failed: {exc}")
-        return 1
+        raise _Refusal(f"estimate failed: {exc}")
     report = {
         "domain": domain.descriptor,
         "h": est.h,
@@ -374,7 +347,11 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Refusal as exc:
+        print(f"tubeflux: {exc}", file=sys.stderr)
+        return 1
 
 
 def console_entry() -> None:

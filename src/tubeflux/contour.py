@@ -165,9 +165,9 @@ class HoloFn:
         return HoloFn(Neg(self.node), self.annulus)
 
     def __pow__(self, k):
-        if not isinstance(k, int):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
             raise TypeError("only integer powers are supported")
-        return HoloFn(Pow(self.node, k), self.annulus)
+        return HoloFn(Pow(self.node, int(k)), self.annulus)
 
 
 # --- circle quadrature -----------------------------------------------------
@@ -591,6 +591,13 @@ def univalence_probe(g):
             notes.append(f"sample point {zt:.6g} skipped (winding unsettled)")
             continue
         counted += 1
+        # zt lies between the circles, so a holomorphic g counts its value
+        # there at least once: a lower count means a pole, which a zero
+        # count of 0 can hide (zeros minus poles)
+        if count < 1 and zero_count == 0:
+            zero_count = None
+            notes.append(f"sample point {zt:.6g} counted {count} preimages: g has a "
+                         "pole between the circles, so its zero count is withdrawn")
         if count >= 2:
             verdict = "violated"
             roots = _newton_roots(g, gprime, w)

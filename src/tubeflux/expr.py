@@ -9,6 +9,8 @@ Grammar (whitespace insignificant)::
     base   := number | 'i' | 'z' | '(' expr ')' | ('exp'|'log') '(' expr ')'
 
 Powers take integer exponents only and ``log`` is the principal branch.
+``parse`` refuses a tree deeper than MAX_DEPTH levels, and a text that nests
+brackets, calls and signs deeper than that.
 Trees are immutable.  Evaluation is vectorised over numpy arrays and
 deterministic; it fails loudly (carrying the offending point) instead of
 silently picking a branch or dividing by zero.  One evaluation pass may
@@ -33,6 +35,9 @@ __all__ = [
 
 # evaluation refuses points closer than this to the log cut
 LOG_CUT_TOL = 1e-13
+# parse refuses a deeper tree or nest: parser, derivative, evaluator and
+# printer recurse once a level, and a derivative is up to twice as deep
+MAX_DEPTH = 100
 
 
 class ExprError(ValueError):
@@ -399,6 +404,7 @@ class _Tokens:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.nest = 0  # the brackets, calls and signs open at the current token
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -425,35 +431,50 @@ class _Tokens:
         return kind, text, pos
 
 
+def _deeper(depth, pos):
+    """depth + 1, refused at pos past MAX_DEPTH."""
+    if depth >= MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+    return depth + 1
+
+
 def _parse_expr(tok, level=0):
-    """The operands of _LEVELS[level]'s operators, folded to the left."""
+    """The operands of _LEVELS[level]'s operators, folded to the left, and
+    the depth of their tree (as every parse step returns its node's)."""
     if level == len(_LEVELS):
         return _parse_unary(tok)
     ops = _LEVELS[level]
-    node = _parse_expr(tok, level + 1)
+    node, depth = _parse_expr(tok, level + 1)
     while True:
-        kind, text, _ = tok.peek()
+        kind, text, pos = tok.peek()
         if kind != "op" or text not in ops:
-            return node
+            return node, depth
         tok.take()
-        node = ops[text](node, _parse_expr(tok, level + 1))
+        right, right_depth = _parse_expr(tok, level + 1)
+        node, depth = ops[text](node, right), _deeper(max(depth, right_depth), pos)
 
 
 def _parse_unary(tok):
-    kind, text, _ = tok.peek()
+    # one call of this function is open per bracket, call and sign around pos
+    kind, text, pos = tok.peek()
+    tok.nest = _deeper(tok.nest, pos)
     if kind == "op" and text == "-":
         tok.take()
-        return Neg(_parse_unary(tok))
-    return _parse_factor(tok)
+        node, depth = _parse_unary(tok)
+        node, depth = Neg(node), _deeper(depth, pos)
+    else:
+        node, depth = _parse_factor(tok)
+    tok.nest -= 1
+    return node, depth
 
 
 def _parse_factor(tok):
-    node = _parse_base(tok)
-    kind, text, _ = tok.peek()
+    node, depth = _parse_base(tok)
+    kind, text, pos = tok.peek()
     if kind == "op" and text == "^":
         tok.take()
-        node = Pow(node, _parse_int_exponent(tok))
-    return node
+        node, depth = Pow(node, _parse_int_exponent(tok)), _deeper(depth, pos)
+    return node, depth
 
 
 def _parse_int_exponent(tok):
@@ -480,17 +501,17 @@ def _expect(tok, ch, message):
 def _parse_base(tok):
     kind, text, pos = tok.take()
     if kind == "number":
-        return Const(complex(float(text)))
+        return Const(complex(float(text))), 1
     if kind == "ident":
         if text == "z":
-            return Var()
+            return Var(), 1
         if text == "i":
-            return Const(1j)
+            return Const(1j), 1
         if text in ("exp", "log"):
             _expect(tok, "(", f"expected '(' after {text}")
-            arg = _parse_expr(tok)
+            arg, depth = _parse_expr(tok)
             _expect(tok, ")", "expected ')'")
-            return Exp(arg) if text == "exp" else Log(arg)
+            return (Exp if text == "exp" else Log)(arg), _deeper(depth, pos)
         raise ExprSyntaxError(f"unknown name {text!r}", pos)
     if kind == "op" and text == "(":
         node = _parse_expr(tok)
@@ -502,7 +523,7 @@ def _parse_base(tok):
 def parse(text):
     """Parse grammar text into a tree.  Raises ExprSyntaxError with position."""
     tok = _Tokens(text)
-    node = _parse_expr(tok)
+    node, _ = _parse_expr(tok)
     kind, t, pos = tok.peek()
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {t!r}", pos)

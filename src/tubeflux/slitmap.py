@@ -208,6 +208,9 @@ def joukowski_family(lam: float, R: float):
     """
     if not (lam > 0.0 and R > 1.0):
         raise ValueError(f"need lam > 0 and R > 1, got lam={lam}, R={R}")
+    lam_max = 1e-3 * np.finfo(float).max  # -lam/a stays finite down to |a| = 1e-3
+    if not lam < lam_max:
+        raise ValueError(f"need lam < {lam_max:.6g}, got lam={lam}")
     kap_lim = 0.999 / (R * R)
     a_grid = np.concatenate([-np.geomspace(1e-3, 1e3, 61),
                              np.geomspace(1e-3, 1e3, 61)])

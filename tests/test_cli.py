@@ -6,6 +6,7 @@ the modules it loads, byte identity from run to run, and the exit status of
 ``python -m tubeflux.cli``.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -71,6 +72,18 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
                           text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['scipy.sparse']"
+
+
+def test_only_main_returns_the_refusal_code():
+    # a command refuses by raising; main alone prints the line and returns 1
+    tree = ast.parse(Path(cli.__file__).read_text())
+    returning_one = sorted(
+        fn.name for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+        and type(node.value.value) is int and node.value.value == 1)
+    assert returning_one == ["main"]
 
 
 def write_config(tmp_path, name="config.json", **fields):
@@ -172,6 +185,16 @@ class TestAnalyze:
         assert report["closed"] is True
         assert report["hypothesis"] == "univalence violated"
         assert report["verdict"] == "not a tube"
+
+    def test_pole_hidden_by_a_zero_is_not_a_tube(self, tmp_path):
+        # g has a zero at 0.5 and a pole at -2, both inside 1/3 < |z| < 3, so
+        # its zero count is 1 - 1 = 0, yet f = c/(2 z g) has a pole at 0.5
+        proc = run("analyze", write_config(tmp_path, R=3.0, g="2*(z - 0.5)/(z + 2)", c=1.0))
+        assert proc.returncode == 2, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "not a tube"
+        assert report["error"].startswith("cannot certify that the Gauss map omits zero")
+        assert "g has a pole between the circles" in report["error"]
 
     def test_explicit_quadrature_size(self, tmp_path):
         cfg = write_config(tmp_path, R=2.0, g="z", c=1.0, N=64)
@@ -285,6 +308,25 @@ class TestAnalyzeValidation:
         assert cli.main(["analyze", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"tubeflux: {message}") and err.count("\n") == 1
+
+    def test_bytes_that_are_not_utf8_are_refused(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b'\xff\xfe{"R": 2}')
+        for proc in (run("analyze", cfg), run_process("analyze", cfg)):
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert proc.stderr.startswith(f"tubeflux: malformed JSON in {cfg}: ")
+            assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("g, pos", [("(" * 300 + "z" + ")" * 300, 100),
+                                        ("z" + "+0*z" * 1500, 393)],
+                             ids=["nested brackets", "long sum"])
+    def test_expression_too_deep_is_a_config_error(self, tmp_path, g, pos):
+        proc = run("analyze", write_config(tmp_path, R=2, g=g, c=1))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("tubeflux: config error: bad expression: expression "
+                               f"nested deeper than 100 levels (position {pos})\n")
 
     def test_config_root_must_be_an_object(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -501,6 +543,14 @@ class TestModulus:
         dom = tmp_path / "dom.json"
         dom.write_text("{oops")
         assert run("modulus", "--domain", dom, "--h", 0.1).returncode == 1
+
+    def test_bytes_that_are_not_utf8_are_refused(self, tmp_path):
+        dom = tmp_path / "dom.json"
+        dom.write_bytes(b'\xff\xfe{"R": 2}')
+        proc = run("modulus", "--domain", dom, "--h", 0.1)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"tubeflux: malformed JSON in {dom}: ")
+        assert proc.stderr.count("\n") == 1
 
     def test_oversized_grid_fails_cleanly(self, tmp_path):
         dom = tmp_path / "dom.json"

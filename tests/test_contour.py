@@ -287,6 +287,15 @@ class TestHoloFnAlgebra:
         with pytest.raises(TypeError):
             g**0.5
 
+    def test_numpy_integer_power_is_a_python_int(self):
+        g = holo("z") ** np.int64(-2)
+        assert type(g.node.exponent) is int and str(g) == "z^-2"
+        assert abs(g(2.0) - 0.25) < 1e-15
+
+    def test_boolean_power_is_refused(self):
+        with pytest.raises(TypeError, match="only integer powers"):
+            holo("z") ** True
+
     def test_annulus_mismatch_is_rejected(self):
         g = HoloFn.var(Annulus(2.0))
         h = HoloFn.var(Annulus(3.0))
@@ -358,6 +367,18 @@ class TestUnivalenceProbe:
         report = univalence_probe(1 / (HoloFn.var(ANN) - ANN.R ** 0.98))
         assert report.notes == ["winding at rho=1.97247 inconclusive, perturbing"]
         assert report.zero_count == -1 and report.omits_zero == "violated"
+        assert report.univalent == "passed" and report.n_targets == 32
+
+    def test_pole_hidden_by_a_zero_withdraws_the_zero_count(self):
+        # zero 0.5 and pole -2 both lie between the circles: zeros minus poles
+        # is 0, yet each target counted below one preimage shows the pole
+        g = holo("2*(z - 0.5)/(z + 2)", Annulus(3.0))
+        report = univalence_probe(g)
+        assert report.zero_count is None and report.omits_zero == "inconclusive"
+        zt = contour._sample_points(g.annulus)[0]
+        assert report.notes == [
+            f"sample point {zt:.6g} counted 0 preimages: g has a pole between the "
+            "circles, so its zero count is withdrawn"]
         assert report.univalent == "passed" and report.n_targets == 32
 
     def test_retry_radius_outside_the_annulus_leaves_the_count_unsettled(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tubeflux.expr import (
+    MAX_DEPTH,
     Const,
     EvalDomainError,
     ExprError,
@@ -97,6 +98,41 @@ class TestSyntaxErrors:
             parse(text)
         assert str(info.value) == f"{message} (position {pos})"
         assert info.value.pos == pos
+
+
+class TestDepth:
+    """parse refuses a tree, or a nest of brackets, deeper than MAX_DEPTH."""
+
+    @pytest.mark.parametrize("text, pos", [
+        ("(" * 300 + "z" + ")" * 300, 100),  # a one-node tree in 300 brackets
+        ("z" + "+0*z" * 1500, 393),  # a flat text whose sum nests to the left
+        ("z" + "+z" * 100, 199),
+        ("-" * 101 + "z", 100),
+        ("exp(" * 101 + "z" + ")" * 101, 400),
+    ], ids=["brackets", "sum of products", "sum", "signs", "calls"])
+    def test_refused_at_its_position(self, text, pos):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(text)
+        assert str(info.value) == \
+            f"expression nested deeper than {MAX_DEPTH} levels (position {pos})"
+        assert info.value.pos == pos
+
+    @pytest.mark.parametrize("text", [
+        "z" + "+z" * 99,
+        "1/(" * 99 + "z" + ")" * 99,
+        "(" * 98 + "z" + "*z)" * 98,
+        "log(" * 49 + "z + 9" + ") + 9" * 49,
+        "-" * 99 + "z",
+    ], ids=["sum", "quotients", "products", "logs", "signs"])
+    def test_deepest_trees_differentiate_evaluate_and_print(self, text):
+        node = parse(text)
+        d = differentiate(node)
+        z, h = 1.5 + 0.1j, 1e-6
+        value, slope = evaluate([node, d], z)
+        central = (evaluate(node, z + h) - evaluate(node, z - h)) / (2 * h)
+        assert abs(slope - central) <= 1e-6 * (1 + abs(slope))
+        assert parse(to_string(node)) == node
+        assert to_string(d)
 
 
 class TestDomainErrors:

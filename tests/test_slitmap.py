@@ -314,6 +314,13 @@ class TestJoukowskiFamily:
             joukowski_family(lam, R)
         assert str(err.value) == f"need lam > 0 and R > 1, got lam={lam}, R={R}"
 
+    @pytest.mark.parametrize("lam", [1e306, 1e308, math.inf])
+    def test_refuses_a_level_whose_scan_overflows(self, lam):
+        # -lam/a overflows at the scan's smallest |a| = 1e-3
+        with pytest.raises(ValueError) as err:
+            joukowski_family(lam, 2.0)
+        assert str(err.value) == f"need lam < 1.79769e+305, got lam={lam}"
+
     def test_floor_tracks_the_offset(self):
         with pytest.raises(FamilyBalanceError) as err:
             joukowski_family(0.5, 3.0)
