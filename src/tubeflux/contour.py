@@ -17,22 +17,24 @@ estimates that share one sample per level, and each estimate stops at its
 own level.
 
 The univalence probe counts zeros and preimages by the argument principle
-on two circles.  It works level-major: at each trapezoid level it takes g
-and g' from one evaluation pass (a theta leaf's value and derivative from
-one comb walk-out) and sums, in two buffers reused for each target, every
-target still refining -- the zero count and the PROBE_TARGETS values of g,
-themselves sampled in one call.  A winding sum stops at the 1e-8 relative
-test or as soon as it sits on an integer at two successive levels (see
-_windings), since the trapezoid error of an analytic integrand falls
-geometrically and the exact sum is an integer multiple of 2 pi i.  A try is
-noted once, however many targets it leaves unsettled.
+on two circles.  It works level-major from WINDING_N0 = 128 nodes: each
+doubling takes g and g' on its new nodes only, from one evaluation pass (a
+theta leaf's value and derivative from one comb walk-out), and adds their
+terms to one running sum for every target still refining -- the zero count
+and the PROBE_TARGETS values of g, themselves sampled in one call -- in one
+broadcast over blocks of rows.  A target's sample point is a known
+preimage, a pole of its integrand whose trapezoid error has a closed form,
+so each level removes it at no per-node cost.  A winding sum stops at the
+1e-8 relative test or as soon as it sits on an integer at two successive
+levels (see _windings), since the trapezoid error of an analytic integrand
+falls geometrically and the exact sum is an integer multiple of 2 pi i.  A
+try is noted once, however many targets it leaves unsettled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -57,6 +59,10 @@ ROUND_EPS = 4.0 * np.finfo(float).eps
 # the probe's winding circles sit this fraction of ln R inside the rims
 PROBE_MARGIN = 0.02
 PROBE_TARGETS = 32
+# winding sums start at WINDING_N0 nodes, and a level sums its live targets
+# in blocks of at most WINDING_BLOCK terms
+WINDING_N0 = 128
+WINDING_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -415,29 +421,59 @@ class ProbeReport:
         return "passed" if self.zero_count == 0 else "violated"
 
 
-def _winding_level(sample, ws, n, live):
-    """Argument-principle sums of g'/(g - w) at n nodes of a circle, for the
-    targets ws[i], i in live, from the sample (g', g) = sample(n)[1].
+def _winding_level(g, gprime, rho, ws, zs, block=WINDING_BLOCK):
+    """``quad(n, live)`` for _refine: the argument-principle sums of g'/(g - w)
+    over n nodes of |z| = rho for the targets ws[i], i in live.
 
-    Each target fills two buffers allocated once per level.  Its sum is None
-    when g - w vanishes at a node (sought only in a non-finite sum), when
-    the sample cannot be evaluated, or when w is not finite.
+    The levels nest: the first call sums every node, and each later one (at
+    twice the n before) evaluates (g', g) in one pass on its new odd nodes
+    only and adds their terms to one running sum per target.  The live
+    targets are summed in one broadcast over blocks of rows of at most
+    ``block`` terms.  zs[i] is a known preimage of ws[i] (None for w = 0),
+    a pole of g'/(g - w) whose trapezoid error has a closed form: the n
+    nodes sum zeta/(zeta - z_t) to n/(1 - r), r = (z_t/rho)^n, when
+    |z_t| < rho, and to -n r/(1 - r), r = (rho/z_t)^n, outside.  Each level
+    adds -2 pi i r/(1 - r) (inside) or +2 pi i r/(1 - r) (outside) to that
+    target's estimate, which removes the pole's error exactly at a simple
+    root.  A sum is None when g - w vanishes at a node (sought only in a
+    non-finite level), when the sample cannot be evaluated, or when w is not
+    finite.
     """
-    try:
-        zeta, (dv, gv) = sample(n)
-    except EvalDomainError:
-        return [None] * len(live), [0.0] * len(live)
-    sums, den, term = [], np.empty_like(gv), np.empty_like(gv)
-    for i in live:
-        w = ws[i]
-        if not np.isfinite(w):
-            sums.append(None)
-            continue
+    ws, finite = np.asarray(ws, complex), np.isfinite(ws)
+    # target i's pole error at n nodes is sign[i] r / (1 - r), r = base[i]^n
+    base, sign = np.zeros(len(ws), complex), np.zeros(len(ws), complex)
+    for i, zt in enumerate(zs):
+        if zt is not None:
+            base[i], sign[i] = (zt / rho, -TWO_PI_I) if abs(zt) < rho else (rho / zt, TWO_PI_I)
+    total = np.zeros(len(ws), complex)  # the sum of zeta g'/(g - w) so far, a target
+    levels = []
+
+    def quad(n, live):
+        zeta = _circle_nodes(rho, n)[1::2] if levels else _circle_nodes(rho, n)
+        levels.append(n)
+        try:
+            dv, gv = evaluate([gprime.node, g.node], zeta)
+        except EvalDomainError:
+            return [None] * len(live), [0.0] * len(live)
+        rows, zero = [i for i in live if finite[i]], set()
+        step = max(1, block // len(zeta))
+        den, term = np.empty((2, min(step, len(rows)), len(zeta)), complex)
         with np.errstate(all="ignore"):  # an overflow shows as a non-finite sum
-            np.multiply(zeta, np.divide(dv, np.subtract(gv, w, out=den), out=term), out=term)
-            total = (TWO_PI_I / n) * np.sum(term)
-        sums.append(None if not np.isfinite(total) and np.any(den == 0) else total)
-    return sums, [0.0] * len(live)
+            for b in range(0, len(rows), step):
+                idx = rows[b:b + step]
+                d, t = den[:len(idx)], term[:len(idx)]
+                np.multiply(zeta, np.divide(dv, np.subtract(gv, ws[idx, None], out=d), out=t),
+                            out=t)
+                part = np.sum(t, axis=1)
+                total[idx] += part
+                if not np.isfinite(part).all():
+                    zero.update(np.compress(~np.isfinite(part) & (d == 0).any(axis=1), idx))
+            r = base[live] ** n
+            est = (TWO_PI_I / n) * total[live] + sign[live] * r / (1 - r)
+        return ([None if i in zero or not finite[i] else e for i, e in zip(live, est)],
+                [0.0] * len(live))
+
+    return quad
 
 
 # a winding sum also stops refining once it lies within WINDING_STOP of an
@@ -464,26 +500,31 @@ def _on_integer(prev, cur):
     return n is not None and _settled_integer(prev, WINDING_NEAR) == n
 
 
-def _windings(g, gprime, rho, ws):
-    """Winding numbers of g - w over |z| = rho for each target w of ws.
+def _windings(g, gprime, rho, ws, zs):
+    """Winding numbers of g - w over |z| = rho for each target w of ws, with
+    zs the known preimage of each (None for w = 0).
 
-    Level-major: every try takes g and g' from one evaluation pass per
-    trapezoid level and sums each target still refining from that sample.  A
-    sum stops when two successive levels agree to 1e-8 relative, or when it
-    sits on an integer: within WINDING_STOP of an integer n at this level
-    and within WINDING_NEAR of the same n at the level before.  The exact
-    sum is n (in units of 2 pi i), so its distance from n is its quadrature
-    error, and on an integrand analytic near the circle the trapezoid error
-    falls geometrically in the node count (Trefethen & Weideman, SIAM Rev.
-    56, 2014), each doubling roughly squaring it.  A sum seen falling from
-    1e-3 to 1e-6 of n cannot move to another integer at a later level; one
-    level near an integer alone could be an unresolved sum passing by.  A
-    target that does not settle within _settled_integer's 1e-4 of an
-    integer retries at a slightly perturbed radius, up to four radii, while
-    the radius stays inside the annulus.  Returns the winding of each target
-    (None when no try settled) and the notes of the unsettled tries: one
-    sample serves every target, so a try is noted once, however many targets
-    it leaves unsettled.
+    Level-major, from WINDING_N0 nodes: every try takes g and g' from one
+    evaluation pass on the new nodes of each trapezoid level and adds their
+    terms to the running sum of each target still refining (_winding_level).
+    Each target's own pole at its preimage is removed in closed form, which
+    is exact at a simple root, so its sum converges at the rate the rest of
+    g'/(g - w) allows; a multiple root keeps the rest of its pole's error
+    and converges as before.  A sum stops when two successive levels agree
+    to 1e-8 relative, or when it sits on an integer: within WINDING_STOP of
+    an integer n at this level and within WINDING_NEAR of the same n at the
+    level before.  The exact sum is n (in units of 2 pi i), so its distance
+    from n is its quadrature error, and on an integrand analytic near the
+    circle the trapezoid error falls geometrically in the node count
+    (Trefethen & Weideman, SIAM Rev. 56, 2014), each doubling roughly
+    squaring it.  A sum seen falling from 1e-3 to 1e-6 of n cannot move to
+    another integer at a later level; one level near an integer alone could
+    be an unresolved sum passing by.  A target that does not settle within
+    _settled_integer's 1e-4 of an integer retries at a slightly perturbed
+    radius, up to four radii, while the radius stays inside the annulus.
+    Returns the winding of each target (None when no try settled) and the
+    notes of the unsettled tries: one sample serves every target, so a try
+    is noted once, however many targets it leaves unsettled.
     """
     wind, notes = [None] * len(ws), []
     live = list(range(len(ws)))
@@ -495,9 +536,8 @@ def _windings(g, gprime, rho, ws):
             notes.append(f"retry radius rho={r:.6g} leaves the annulus, "
                          "winding left unsettled")
             break
-        sample = _nested(lambda z: np.array(evaluate([gprime.node, g.node], z)), r)
-        quad = partial(_winding_level, sample, [ws[j] for j in live])
-        ests = _refine(quad, len(live), DEFAULT_N, MAX_N, 1e-8, _on_integer)
+        quad = _winding_level(g, gprime, r, [ws[j] for j in live], [zs[j] for j in live])
+        ests = _refine(quad, len(live), WINDING_N0, MAX_N, 1e-8, _on_integer)
         for j, est in zip(live, ests):
             wind[j] = _settled_integer(est)
         live = [j for j in live if wind[j] is None]
@@ -570,40 +610,41 @@ def univalence_probe(g):
             except EvalDomainError:
                 values.append(None)
     # zeros minus poles of g - w between the circles, for w = 0 and each
-    # evaluable value; the outer circle's notes come first
+    # evaluable value (its sample point a known preimage); the outer
+    # circle's notes come first
     ws = [0j] + [w for w in values if w is not None]
+    zs = [None] + [complex(zt) for zt, w in zip(points, values) if w is not None]
     R = g.annulus.R
-    outer, notes = _windings(g, gprime, R ** (1.0 - PROBE_MARGIN), ws)
-    inner, inner_notes = _windings(g, gprime, R ** (PROBE_MARGIN - 1.0), ws)
+    outer, notes = _windings(g, gprime, R ** (1.0 - PROBE_MARGIN), ws, zs)
+    inner, inner_notes = _windings(g, gprime, R ** (PROBE_MARGIN - 1.0), ws, zs)
     notes += inner_notes
     zero_count, *excesses = [None if w_out is None or w_in is None else w_out - w_in
                              for w_out, w_in in zip(outer, inner)]
     excesses = iter(excesses)
-    verdict = "passed"
-    witness = None
-    counted = 0
+    verdict, witness, counted = "passed", None, 0
     for zt, w in zip(points, values):
-        if w is None:
-            notes.append(f"sample point {zt:.6g} not evaluable")
-            continue
-        count = next(excesses)
-        if count is None:
-            notes.append(f"sample point {zt:.6g} skipped (winding unsettled)")
-            continue
-        counted += 1
+        count = None if w is None else next(excesses)
         # zt lies between the circles, so a holomorphic g counts its value
         # there at least once: a lower count means a pole, which a zero
-        # count of 0 can hide (zeros minus poles)
-        if count < 1 and zero_count == 0:
+        # count of 0 can hide (zeros minus poles); the targets after a
+        # violation are not counted, but they are checked for this too
+        if count is not None and count < 1 and zero_count == 0:
             zero_count = None
             notes.append(f"sample point {zt:.6g} counted {count} preimages: g has a "
                          "pole between the circles, so its zero count is withdrawn")
-        if count >= 2:
-            verdict = "violated"
-            roots = _newton_roots(g, gprime, w)
-            if len(roots) >= 2:
-                witness = (roots[0], roots[1])
-            break
+        if verdict == "violated":
+            continue
+        if w is None:
+            notes.append(f"sample point {zt:.6g} not evaluable")
+        elif count is None:
+            notes.append(f"sample point {zt:.6g} skipped (winding unsettled)")
+        else:
+            counted += 1
+            if count >= 2:
+                verdict = "violated"
+                roots = _newton_roots(g, gprime, w)
+                if len(roots) >= 2:
+                    witness = (roots[0], roots[1])
     if verdict == "passed" and counted == 0:
         verdict = "inconclusive"
         notes.append("no preimage count settled")

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .contour import Annulus, HoloFn, _check_rho, a0_pair
 
@@ -34,6 +32,16 @@ __all__ = [
     "comparison_ring_module", "max_log_radius",
     "grid_module_estimate", "crossing_witness",
 ]
+
+
+def __getattr__(name):
+    # scipy.sparse is imported where the grid is built and solved, so that
+    # importing the package leaves it unloaded; ``modulus.spla`` is that
+    # solver module, for code that patches its ``cg``
+    if name == "spla":
+        import scipy.sparse.linalg
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --- closed forms -----------------------------------------------------------
@@ -275,6 +283,8 @@ def _assemble(domain: RingDomain, h: float):
     component joins both.  Returns A, rhs, the dof mask (dofs in row-major
     order) and the inner and fixed edges.
     """
+    import scipy.sparse as sp
+
     x0, x1, y0, y1 = domain.box
     spans = (x1 - x0) / h, (y1 - y0) / h
     if not all(map(math.isfinite, spans)):  # no float counts the cells
@@ -348,6 +358,9 @@ def _hierarchy(A, ins):
     Each level merges its dofs in 2x2 blocks of the grid ``ins`` halved once
     per level; the next operator is P^T A P, P with one unit entry per row.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     levels = []
     r, c = np.nonzero(ins)
     while A.shape[0] > _COARSEST:
@@ -377,6 +390,8 @@ def _grid_energy(domain: RingDomain, h: float):
     The energy summed over the edges of the CG solution (relative residual
     _CG_RTOL); either plate current that differs by _CURRENT_RTOL refuses it.
     """
+    import scipy.sparse.linalg as spla
+
     A, rhs, ins, inner, fixed = _assemble(domain, h)
     levels, coarse = _hierarchy(A, ins)
     M = spla.LinearOperator(A.shape, matvec=lambda r: _vcycle(levels, coarse, r))

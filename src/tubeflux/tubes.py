@@ -165,8 +165,8 @@ class MinimalTube:
         zero_count = data.probe.zero_count
         if zero_count is None:
             raise NotATubeError(
-                "cannot certify that the Gauss map omits zero: winding integrals "
-                f"did not settle ({'; '.join(data.probe.notes) or 'no diagnostics'})")
+                "cannot certify that the Gauss map omits zero "
+                f"({'; '.join(data.probe.notes) or 'no diagnostics'})")
         if zero_count != 0:
             raise NotATubeError(f"Gauss map has zero/pole excess {zero_count} inside the "
                                 "annulus; the data cannot describe a tube")

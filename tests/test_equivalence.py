@@ -25,9 +25,13 @@ for "tube_closed_form_scale", whose profile and life move by 4.4e-16), and
 "probe_relative_stop" holds every ProbeReport field at the inputs whose
 winding levels the integer stop lowers (slit nomes from 0.0025 to 0.95 and
 two parsed maps), frozen while each winding sum still refined until two
-levels agreed to 1e-8 relative; the reports must not move at all.  g and g'
-from one evaluation pass, and the probe targets from one call, must give
-the values of separate calls bit for bit.
+levels agreed to 1e-8 relative; the reports must not move at all.
+"probe_nested_sums" holds every ProbeReport field (dataclasses.asdict) at
+13 slit nomes and 13 parsed maps, frozen while each winding level summed
+every node from 1,024 up, with no pole correction; the nested sums from 128
+nodes must give the same reports.  g and g' from one evaluation pass, and
+the probe targets from one call, must give the values of separate calls bit
+for bit.
 
 goldens/witness_and_ring.json holds crossing witnesses from the scalar,
 one-bracket-at-a-time bisection and a grid estimate from the loop-built
@@ -76,7 +80,7 @@ must equal separate passes of each.
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +139,24 @@ def test_probe_reports_survive_the_integer_stop(candidate, case):
     want = dict(FROZEN["probe_relative_stop"][case])
     del want["zero_notes"]  # the frozen copy of the first notes
     assert probe_fields(univalence_probe(g)) == want
+
+
+def probe_dict(report):
+    """dataclasses.asdict of a ProbeReport, its witness as [re, im] pairs."""
+    fields = asdict(report)
+    if fields["witness"] is not None:
+        fields["witness"] = [[w.real, w.imag] for w in fields["witness"]]
+    return fields
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN["probe_nested_sums"]))
+def test_probe_reports_survive_the_nested_sums(candidate, case):
+    if case.startswith("slit q="):
+        g = candidate(float(case.split("=")[1])).g
+    else:
+        text, R = case.rsplit(" R=", 1)
+        g = HoloFn.parse(text, Annulus(float(R)))
+    assert probe_dict(univalence_probe(g)) == FROZEN["probe_nested_sums"][case]
 
 
 def tube_fields(tube):
@@ -597,13 +619,15 @@ def without_jets(g):
 
 
 # The probe's 32 targets take one call of two combs, where they took 32
-# calls.  With the integer stop, q = 0.1 winds at 1024 and 2048 nodes on each
-# circle, and q = 0.9 up to 16,384 where it went to the 65,536 cap.  Its
-# winding samples take g and g' from one pass: without jets that is four
-# combs a node (theta1, theta1', theta3 and theta3'), 2 * 2048 * 4 + 64 and
+# calls.  The winding levels nest from 128 nodes, so a circle evaluates g on
+# as many nodes as its top level: 1,024 at q = 0.1 (2,048 before each
+# target's own pole was removed in closed form) and 16,384 at q = 0.9, where
+# the 1e-8 relative stop alone went to the 65,536 cap.  Its winding samples
+# take g and g' from one pass: without jets that is four combs a node
+# (theta1, theta1', theta3 and theta3'), 2 * 1024 * 4 + 64 and
 # 2 * 16384 * 4 + 64 points (24,640 and 786,496 when g and g' were sampled
-# apart, six combs a node).
-@pytest.mark.parametrize("q, points", [(0.1, 16448), (0.9, 131136)])
+# apart, six combs a node, and 16,448 at q = 0.1 before the pole correction).
+@pytest.mark.parametrize("q, points", [(0.1, 8256), (0.9, 131136)])
 def test_probe_comb_points(candidate, comb_calls, q, points):
     g = without_jets(candidate(q).g)
     calls = comb_calls()
@@ -612,9 +636,10 @@ def test_probe_comb_points(candidate, comb_calls, q, points):
 
 
 # With jets theta1 and theta3 each give value and derivative from one
-# walk-out: two combs a node, 2 * 2048 * 2 + 64 and 2 * 16384 * 2 + 64
-# points, at the same levels and with the same report as without.
-@pytest.mark.parametrize("q, points", [(0.1, 8256), (0.9, 65600)])
+# walk-out: two combs a node, 2 * 1024 * 2 + 64 and 2 * 16384 * 2 + 64
+# points (8,256 at q = 0.1 before the pole correction), at the same levels
+# and with the same report as without.
+@pytest.mark.parametrize("q, points", [(0.1, 4160), (0.9, 65600)])
 def test_probe_jet_comb_points(candidate, comb_calls, q, points):
     g = candidate(q).g
     calls = comb_calls()

@@ -106,9 +106,9 @@ class TestSynthesis:
             MinimalTube(tube_from_gauss(HoloFn.var(ann) - ann.R ** 0.98, 1.0))
         # the zero count's own retry notes, as when the check ran alone
         assert str(info.value) == (
-            "cannot certify that the Gauss map omits zero: winding integrals did not "
-            "settle (winding at rho=1.09791 inconclusive, perturbing; retry radius "
-            "rho=1.1001 leaves the annulus, winding left unsettled)")
+            "cannot certify that the Gauss map omits zero (winding at rho=1.09791 "
+            "inconclusive, perturbing; retry radius rho=1.1001 leaves the annulus, "
+            "winding left unsettled)")
 
     def test_gauss_map_zero_is_refused_by_the_tube_alone(self):
         # tube_from_gauss builds the datum, whose defect can still be measured;
