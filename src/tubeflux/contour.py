@@ -24,7 +24,9 @@ terms to one running sum for every target still refining -- the zero count
 and the PROBE_TARGETS values of g, themselves sampled in one call -- in one
 broadcast over blocks of rows.  A target's sample point is a known
 preimage, a pole of its integrand whose trapezoid error has a closed form,
-so each level removes it at no per-node cost.  A winding sum stops at the
+so each level removes it at no per-node cost; so are the points of g's rim
+divisor (HoloFn.divisor, set on the slit map), a pole of g for every
+finite target and a zero of g for w = 0 alone.  A winding sum stops at the
 1e-8 relative test or as soon as it sits on an integer at two successive
 levels (see _windings), since the trapezoid error of an analytic integrand
 falls geometrically and the exact sum is an integer multiple of 2 pi i.  A
@@ -80,11 +82,12 @@ class Annulus:
         return 1.0 / self.R
 
     def contains(self, z, margin=0.0):
-        """True for points strictly inside, with an optional relative rim margin."""
+        """True for points strictly inside, with an optional relative rim
+        margin; elementwise on an array, and False at a non-finite point."""
         r = abs(z)
         lo = self.inner_radius * (1.0 + margin)
         hi = self.R * (1.0 - margin)
-        return lo < r < hi
+        return (lo < r) & (r < hi)
 
 
 def _merge_annuli(a, b):
@@ -103,15 +106,24 @@ class HoloFn:
     results stay symbolic so derivatives and printing keep working.
     Series-backed functions enter as Opaque leaves of the tree (as the slit
     map's thetas do).
+
+    ``divisor`` lists zeros and poles of the function that sit on or near
+    the rims, as (point, order) pairs: order m > 0 for a zero of order m,
+    m < 0 for a pole of order -m.  The univalence probe removes their
+    trapezoid error in closed form (_winding_level).  It is data the maker
+    of the map vouches for, and only calibrate_candidate sets it (g0's
+    order-2 zero at R and order-2 pole at -1/R); parse, arithmetic and
+    derivative() give (), since their results have another divisor.
     """
 
-    __slots__ = ("node", "annulus")
+    __slots__ = ("node", "annulus", "divisor")
 
-    def __init__(self, node, annulus):
+    def __init__(self, node, annulus, divisor=()):
         if not isinstance(annulus, Annulus):
             raise TypeError(f"HoloFn needs an Annulus, got {annulus!r}")
         self.node = node
         self.annulus = annulus
+        self.divisor = tuple((complex(p), int(m)) for p, m in divisor)
 
     @classmethod
     def parse(cls, text, annulus):
@@ -435,16 +447,28 @@ def _winding_level(g, gprime, rho, ws, zs, block=WINDING_BLOCK):
     |z_t| < rho, and to -n r/(1 - r), r = (rho/z_t)^n, outside.  Each level
     adds -2 pi i r/(1 - r) (inside) or +2 pi i r/(1 - r) (outside) to that
     target's estimate, which removes the pole's error exactly at a simple
-    root.  A sum is None when g - w vanishes at a node (sought only in a
-    non-finite level), when the sample cannot be evaluated, or when w is not
-    finite.
+    root.  Each point p of order m in g.divisor is a pole of residue m of
+    g'/(g - w) and takes -/+ 2 pi i m r/(1 - r) the same way, in the same
+    expression: a pole of g (m < 0) for every finite target, a zero of g
+    (m > 0) for w = 0 alone.  A sum is None when g - w vanishes at a node
+    (sought only in a non-finite level), when the sample cannot be
+    evaluated, or when w is not finite.
     """
     ws, finite = np.asarray(ws, complex), np.isfinite(ws)
-    # target i's pole error at n nodes is sign[i] r / (1 - r), r = base[i]^n
-    base, sign = np.zeros(len(ws), complex), np.zeros(len(ws), complex)
-    for i, zt in enumerate(zs):
+
+    def pole(p, m):  # base and sign of a pole of residue m at p
+        return (p / rho, -TWO_PI_I * m) if abs(p) < rho else (rho / p, TWO_PI_I * m)
+
+    # target i's pole errors at n nodes are sign[i, k] r / (1 - r), r =
+    # base[i, k]^n: column 0 for its preimage, one column a divisor point
+    base = np.zeros((len(ws), 1 + len(g.divisor)), complex)
+    sign = np.zeros_like(base)
+    for i, (w, zt) in enumerate(zip(ws, zs)):
         if zt is not None:
-            base[i], sign[i] = (zt / rho, -TWO_PI_I) if abs(zt) < rho else (rho / zt, TWO_PI_I)
+            base[i, 0], sign[i, 0] = pole(zt, 1)
+        for k, (p, m) in enumerate(g.divisor, 1):
+            if m < 0 or w == 0:  # a pole of g is one of g - w; a zero is a root for w = 0 only
+                base[i, k], sign[i, k] = pole(p, m)
     total = np.zeros(len(ws), complex)  # the sum of zeta g'/(g - w) so far, a target
     levels = []
 
@@ -469,7 +493,7 @@ def _winding_level(g, gprime, rho, ws, zs, block=WINDING_BLOCK):
                 if not np.isfinite(part).all():
                     zero.update(np.compress(~np.isfinite(part) & (d == 0).any(axis=1), idx))
             r = base[live] ** n
-            est = (TWO_PI_I / n) * total[live] + sign[live] * r / (1 - r)
+            est = (TWO_PI_I / n) * total[live] + np.sum(sign[live] * r / (1 - r), axis=1)
         return ([None if i in zero or not finite[i] else e for i, e in zip(live, est)],
                 [0.0] * len(live))
 
@@ -510,18 +534,21 @@ def _windings(g, gprime, rho, ws, zs):
     Each target's own pole at its preimage is removed in closed form, which
     is exact at a simple root, so its sum converges at the rate the rest of
     g'/(g - w) allows; a multiple root keeps the rest of its pole's error
-    and converges as before.  A sum stops when two successive levels agree
-    to 1e-8 relative, or when it sits on an integer: within WINDING_STOP of
-    an integer n at this level and within WINDING_NEAR of the same n at the
-    level before.  The exact sum is n (in units of 2 pi i), so its distance
-    from n is its quadrature error, and on an integrand analytic near the
-    circle the trapezoid error falls geometrically in the node count
-    (Trefethen & Weideman, SIAM Rev. 56, 2014), each doubling roughly
-    squaring it.  A sum seen falling from 1e-3 to 1e-6 of n cannot move to
-    another integer at a later level; one level near an integer alone could
-    be an unresolved sum passing by.  A target that does not settle within
-    _settled_integer's 1e-4 of an integer retries at a slightly perturbed
-    radius, up to four radii, while the radius stays inside the annulus.
+    and converges as before.  The points of g.divisor are removed the same
+    way: its poles from every target's sum, its zeros from that of w = 0
+    only, since a zero of g is a root of g - w for w = 0 alone.  A sum
+    stops when two successive levels agree to 1e-8 relative, or when it
+    sits on an integer: within WINDING_STOP of an integer n at this level
+    and within WINDING_NEAR of the same n at the level before.  The exact
+    sum is n (in units of 2 pi i), so its distance from n is its quadrature
+    error, and on an integrand analytic near the circle the trapezoid error
+    falls geometrically in the node count (Trefethen & Weideman, SIAM Rev.
+    56, 2014), each doubling roughly squaring it.  A sum seen falling from
+    1e-3 to 1e-6 of n cannot move to another integer at a later level; one
+    level near an integer alone could be an unresolved sum passing by.  A
+    target that does not settle within _settled_integer's 1e-4 of an
+    integer retries at a slightly perturbed radius, up to four radii, while
+    the radius stays inside the annulus.
     Returns the winding of each target (None when no try settled) and the
     notes of the unsettled tries: one sample serves every target, so a try
     is noted once, however many targets it leaves unsettled.
@@ -572,6 +599,9 @@ def _newton_roots(g, gprime, w):
             step = fz / dz
         step = np.where(np.isfinite(step), step, 0.0)
         z = z - step
+    # iterates that diverged or left the annulus are no roots, and rounding
+    # them for the sort would overflow
+    z = z[g.annulus.contains(z, margin=1e-9)]
     roots = []
     try:
         resid = np.abs(g(z) - w)
@@ -581,8 +611,6 @@ def _newton_roots(g, gprime, w):
     for idx in order:
         zi = complex(z[idx])
         if not np.isfinite(resid[idx]) or resid[idx] > 1e-8:
-            continue
-        if not g.annulus.contains(zi, margin=1e-9):
             continue
         if all(abs(zi - r) > 1e-7 for r in roots):
             roots.append(zi)

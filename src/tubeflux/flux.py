@@ -83,13 +83,15 @@ class FluxVector:
 def _flux_from_loops(loops) -> FluxVector:
     """Q = Im of the loop integrals, with quadrature dust snapped to zero.
 
-    Components smaller than SNAP_TOL relative to the largest one are set to
-    exactly zero, so that symmetric data (catenoid bands and their kin) gets
-    an exact alpha = 0 instead of a 1e-16-radian tilt.  The floor scales
-    with the flux alone, so the verdict does not depend on the size of c.
+    Horizontal components smaller than SNAP_TOL relative to the largest
+    component are set to exactly zero, so that symmetric data (catenoid
+    bands and their kin) gets an exact alpha = 0 instead of a 1e-16-radian
+    tilt.  The floor scales with the flux alone, so the verdict does not
+    depend on the size of c.  J3 is never snapped: on thin rings |J1| reaches
+    1e13 while J3 = 2 pi c, which the snap would turn into a refusal.
     """
     J = loops.imag.copy()
-    J[np.abs(J) < SNAP_TOL * np.max(np.abs(J))] = 0.0
+    J[:2][np.abs(J[:2]) < SNAP_TOL * np.max(np.abs(J))] = 0.0
     return FluxVector(*J.tolist())
 
 

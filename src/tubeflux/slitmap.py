@@ -50,7 +50,9 @@ class SlitMapCandidate:
 
     g is the map g0, lam its level a0[g] = lam = -a0[1/g]; slit_neg and
     slit_pos are the finite endpoints of the boundary slits (-inf, slit_neg]
-    and (0, slit_pos].
+    and (0, slit_pos].  calibrate_candidate sets g's rim divisor,
+    ((R, 2), (-1/R, -2)), which the univalence probe removes in closed form;
+    a map made from g by arithmetic (2*g, g.derivative()) carries none.
     """
 
     params: EllipticParams
@@ -132,7 +134,10 @@ def calibrate_candidate(q) -> SlitMapCandidate:
     t3 = Opaque(f"theta3[q={q:g}]", lambda w: theta3(w, q),
                 Opaque(f"theta3'[q={q:g}]", lambda w: theta3_prime(w, q), arg=v), v,
                 lambda w: elliptic._gauss_comb(w, q, 0.0, jet=True))
-    g0 = HoloFn(Pow(Div(t1, t3), 2), Annulus(params.ring_radius))
+    # theta1's zero at u = 0 and theta3's at u = (1 + it)/2 put g0's rim
+    # divisor at z = R (a double zero) and z = -1/R (a double pole)
+    R = params.ring_radius
+    g0 = HoloFn(Pow(Div(t1, t3), 2), Annulus(R), divisor=((R, 2), (-1.0 / R, -2)))
     return SlitMapCandidate(params=params, g=g0, lam=_level(params))
 
 

@@ -190,6 +190,14 @@ class TestAnalyze:
         assert report["hypothesis"] == "univalence violated"
         assert report["verdict"] == "not a tube"
 
+    def test_diverged_newton_iterates_leave_stderr_empty(self, tmp_path):
+        # the witness search's Newton iterates on z^-2 run off towards 1e300;
+        # rounding them for the sort overflowed, and numpy's warning reached
+        # stderr in a child interpreter
+        proc = run_process("analyze", write_config(tmp_path, R=1.5, g="z^-2", c=1))
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert json.loads(proc.stdout)["hypothesis"] == "univalence violated"
+
     def test_pole_hidden_by_a_zero_is_not_a_tube(self, tmp_path):
         # g has a zero at 0.5 and a pole at -2, both inside 1/3 < |z| < 3, so
         # its zero count is 1 - 1 = 0, yet f = c/(2 z g) has a pole at 0.5

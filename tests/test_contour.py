@@ -487,8 +487,9 @@ class TestWindingStops:
 
     # with the 1e-8 relative test alone the windings went to 8,192, 16,384
     # and the 65,536 cap; q = 0.1 went to 2,048 before each target's own pole
-    # was removed in closed form
-    @pytest.mark.parametrize("q, top", [(0.1, 1024), (0.6, 4096), (0.72, 8192), (0.9, 16384)])
+    # was removed in closed form, and 1,024 / 4,096 / 8,192 / 16,384 before
+    # g's rim divisor was
+    @pytest.mark.parametrize("q, top", [(0.1, 256), (0.6, 1024), (0.72, 2048), (0.9, 8192)])
     def test_slit_windings_stop_on_their_integer(self, candidate, count_levels, q, top):
         g = candidate(q).g
         levels = count_levels()
@@ -496,15 +497,29 @@ class TestWindingStops:
         assert max(levels) == top
 
 
+def divisor_poles(g, w):
+    """The (point, residue) of each pole that g's divisor gives g'/(g - w):
+    every pole of g, and the zeros of g when w = 0."""
+    return [(p, m) for p, m in g.divisor if m < 0 or w == 0]
+
+
 def per_target_sums(g, rho, ws, n):
     """Each target's winding sum over all n nodes of |z| = rho, formed apart:
-    (2 pi i/n) sum(zeta (g'/(g - w))), and the rounding level of that sum."""
+    (2 pi i/n) sum(zeta (g'/(g - w))), less the trapezoid error of each
+    divisor pole of residue m at p (the n nodes sum zeta/(zeta - p) to
+    n/(1 - r), r = (p/rho)^n, inside and to -n r/(1 - r), r = (rho/p)^n,
+    outside), and the rounding level of that sum."""
     zeta = contour._circle_nodes(rho, n)
     dv, gv = evaluate([g.derivative().node, g.node], zeta)
     sums = []
     for w in ws:
         terms = zeta * (dv / (gv - w))
-        sums.append(((TWO_PI_I / n) * np.sum(terms),
+        err = 0j
+        for p, m in divisor_poles(g, w):
+            inside = abs(p) < rho
+            r = (p / rho if inside else rho / p) ** n
+            err += TWO_PI_I * m * r / (1 - r) * (1 if inside else -1)
+        sums.append(((TWO_PI_I / n) * np.sum(terms) - err,
                      contour.ROUND_EPS * (2.0 * math.pi / n) * np.sum(np.abs(terms))))
     return sums
 
@@ -541,8 +556,9 @@ class TestBufferedWindingSums:
     levels are summed apart, but they agree to the rounding level of a
     circle sum (ROUND_EPS (2 pi/n) sum |terms|, as circle_integral's floor):
     measured at most 2.3e-16 of it here.  The block size does not move them
-    at all.  A target's own pole is removed in closed form; that equals
-    subtracting 1/(z - z_t) at every node and adding its exact integral.
+    at all.  A target's own pole, and each pole that g's rim divisor gives
+    its integrand, is removed in closed form; that equals subtracting
+    m/(z - p) at every node and adding its exact integral.
     """
 
     @pytest.mark.parametrize("n", [1024, 2048, 4096, 8192])
@@ -566,11 +582,10 @@ class TestBufferedWindingSums:
             zeta = contour._circle_nodes(rho, n)
             dv, gv = evaluate([g.derivative().node, g.node], zeta)
             for s, w, zt in zip(got, ws, zs):
-                if zt is None:  # w = 0 takes no correction
-                    want = (TWO_PI_I / n) * np.sum(zeta * (dv / gv))
-                else:
-                    rest = dv / (gv - w) - 1.0 / (zeta - zt)
-                    want = (TWO_PI_I / n) * np.sum(zeta * rest) + TWO_PI_I * (abs(zt) < rho)
+                poles = divisor_poles(g, w) + ([] if zt is None else [(zt, 1)])
+                rest = dv / (gv - w) - sum(m / (zeta - p) for p, m in poles)
+                want = (TWO_PI_I / n) * np.sum(zeta * rest) + TWO_PI_I * sum(
+                    m * (abs(p) < rho) for p, m in poles)
                 assert abs(s - want) < 1e-12
 
     def test_pole_correction_settles_a_lone_simple_root_at_the_first_level(self):

@@ -613,21 +613,25 @@ def test_witness_samples_g_once_per_step_for_both_loci(candidate, comb_calls):
 
 def without_jets(g):
     """The slit map g with theta leaves that carry no jet: a pass takes theta
-    and theta' from a walk-out each, as before one walk-out gave both."""
+    and theta' from a walk-out each, as before one walk-out gave both.  It
+    keeps g's rim divisor."""
     t1, t3 = g.node.base.left, g.node.base.right
-    return HoloFn(Pow(Div(replace(t1, jet=None), replace(t3, jet=None)), 2), g.annulus)
+    return HoloFn(Pow(Div(replace(t1, jet=None), replace(t3, jet=None)), 2), g.annulus,
+                  g.divisor)
 
 
 # The probe's 32 targets take one call of two combs, where they took 32
 # calls.  The winding levels nest from 128 nodes, so a circle evaluates g on
-# as many nodes as its top level: 1,024 at q = 0.1 (2,048 before each
-# target's own pole was removed in closed form) and 16,384 at q = 0.9, where
-# the 1e-8 relative stop alone went to the 65,536 cap.  Its winding samples
-# take g and g' from one pass: without jets that is four combs a node
-# (theta1, theta1', theta3 and theta3'), 2 * 1024 * 4 + 64 and
-# 2 * 16384 * 4 + 64 points (24,640 and 786,496 when g and g' were sampled
-# apart, six combs a node, and 16,448 at q = 0.1 before the pole correction).
-@pytest.mark.parametrize("q, points", [(0.1, 8256), (0.9, 131136)])
+# as many nodes as its top level: 256 at q = 0.1 and 8,192 at q = 0.9 with
+# g's rim divisor removed in closed form (1,024 and 16,384 before; 2,048 at
+# q = 0.1 before each target's own pole was removed, and the 65,536 cap at
+# q = 0.9 under the 1e-8 relative stop alone).  Its winding samples take g
+# and g' from one pass: without jets that is four combs a node (theta1,
+# theta1', theta3 and theta3'), 2 * 256 * 4 + 64 and 2 * 8192 * 4 + 64
+# points (8,256 and 131,136 before the divisor; 24,640 and 786,496 when g
+# and g' were sampled apart, six combs a node, and 16,448 at q = 0.1 before
+# the pole correction).
+@pytest.mark.parametrize("q, points", [(0.1, 2112), (0.9, 65600)])
 def test_probe_comb_points(candidate, comb_calls, q, points):
     g = without_jets(candidate(q).g)
     calls = comb_calls()
@@ -636,10 +640,10 @@ def test_probe_comb_points(candidate, comb_calls, q, points):
 
 
 # With jets theta1 and theta3 each give value and derivative from one
-# walk-out: two combs a node, 2 * 1024 * 2 + 64 and 2 * 16384 * 2 + 64
-# points (8,256 at q = 0.1 before the pole correction), at the same levels
-# and with the same report as without.
-@pytest.mark.parametrize("q, points", [(0.1, 4160), (0.9, 65600)])
+# walk-out: two combs a node, 2 * 256 * 2 + 64 and 2 * 8192 * 2 + 64 points
+# (4,160 and 65,600 before the divisor, and 8,256 at q = 0.1 before the
+# pole correction), at the same levels and with the same report as without.
+@pytest.mark.parametrize("q, points", [(0.1, 1088), (0.9, 32832)])
 def test_probe_jet_comb_points(candidate, comb_calls, q, points):
     g = candidate(q).g
     calls = comb_calls()

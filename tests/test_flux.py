@@ -81,6 +81,12 @@ class TestFluxMeasurement:
             lifetime_bound(slit_tube(0.33).flux)
         assert "np.float64" not in str(err.value)
 
+    def test_snap_spares_the_vertical_component(self):
+        # on thin rings |J1| reaches 1e13 while J3 = 2 pi c, below the snap
+        # floor: J3 is kept, and horizontal dust is still snapped
+        Q = flux._flux_from_loops(np.array([1e13j, 1e-3j, 2j * math.pi]))
+        assert (Q.J1, Q.J2, Q.J3) == (1e13, 0.0, 2.0 * math.pi)
+
     def test_negative_orientation_is_rejected(self):
         data = WeierstrassData(holo("-1/(2*z^2)"), holo("z"))
         with pytest.raises(ValueError, match="co-oriented"):

@@ -9,6 +9,7 @@ import pytest
 
 from tubeflux import (
     FamilyBalanceError,
+    HoloFn,
     a0,
     a0_pair,
     boundary_reality,
@@ -108,6 +109,27 @@ class TestRawMap:
         k, kp = 1.0 / math.sqrt(1.0 + P), math.sqrt(P / (1.0 + P))
         want = math.log(cand.params.ring_radius) / math.pi
         assert abs(_agm(1.0, kp) / (2.0 * _agm(1.0, k)) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("q", (0.0025, 0.1, 0.72, 0.95))
+    def test_divisor_points_are_zeros_and_poles_of_their_order(self, candidate, q):
+        # the probe removes each divisor point's trapezoid error in closed
+        # form, so a wrong point or order would bias every winding sum: |g|
+        # must scale like eps^m on a step of eps |p| into the annulus (the
+        # slope reads m to 4e-5 here)
+        g = candidate(q).g
+        assert sorted(m for _, m in g.divisor) == [-2, 2]
+        for p, m in g.divisor:
+            inward = -1.0 if abs(p) > 1.0 else 1.0
+            a, b = (abs(g(p * (1.0 + inward * eps))) for eps in (1e-4, 1e-5))
+            assert math.log10(a / b) == pytest.approx(m, abs=1e-3), (q, p)
+
+    def test_only_the_calibrated_map_carries_a_divisor(self, candidate):
+        g = candidate(0.1).g
+        R = g.annulus.R
+        assert g.divisor == ((R, 2), (-1.0 / R, -2))
+        for other in (2 * g, g + 1.0, -g, g ** 2, g.derivative(),
+                      HoloFn.parse("z + 0.1/z", g.annulus), HoloFn.var(g.annulus)):
+            assert other.divisor == ()
 
     def test_quotient_equals_shifted_reciprocal_wp(self, sn_route_wp):
         # g0 * (P(u) - e2) should be the constant pi^2 * theta2^2 * theta4^2;
@@ -212,7 +234,8 @@ class TestOracle:
     """The slit family's numbers against closed forms at 40 digits.
 
     Measured worst relative errors: 7.4e-15 for lambda (q = 0.86) and
-    4.0e-15 for the tube (J1 at q = 0.82); each is held at 1e-13.
+    5.4e-15 for the tube (J1 at q = 0.86, the thin-ring band q >= 0.86
+    included); each is held at 1e-13.
     """
 
     # the tiny nomes catch a direct form that takes theta4^4 from its
@@ -221,8 +244,7 @@ class TestOracle:
     def test_level_is_the_closed_form(self, candidate, q):
         assert _rel(candidate(q).lam, _oracle_lam(q)) <= 1e-13
 
-    # the thin-ring band q in [0.86, 0.95] is still refused as a tube
-    @pytest.mark.parametrize("q", (0.0025, 0.01, 0.1, 0.33, 0.5, 0.72, 0.82))
+    @pytest.mark.parametrize("q", (0.0025, 0.01, 0.1, 0.33, 0.5, 0.72, 0.82, 0.86, 0.9, 0.95))
     def test_tube_is_the_closed_form(self, slit_tube, q):
         # balance gives Q = (-2 pi lambda c, 0, 2 pi c), so tan alpha = lambda,
         # life = -c ln q and bound = 2 pi^2 c/asinh(lambda); here c = 1
@@ -235,6 +257,11 @@ class TestOracle:
             assert _rel(tube.flux.J3, 2 * mp.pi) <= 1e-13
             assert _rel(report.lifetime.measured, -mp.log(q)) <= 1e-13
             assert _rel(report.bound, 2 * mp.pi ** 2 / mp.asinh(lam)) <= 1e-13
+
+    @pytest.mark.parametrize("q", (0.86, 0.9, 0.95))
+    def test_thin_ring_probe_passes(self, candidate, q):
+        report = univalence_probe(candidate(q).g)
+        assert (report.univalent, report.zero_count, report.n_targets) == ("passed", 0, 32)
 
 
 class TestSweep:
