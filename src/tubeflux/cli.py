@@ -287,6 +287,7 @@ def cmd_modulus(args) -> int:
         "indicator": est.indicator,
         "truncation_sensitivity": est.truncation_sensitivity,
         "dof": est.dof,
+        "cg_iterations": est.iterations,
     }
     if domain.exact_module is not None:
         report["exact"] = domain.exact_module

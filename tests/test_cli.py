@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tubeflux
@@ -366,6 +367,67 @@ class TestAnalyzeValidation:
         assert proc.stderr == f"tubeflux: config error: {message}\n"
 
 
+def fuzz_expr(rng, depth):
+    """A random text of the parser's grammar, its operations nested at most
+    depth deep: constants 1e-300..1e300, i, z, the four binary operators,
+    negation, integer powers -3..7, exp and log."""
+    pick = int(rng.integers(9 if depth else 3))
+    if pick == 0:
+        return "z"
+    if pick == 1:
+        return "i"
+    if pick == 2:
+        return f"{10.0 ** rng.uniform(-300.0, 300.0):.3g}"
+    arg = fuzz_expr(rng, depth - 1)
+    if pick == 3:
+        return f"{arg}{'+-*/'[int(rng.integers(4))]}{fuzz_expr(rng, depth - 1)}"
+    if pick == 4:
+        return f"({arg})^{int(rng.integers(-3, 8))}"
+    if pick == 5:
+        return f"-{arg}"
+    if pick == 6:
+        return f"({arg})"
+    return f"{('exp', 'log')[pick - 7]}({arg})"
+
+
+def fuzz_config(rng):
+    """An analyze config: R in 1.01..1e3, a random g, then c or a random f,
+    and sometimes N."""
+    cfg = {"R": float(10.0 ** rng.uniform(math.log10(1.01), 3.0)), "g": fuzz_expr(rng, 5)}
+    if rng.random() < 0.5:
+        cfg["c"] = float(10.0 ** rng.uniform(-3.0, 3.0))
+    else:
+        cfg["f"] = fuzz_expr(rng, 5)
+    if rng.random() < 0.25:
+        cfg["N"] = 2 * int(rng.integers(8, 129))
+    return cfg
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(4))
+def test_fuzzed_analyze_ends_in_one_line_or_one_report(tmp_path, seed):
+    # 50 seeded draws a seed from the grammar: each ends in one refusal
+    # line (1) or one report whose verdict its exit code names (0, 2)
+    rng = np.random.default_rng(seed)
+    verdicts = {0: "tube", 2: "not a tube"}
+    for k in range(50):
+        cfg = fuzz_config(rng)
+        path = tmp_path / f"config{k}.json"
+        path.write_text(json.dumps(cfg))
+        try:
+            proc = run("analyze", path, "--sections", "0.0")
+        except Exception as exc:
+            pytest.fail(f"{cfg!r} raised {exc!r}")
+        if proc.returncode == 1:
+            assert proc.stdout == "", cfg
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("tubeflux: "), (cfg, proc.stderr)
+        else:
+            assert proc.returncode in verdicts, (cfg, proc.returncode, proc.stderr)
+            assert proc.stderr == "", (cfg, proc.stderr)
+            assert json.loads(proc.stdout)["verdict"] == verdicts[proc.returncode], cfg
+
+
 class TestSweepBound:
     def test_single_row_matches_closed_forms(self, tmp_path):
         out = tmp_path / "bound.csv"
@@ -490,7 +552,7 @@ class TestModulus:
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert set(report) == {"domain", "h", "module", "indicator",
-                               "truncation_sensitivity", "dof", "exact"}
+                               "truncation_sensitivity", "dof", "cg_iterations", "exact"}
         assert report["module"] == pytest.approx(1.0, abs=1e-9)
         assert report["exact"] == 1
         assert report["domain"]["kind"] == "box_conductor"

@@ -255,22 +255,66 @@ class TestGridSolver:
         assert abs(energy - direct) <= 1e-12 * direct
 
     def test_preconditioner_is_symmetric_positive(self):
-        A, _, ins, _, _ = _assemble(RingDomain.comparison(1.0), 0.2)
-        levels, coarse = _hierarchy(A, ins)
-        assert len(levels) >= 2  # a real V-cycle, not only the direct solve
-        x, y = np.random.default_rng(6).standard_normal((2, A.shape[0]))
-        xMx, yMy = x @ _vcycle(levels, coarse, x), y @ _vcycle(levels, coarse, y)
-        assert xMx > 0.0 and yMy > 0.0
-        xMy, yMx = x @ _vcycle(levels, coarse, y), y @ _vcycle(levels, coarse, x)
-        assert abs(xMy - yMx) <= 1e-12 * math.sqrt(xMx * yMy)
+        # the scaled coarse step contracts for 0 < _OVERCORRECT < 2
+        assert 0.0 < modulus._OVERCORRECT < 2.0
+        for domain, h in [
+            (RingDomain.comparison(1.0), 0.2),
+            (RingDomain.from_json({"kind": "annulus", "ratio": math.e}), 0.04),
+            (RingDomain.from_json({"kind": "box_conductor", "width": 1.0, "height": 1.0}), 0.008),
+        ]:
+            A, _, ins, _, _ = _assemble(domain, h)
+            levels, coarse = _hierarchy(A, ins)
+            assert len(levels) >= 2, domain.descriptor  # a real V-cycle, not only the LU
+            for level, _, _ in levels:
+                # Gershgorin bounds the spectrum of D^-1 A by 2 on every level
+                # (a coarse row sum that cancels to zero may round 1 ulp past
+                # it), so Jacobi at a weight below 1 contracts, as the
+                # V-cycle's argument for positivity needs
+                rows = np.asarray(abs(level).sum(axis=1)).ravel() / level.diagonal()
+                assert rows.max() <= 2.0 + 1e-14, domain.descriptor
+                assert 0.0 < modulus._OMEGA * rows.max() < 2.0
+            x, y = np.random.default_rng(6).standard_normal((2, A.shape[0]))
+            Mx, My = _vcycle(levels, coarse, x), _vcycle(levels, coarse, y)
+            assert x @ Mx > 0.0 and y @ My > 0.0, domain.descriptor
+            assert abs(x @ My - y @ Mx) <= 1e-12 * math.sqrt((x @ Mx) * (y @ My))
+            # the grid's checkerboard, the mode a weight past 1 turns negative
+            r, c = np.nonzero(ins)
+            checker = (-1.0) ** (r + c)
+            assert checker @ _vcycle(levels, coarse, checker) > 0.0, domain.descriptor
 
-    def test_few_iterations_on_the_slit_domain(self, monkeypatch):
-        # Jacobi preconditioning took 1,041 here; the count grows like h^-1
-        cg, iters = modulus.spla.cg, []
-        monkeypatch.setattr(modulus.spla, "cg", lambda *a, **kw: cg(
-            *a, callback=lambda xk: iters.append(1), **kw))
+    @pytest.fixture
+    def cg_iterations(self, monkeypatch):
+        """The iteration count of each CG solve, in call order."""
+        cg, counts = modulus.spla.cg, []
+
+        def counted(*args, callback, **kwargs):
+            counts.append(0)
+
+            def step(xk):
+                counts[-1] += 1
+                callback(xk)
+            return cg(*args, callback=step, **kwargs)
+        monkeypatch.setattr(modulus.spla, "cg", counted)
+        return counts
+
+    def test_few_iterations_on_the_slit_domain(self, cg_iterations):
+        # Jacobi preconditioning took 1,041 here and grows like h^-1; the
+        # V-cycle took 30 at Jacobi weight 2/3 with an unscaled coarse step
         _grid_energy(RingDomain.comparison(1.0), 0.1)
-        assert 0 < len(iters) <= 60
+        assert len(cg_iterations) == 1 and 0 < cg_iterations[0] <= 23
+
+    @pytest.mark.parametrize("domain, h, counts", [
+        (RingDomain.comparison(1.0), 0.1, [23, 28, 22]),
+        (RingDomain.from_json({"kind": "annulus", "ratio": math.e}), 0.04, [16, 19]),
+        (RingDomain.from_json({"kind": "annulus", "ratio": math.e}), 0.02, [19, 26]),
+    ], ids=["D(1)-h0.1", "ring_e-h0.04", "ring_e-h0.02"])
+    def test_iteration_counts_are_pinned(self, cg_iterations, domain, h, counts):
+        # the solves at h, h/2 and, for D, the padded box at h; at Jacobi
+        # weight 2/3 with an unscaled coarse step they took 30, 42, 30 /
+        # 20, 28 / 28, 41
+        est = grid_module_estimate(domain, h)
+        assert cg_iterations == counts
+        assert est.iterations == counts[1]
 
     def test_unconverged_solve_reports_its_state(self, monkeypatch):
         cg = modulus.spla.cg
