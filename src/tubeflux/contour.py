@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import (
-    Add, Const, Div, EvalDomainError, Mul, Neg, Pow, Sub, Var,
-    _first_bad, differentiate, evaluate, parse, to_string,
+    Add, Const, Div, EvalDomainError, ExprError, Mul, Neg, Pow, Sub, Var,
+    _depth, _first_bad, differentiate, evaluate, parse, to_string,
 )
 
 __all__ = [
@@ -57,6 +57,14 @@ MAX_N = 2 ** 16
 QUAD_TOL = 1e-11
 # a circle sum's rounding level is ROUND_EPS * (2 pi/n) sum |zeta h(zeta)|
 ROUND_EPS = 4.0 * np.finfo(float).eps
+# HoloFn arithmetic refuses a deeper tree: the tube adds 4 levels to g
+# (((g*g + 1)*1j)*f, with f = c/(2zg)), so the deepest g that parse accepts,
+# expr.MAX_DEPTH = 100 levels, still makes a tube, and a deeper g is refused
+# there.  The walks recurse, and a derivative can be 3 times as deep as its
+# tree (a chain of quotients): a 104-level tree's derivative is about 310
+# levels, which evaluation (three recursion units a level) takes within
+# Python's default limit of 1,000.
+MAX_BUILT_DEPTH = 104
 
 # the probe's winding circles sit this fraction of ln R inside the rims
 PROBE_MARGIN = 0.02
@@ -103,7 +111,8 @@ class HoloFn:
     that is not an Annulus, and quadrature, the univalence probe and the
     Weierstrass synthesis all read it from here.  Supports arithmetic with
     other HoloFn instances (annuli must agree) and with plain scalars; the
-    results stay symbolic so derivatives and printing keep working.
+    results stay symbolic so derivatives and printing keep working, and
+    arithmetic refuses a result deeper than MAX_BUILT_DEPTH levels.
     Series-backed functions enter as Opaque leaves of the tree (as the slit
     map's thetas do).
 
@@ -116,7 +125,7 @@ class HoloFn:
     derivative() give (), since their results have another divisor.
     """
 
-    __slots__ = ("node", "annulus", "divisor")
+    __slots__ = ("node", "annulus", "divisor", "_levels")
 
     def __init__(self, node, annulus, divisor=()):
         if not isinstance(annulus, Annulus):
@@ -124,6 +133,7 @@ class HoloFn:
         self.node = node
         self.annulus = annulus
         self.divisor = tuple((complex(p), int(m)) for p, m in divisor)
+        self._levels = None  # the tree's depth, counted at the first arithmetic
 
     @classmethod
     def parse(cls, text, annulus):
@@ -150,12 +160,13 @@ class HoloFn:
     def _binary(self, other, op, swap=False):
         if isinstance(other, HoloFn):
             node, ann = other.node, _merge_annuli(self.annulus, other.annulus)
+            levels = other._tree_depth()
         elif isinstance(other, (int, float, complex)):
-            node, ann = Const(complex(other)), self.annulus
+            node, ann, levels = Const(complex(other)), self.annulus, 1
         else:
             return NotImplemented
         a, b = (node, self.node) if swap else (self.node, node)
-        return HoloFn(op(a, b), ann)
+        return HoloFn._built(op(a, b), ann, max(levels, self._tree_depth()))
 
     def __add__(self, other):
         return self._binary(other, Add)
@@ -180,12 +191,28 @@ class HoloFn:
         return self._binary(other, Div, swap=True)
 
     def __neg__(self):
-        return HoloFn(Neg(self.node), self.annulus)
+        return HoloFn._built(Neg(self.node), self.annulus, self._tree_depth())
 
     def __pow__(self, k):
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
             raise TypeError("only integer powers are supported")
-        return HoloFn(Pow(self.node, int(k)), self.annulus)
+        return HoloFn._built(Pow(self.node, int(k)), self.annulus, self._tree_depth())
+
+    def _tree_depth(self):
+        if self._levels is None:
+            self._levels = _depth(self.node)
+        return self._levels
+
+    @staticmethod
+    def _built(node, annulus, operand_levels):
+        """The result of arithmetic, one level above its deepest operand,
+        refused past MAX_BUILT_DEPTH levels."""
+        result = HoloFn(node, annulus)
+        result._levels = operand_levels + 1
+        if result._levels > MAX_BUILT_DEPTH:
+            raise ExprError(f"arithmetic built an expression {result._levels} levels deep, "
+                            f"deeper than {MAX_BUILT_DEPTH}")
+        return result
 
 
 # --- circle quadrature -----------------------------------------------------

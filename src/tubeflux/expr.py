@@ -127,15 +127,19 @@ class Opaque:
     or the node of fn's derivative, which the chain rule multiplies by arg's.
     In one evaluation pass every node is evaluated once and its value held
     until the pass returns, so leaves composed with one ``arg`` node share
-    its value.  ``jet``, if given, maps x to the pair (fn(x), deriv.fn(x)),
-    each shaped as x, for an Opaque ``deriv`` on the same ``arg`` node.
-    Lets series-backed functions live in parsed expressions' trees.
+    its value.  ``shared``, if given, is a pair (walk_out, row) that names a
+    walk-out the leaf shares: walk_out(x, jet) returns a tuple of arrays
+    shaped as x, its value rows and then, with the jet, its derivative rows,
+    and fn(x) is its row ``row``.  Leaves that name one walk-out on one
+    ``arg`` node read their rows from one call a pass (see _Walk); a leaf
+    with no ``deriv`` is taken for a derivative row.  Lets series-backed
+    functions live in parsed expressions' trees.
     """
     name: str
     fn: object
     deriv: object = None
     arg: object = Var()
-    jet: object = None
+    shared: object = None
 
 
 # the grammar's binary operators, all left-associative, which parser, printer
@@ -152,6 +156,25 @@ _BINARY = {
 
 # --- evaluation ------------------------------------------------------------
 
+# the fields that hold a node's operands
+_OPERANDS = ("left", "right", "base", "arg")
+
+
+def _depth(node):
+    """Levels of the tree under node, a leaf counting one, found without
+    recursion (each shared node once)."""
+    levels, todo = {}, [node]
+    while todo:
+        n = todo[-1]
+        kids = [v for f, v in vars(n).items() if f in _OPERANDS]
+        new = [k for k in kids if id(k) not in levels]
+        if new:
+            todo.extend(new)
+        else:
+            levels[id(todo.pop())] = 1 + max((levels[id(k)] for k in kids), default=0)
+    return levels[id(node)]
+
+
 def _first_bad(mask, z):
     idx = np.argwhere(mask)
     if idx.size == 0:
@@ -161,8 +184,14 @@ def _first_bad(mask, z):
 
 class _Walk:
     """One evaluation pass of ``roots`` at z: each node (by identity) is
-    evaluated at its first use and held until the pass returns.  A jet leaf
-    gives both values when several roots reach its deriv (listed at need)."""
+    evaluated at its first use and held until the pass returns.
+
+    The one sharing rule: leaves that name a walk-out in ``shared`` read
+    their rows from one call of it on their ``arg`` node's value, held in
+    the memo under (arg, walk-out) until the pass returns.  That call takes
+    the jet when several roots reach the first such leaf's deriv (listed at
+    need), or when that leaf has no deriv; a derivative row past the rows
+    held calls it again with the jet, once."""
 
     def __init__(self, z, roots=()):
         self.z, self.roots, self.memo, self.reached = z, roots, {}, None
@@ -173,7 +202,7 @@ class _Walk:
             while new:  # the operands one step further, by id, each node once
                 self.reached.update(new)
                 new = {id(v): v for n in new.values() for f, v in vars(n).items()
-                       if f in ("left", "right", "base", "arg") and id(v) not in self.reached}
+                       if f in _OPERANDS and id(v) not in self.reached}
         return id(node) in self.reached
 
     def __call__(self, node):
@@ -221,9 +250,14 @@ class _Walk:
                 raise EvalDomainError("log evaluated too close to its branch cut", bad)
             return np.log(w)
         if isinstance(node, Opaque):
-            if node.jet is not None and node.deriv.arg is node.arg and self._reaches(node.deriv):
-                value, self.memo[id(node.deriv)] = node.jet(self(node.arg))
-                return value
+            if node.shared is not None:
+                walk_out, row = node.shared
+                key = (id(node.arg), walk_out)
+                rows = self.memo.get(key, ())
+                if row >= len(rows):
+                    jet = node.deriv is None or self._reaches(node.deriv)
+                    rows = self.memo[key] = walk_out(self(node.arg), jet)
+                return rows[row]
             value = np.asarray(node.fn(self(node.arg)))  # shaped as z, a view where it differs
             return value if value.shape == z.shape else np.broadcast_to(value, z.shape)
         raise ExprError(f"unknown node {node!r}")
@@ -234,9 +268,9 @@ def evaluate(node, z):
 
     ``node`` may also be a list or tuple of roots: they are evaluated in order
     in one pass, and the list of their values is returned.  A node that
-    several roots (or several parents) share is evaluated once; with two or
-    more roots, an Opaque leaf whose ``deriv`` they reach gives both from its
-    ``jet``.  Every value equals, bit for bit, that of a separate call, and
+    several roots (or several parents) share is evaluated once, and Opaque
+    leaves that share a walk-out take their rows from one call of it (see
+    _Walk).  Every value equals, bit for bit, that of a separate call, and
     an EvalDomainError names the point a separate call on each root would.
     """
     roots = list(node) if isinstance(node, (list, tuple)) else [node]

@@ -126,14 +126,18 @@ def calibrate_candidate(q) -> SlitMapCandidate:
     q = params.q
     rootq = math.sqrt(q)
     # the ring coordinate v = pi u = log(sqrt(q) z)/(2i), formed once a pass;
-    # a pass that needs theta and theta' takes both from one comb walk-out
+    # theta1 and theta3, and theta1' and theta3' when the pass needs them,
+    # come from one comb walk-out: rows (theta1, theta3, theta1', theta3')
     v = Opaque("v", lambda z: np.log(rootq * z) / 2j, Div(Const(-0.5j), Var()))
+
+    def thetas(w, jet):
+        return elliptic._gauss_comb(w, q, (0.5, 0.0), jet)
     t1 = Opaque(f"theta1[q={q:g}]", lambda w: theta1(w, q),
-                Opaque(f"theta1'[q={q:g}]", lambda w: theta1_prime(w, q), arg=v), v,
-                lambda w: elliptic._gauss_comb(w, q, 0.5, jet=True))
+                Opaque(f"theta1'[q={q:g}]", lambda w: theta1_prime(w, q), arg=v,
+                       shared=(thetas, 2)), v, (thetas, 0))
     t3 = Opaque(f"theta3[q={q:g}]", lambda w: theta3(w, q),
-                Opaque(f"theta3'[q={q:g}]", lambda w: theta3_prime(w, q), arg=v), v,
-                lambda w: elliptic._gauss_comb(w, q, 0.0, jet=True))
+                Opaque(f"theta3'[q={q:g}]", lambda w: theta3_prime(w, q), arg=v,
+                       shared=(thetas, 3)), v, (thetas, 1))
     # theta1's zero at u = 0 and theta3's at u = (1 + it)/2 put g0's rim
     # divisor at z = R (a double zero) and z = -1/R (a double pole)
     R = params.ring_radius

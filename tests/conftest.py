@@ -5,6 +5,7 @@ a 60-digit Weierstrass P that shares no code with the package."""
 from functools import lru_cache
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from tubeflux import (
@@ -80,12 +81,18 @@ def count_levels(monkeypatch):
 
 @pytest.fixture()
 def comb_calls(monkeypatch):
-    """``comb_calls()`` records the point count of every theta-comb call made
-    from then on (theta1, theta3 and their derivatives alike), and returns
-    the list it records into."""
+    """``comb_calls()`` records (rows, points) for every theta-comb call made
+    from then on (theta1, theta3 and their derivatives alike, one row each
+    that the call returns), and returns the list it records into."""
     def start():
-        calls = []
-        monkeypatch.setattr(elliptic, "_gauss_comb", _counting(elliptic._gauss_comb, calls))
+        calls, comb = [], elliptic._gauss_comb
+
+        def counted(v, *args):
+            rows = comb(v, *args)
+            calls.append((len(rows), np.size(v)))
+            return rows
+
+        monkeypatch.setattr(elliptic, "_gauss_comb", counted)
         return calls
 
     return start

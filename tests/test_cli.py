@@ -341,6 +341,14 @@ class TestAnalyzeValidation:
         assert proc.stderr == ("tubeflux: config error: bad expression: expression "
                                f"nested deeper than 100 levels (position {pos})\n")
 
+    def test_deepest_parsed_map_is_still_a_tube(self, tmp_path):
+        # parsed at depth 100; the tube's trees, 104 deep, stay inside
+        # HoloFn arithmetic's bound
+        g = "1.3*z - 0.1/z" + "+0*z" * 97
+        proc = run("analyze", write_config(tmp_path, R=2, g=g, c=1))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["verdict"] == "tube"
+
     def test_config_root_must_be_an_object(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text('[2.0, "z", 1.0]')
@@ -403,11 +411,53 @@ def fuzz_config(rng):
     return cfg
 
 
+# e^{i psi} of the metamorphic rotations, and their tolerance relative to |Q|
+ROTATION = "(0.6+0.8*i)"
+METAMORPHIC_RTOL = 1e-10
+
+
+def analyze_report(path, cfg):
+    """The report of ``analyze`` on cfg, written to path; a tube or a failure
+    that prints cfg."""
+    path.write_text(json.dumps(cfg))
+    proc = run("analyze", path, "--sections", "0.0")
+    assert proc.returncode == 0 and proc.stderr == "", (cfg, proc.returncode, proc.stderr)
+    return json.loads(proc.stdout)
+
+
+def assert_rotations_hold(tmp_path, cfg, report):
+    """The metamorphic checks on a tube drawn with c.  With f = c/(2zg),
+    F1 + iF2 = -2g^2 f and F1 - iF2 = 2f, so g -> e^{i psi} g turns
+    J1 + iJ2 by psi and keeps J3, life and bound; g(z) -> g(e^{i phi} z) only
+    reparametrizes the ring, keeping Q, life and bound (not for g holding a
+    log, whose branch cut the rotation moves).  The drawn tubes are flat
+    (J1 = J2 = 0); test_tubes.py::TestRotations holds the turn on tilted
+    slit tubes."""
+    q = report["Q"]
+    tol = METAMORPHIC_RTOL * math.hypot(*q)
+
+    def close(got, want):
+        if isinstance(want, str) or isinstance(got, str):  # "inf"
+            return got == want
+        return all(abs(a - b) <= tol for a, b in zip(np.ravel(got), np.ravel(want)))
+
+    turned = analyze_report(tmp_path / "rotated_g.json", {**cfg, "g": f"{ROTATION}*({cfg['g']})"})
+    j12 = complex(*q[:2]) * complex(ROTATION.replace("*i", "j"))
+    assert close(turned["Q"], [j12.real, j12.imag, q[2]]), (cfg, turned["Q"], q)
+    assert close(turned["life"], report["life"]) and close(turned["bound"], report["bound"]), cfg
+    if "log" not in cfg["g"]:
+        g = cfg["g"].replace("z", f"({ROTATION}*z)")
+        moved = analyze_report(tmp_path / "rotated_z.json", {**cfg, "g": g})
+        for key in ("Q", "life", "bound"):
+            assert close(moved[key], report[key]), (cfg, key, moved[key], report[key])
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", range(4))
 def test_fuzzed_analyze_ends_in_one_line_or_one_report(tmp_path, seed):
     # 50 seeded draws a seed from the grammar: each ends in one refusal
-    # line (1) or one report whose verdict its exit code names (0, 2)
+    # line (1) or one report whose verdict its exit code names (0, 2); a
+    # tube drawn with c also passes the metamorphic rotations
     rng = np.random.default_rng(seed)
     verdicts = {0: "tube", 2: "not a tube"}
     for k in range(50):
@@ -425,7 +475,10 @@ def test_fuzzed_analyze_ends_in_one_line_or_one_report(tmp_path, seed):
         else:
             assert proc.returncode in verdicts, (cfg, proc.returncode, proc.stderr)
             assert proc.stderr == "", (cfg, proc.stderr)
-            assert json.loads(proc.stdout)["verdict"] == verdicts[proc.returncode], cfg
+            report = json.loads(proc.stdout)
+            assert report["verdict"] == verdicts[proc.returncode], cfg
+            if proc.returncode == 0 and "c" in cfg:
+                assert_rotations_hold(tmp_path, cfg, report)
 
 
 class TestSweepBound:

@@ -9,6 +9,7 @@ import pytest
 from tubeflux import (
     Annulus,
     HoloFn,
+    MinimalTube,
     a0,
     a0_pair,
     circle_integral,
@@ -316,6 +317,31 @@ class TestHoloFnAlgebra:
         dnode = Opaque("sq'", lambda z: 2.0 * np.asarray(z), None)
         g = HoloFn(Opaque("sq", lambda z: np.asarray(z) ** 2, dnode), ANN)
         assert abs(g.derivative()(1.5) - 3.0) < 1e-15
+
+    def test_arithmetic_refuses_a_tree_past_its_bound(self):
+        # 600 sums ended in a RecursionError inside MinimalTube; the 102nd
+        # builds a tree 105 levels deep, one past the bound
+        g = zero = HoloFn.var(ANN)
+        with pytest.raises(ExprError, match=f"deeper than {contour.MAX_BUILT_DEPTH}$") as info:
+            for _ in range(600):
+                g = g + 0 * zero
+        assert str(info.value).startswith("arithmetic built an expression 105 levels deep")
+        with pytest.raises(ExprError, match="deeper than 104"):
+            -g ** 1
+        assert g.derivative()(1.0) == 1.0
+        with pytest.raises(ExprError, match="deeper than 104"):
+            MinimalTube(tube_from_gauss(g, 1.0))
+
+    def test_deepest_quotient_chain_is_probed(self):
+        # the deepest tree arithmetic builds, as quotients, whose derivative
+        # is three times as deep: the probe evaluates it without recursing
+        # past Python's limit
+        z = g = HoloFn.var(ANN)
+        for _ in range(contour.MAX_BUILT_DEPTH - 1):
+            g = g / z
+        with pytest.raises(ExprError, match="105 levels deep"):
+            g / z
+        univalence_probe(g)
 
     @pytest.mark.parametrize("annulus", [None, 2.0])
     def test_annulus_is_required(self, annulus):

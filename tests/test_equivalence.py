@@ -82,8 +82,10 @@ samples both rims in one call and must equal one call per rim bit for bit.
 One walk-out of the theta comb gives theta and theta' together (the jet).
 Each must equal, bit for bit and in type, the walk-out of its own that the
 comb made before, kept below as separate_comb; goldens/wp_prime.json holds
-P' as that comb gave it.  A pass of g' and g takes one jet per theta and
-must equal separate passes of each.
+P' as that comb gave it.  One walk-out also stacks theta1 and theta3 (and
+their derivatives): each row must equal its one-row walk-out bit for bit,
+at every batch size.  A pass of g' and g takes one stacked jet for both
+thetas and must equal separate passes of each.
 """
 
 import json
@@ -394,7 +396,7 @@ def test_one_walk_out_gives_theta_and_theta_prime_bit_for_bit(q, k):
     reach = comb_reach(inputs["spread"], q)
     assert reach.min() < reach.max()  # the spread runs the comb's np.where branch
     for name, v in inputs.items():
-        value, slope = elliptic._gauss_comb(v, q, half_step, jet=True)
+        value, slope = elliptic._gauss_comb(v, q, (half_step,), True)
         want_value, want_slope = (separate_comb(v, q, half_step, deriv) for deriv in (False, True))
         for got in (value, theta(v, q)):
             assert type(got) is type(want_value) and same_bits(got, want_value), name
@@ -405,16 +407,18 @@ def test_one_walk_out_gives_theta_and_theta_prime_bit_for_bit(q, k):
 
 @pytest.mark.parametrize("q", JET_NOMES)
 def test_pass_of_g_prime_and_g_takes_one_jet_a_theta(candidate, comb_calls, q):
-    # one jet walk-out for theta1 and one for theta3, where g' alone takes
-    # four combs (one root takes no jet) and g two
+    # one stacked jet walk-out gives theta1, theta3, theta1' and theta3'
+    # (two jet walk-outs, one a theta, before).  g' alone takes a value
+    # walk-out and then a jet one (one root takes no jet; four combs
+    # before), and g one value walk-out for both thetas (two before)
     g = candidate(q).g
     gprime = g.derivative()
     z = ring_points(g.annulus.R)
     calls = comb_calls()
     dv, gv = evaluate([gprime.node, g.node], z)
-    assert len(calls) == 2
+    assert calls == [(4, z.size)]
     assert same_bits(dv, evaluate(gprime.node, z)) and same_bits(gv, evaluate(g.node, z))
-    assert len(calls) == 2 + 4 + 2
+    assert calls == [(4, z.size), (2, z.size), (4, z.size), (2, z.size)]
     assert same_bits(dv, plain_evaluate(gprime.node, z))
 
 
@@ -432,6 +436,60 @@ def test_wp_prime_keeps_its_separate_comb_values(q):
         [x.hex() for x in pair] for pair in want]
     one = elliptic.wp_prime(complex(u[0]), p)
     assert type(one) is complex and one == got[0]
+
+
+def test_wp_and_wp_prime_take_one_comb_each(comb_calls):
+    # theta1 and theta3 stacked in one walk-out: P took two combs, and P'
+    # two jets, one a theta
+    p = EllipticParams(0.1)
+    u = np.array([a + 1j * b * p.t for a, b in WP_CELL])
+    calls = comb_calls()
+    elliptic.wp(u, p)
+    elliptic.wp_prime(u, p)
+    assert calls == [(2, u.size), (4, u.size)]
+
+
+STACK_SIZES = (1, 5, 513, 8192, 16384)
+
+
+def stack_inputs(q, n):
+    """n ring coordinates whose Im v, and so the comb's reach, varies."""
+    t = -math.log(q) / math.pi
+    return np.linspace(-3.0, 3.0, n) + 1j * np.linspace(-1.0, 1.0, n) * (1.5 * math.pi + math.pi * t)
+
+
+@pytest.mark.parametrize("q", JET_NOMES)
+@pytest.mark.parametrize("jet", [False, True], ids=["values", "jets"])
+def test_each_stacked_row_is_its_one_row_walk_out(q, jet):
+    # theta1's and theta3's rows (then theta1' and theta3') from one call
+    # equal each half step walked out alone, bit for bit and at every size:
+    # one block, several blocks and a short last block
+    for n in STACK_SIZES:
+        v = stack_inputs(q, n)
+        stacked = elliptic._gauss_comb(v, q, (0.5, 0.0), jet)
+        alone = [elliptic._gauss_comb(v, q, (h,), jet) for h in (0.5, 0.0)]
+        want = [row for rows in zip(*alone) for row in rows]
+        assert len(stacked) == len(want) == (4 if jet else 2)
+        for got, row in zip(stacked, want):
+            assert got.shape == (n,) and same_bits(got, row), n
+    one = elliptic._gauss_comb(np.asarray(v[40]), q, (0.5, 0.0), jet)
+    assert [type(x) for x in one] == [complex] * len(stacked)
+    assert all(same_bits(x, row[40]) for x, row in zip(one, stacked))
+
+
+@pytest.mark.parametrize("q", JET_NOMES)
+def test_theta_prime_does_not_depend_on_the_batch(q):
+    # a walk-out's arrays once passed 256 KiB at 16,384 points, where numpy
+    # reused a temporary and swapped a complex product's operands, which
+    # moved theta' by up to 1.9e-15 relative from the same points in blocks
+    for n in (16384, 32768):
+        v = stack_inputs(q, n)
+        for half_steps in ((0.5,), (0.0,), (0.5, 0.0)):
+            whole = elliptic._gauss_comb(v, q, half_steps, True)
+            blocks = [elliptic._gauss_comb(v[s:s + 512], q, half_steps, True)
+                      for s in range(0, n, 512)]
+            for i, row in enumerate(whole):
+                assert same_bits(row, np.concatenate([b[i] for b in blocks])), (n, half_steps, i)
 
 
 def first_error(fn):
@@ -612,7 +670,8 @@ def test_early_stop_equals_all_halvings_on_grid_arms(monkeypatch, counting, doma
 
 def test_witness_samples_g_once_per_step_for_both_loci(candidate, comb_calls):
     # one scan and 8 Illinois steps, the most any of the four brackets takes
-    # (6, 6, 8 and 6), two combs a sample (theta1 and theta3): 2 * 9 = 18.
+    # (6, 6, 8 and 6), one comb a sample stacking theta1 and theta3: 9.
+    # With a comb for each theta it took 2 * 9 = 18.
     # The third bracket took 9 steps, and the witness 20 calls, on g0 times
     # the quadrature scale and at the quadrature level.  With 47 halvings and
     # a residual call it took 2 * 49 = 98, and two loci with 80 halvings each
@@ -621,16 +680,17 @@ def test_witness_samples_g_once_per_step_for_both_loci(candidate, comb_calls):
     cand = candidate(0.1)
     calls = comb_calls()
     crossing_witness(cand.g, 1.0, cand.lam)
-    assert len(calls) == 18
+    assert len(calls) == 9 and all(rows == 2 for rows, _ in calls)
 
 
 def without_jets(g):
-    """The slit map g with theta leaves that carry no jet: a pass takes theta
-    and theta' from a walk-out each, as before one walk-out gave both.  It
-    keeps g's rim divisor."""
+    """The slit map g with theta leaves that share no walk-out: a pass takes
+    each of theta1, theta3, theta1' and theta3' from a walk-out of its own,
+    as before one walk-out gave several.  It keeps g's rim divisor."""
+    def unshared(leaf):
+        return replace(leaf, shared=None, deriv=replace(leaf.deriv, shared=None))
     t1, t3 = g.node.base.left, g.node.base.right
-    return HoloFn(Pow(Div(replace(t1, jet=None), replace(t3, jet=None)), 2), g.annulus,
-                  g.divisor)
+    return HoloFn(Pow(Div(unshared(t1), unshared(t3)), 2), g.annulus, g.divisor)
 
 
 # The probe's 32 targets take one call of two combs, where they took 32
@@ -643,39 +703,45 @@ def without_jets(g):
 # theta1', theta3 and theta3'), 2 * 256 * 4 + 64 and 2 * 8192 * 4 + 64
 # points (8,256 and 131,136 before the divisor; 24,640 and 786,496 when g
 # and g' were sampled apart, six combs a node, and 16,448 at q = 0.1 before
-# the pole correction).
+# the pole correction).  A theta' comb is a one-row jet: it walks out theta
+# too, so it returns two rows.
 @pytest.mark.parametrize("q, points", [(0.1, 2112), (0.9, 65600)])
 def test_probe_comb_points(candidate, comb_calls, q, points):
     g = without_jets(candidate(q).g)
     calls = comb_calls()
     univalence_probe(g)
-    assert sum(calls) == points
+    assert sum(n for _, n in calls) == points
+    assert {rows for rows, _ in calls} == {1, 2}
 
 
-# With jets theta1 and theta3 each give value and derivative from one
-# walk-out: two combs a node, 2 * 256 * 2 + 64 and 2 * 8192 * 2 + 64 points
-# (4,160 and 65,600 before the divisor, and 8,256 at q = 0.1 before the
-# pole correction), at the same levels and with the same report as without.
-@pytest.mark.parametrize("q, points", [(0.1, 1088), (0.9, 32832)])
+# With the shared walk-out one stacked jet gives theta1, theta3, theta1'
+# and theta3' (four rows): one comb a node, 2 * 256 + 32 and 2 * 8192 + 32
+# points, and the 32 targets one two-row comb.  With a jet a theta it was
+# two combs a node, 1,088 and 32,832 points (4,160 and 65,600 before the
+# divisor, and 8,256 at q = 0.1 before the pole correction).  The levels
+# and the report are those without jets.
+@pytest.mark.parametrize("q, points", [(0.1, 544), (0.9, 16416)])
 def test_probe_jet_comb_points(candidate, comb_calls, q, points):
     g = candidate(q).g
     calls = comb_calls()
     report = univalence_probe(g)
-    assert sum(calls) == points
+    assert sum(n for _, n in calls) == points
+    assert sorted({rows for rows, _ in calls}) == [2, 4]
     assert probe_fields(report) == probe_fields(univalence_probe(without_jets(g)))
 
 
 def test_tube_samples_g_once_per_node(candidate, comb_calls):
     # f = c/(2zg) holds g's tree, and data(z) and the F3 tree of the profile
-    # fit take g once a node from one pass: 2 combs (theta1 and theta3) x
-    # (2,048 loop nodes + 57 distinct legs x 96 fit nodes, 32 and 64 a leg).
-    # It was 22,528 when each of the 48 paths integrated its own two legs,
-    # and 45,056 when g was sampled once for itself and once inside f.
+    # fit take g once a node from one pass: one comb stacking theta1 and
+    # theta3 x (2,048 loop nodes + 57 distinct legs x 96 fit nodes, 32 and
+    # 64 a leg).  It was twice that, 15,040, with a comb for each theta;
+    # 22,528 when each of the 48 paths integrated its own two legs, and
+    # 45,056 when g was sampled once for itself and once inside f.
     data = tube_from_gauss(candidate(0.1).g, 1.0)
     assert data.probe.zero_count == 0  # MinimalTube reads the probe first: run it uncounted
     calls = comb_calls()
     MinimalTube(data)
-    assert sum(calls) == 15040
+    assert sum(n for _, n in calls) == 7520 and all(rows == 2 for rows, _ in calls)
 
 
 def test_paths_integrate_a_shared_leg_once(counting):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 
 import mpmath as mp
 import numpy as np
@@ -322,6 +323,18 @@ class TestGridSolver:
         with pytest.raises(RuntimeError, match=r"\(info=2\) after 2 iterations of "
                            r"maxiter=\d+; dof=\d+, h=0.2, relative residual \d"):
             _grid_energy(RingDomain.comparison(1.0), 0.2)
+
+    def test_stalled_solve_is_refused_quickly(self, monkeypatch):
+        # a damping weight past 1 spoils the V-cycle, so CG stalls; the cap
+        # of _CG_MAXITER refuses it in about a second, where 50 times the
+        # grid's width allowed 1,041 iterations at h = 0.1 and 32,050 at
+        # h = 0.05, minutes of them
+        monkeypatch.setattr(modulus, "_OMEGA", 1.2)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match=r"^conjugate gradient did not converge \(info=100\) "
+                           r"after 100 iterations of maxiter=100; dof=\d+, h=0.1"):
+            grid_module_estimate(RingDomain.comparison(1.0), 0.1)
+        assert time.perf_counter() - start < 10.0
 
     def test_energy_off_the_plate_currents_is_refused(self, monkeypatch):
         cg = modulus.spla.cg
