@@ -37,12 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partialmethod
 
 import numpy as np
 
 from .expr import (
-    Add, Const, Div, EvalDomainError, ExprError, Mul, Neg, Pow, Sub, Var,
-    _depth, _first_bad, differentiate, evaluate, parse, to_string,
+    Add, Const, Div, EvalDomainError, Mul, Neg, Pow, Sub, Var,
+    _Plan, _refuse, differentiate, evaluate, parse, to_string,
 )
 
 __all__ = [
@@ -57,14 +58,6 @@ MAX_N = 2 ** 16
 QUAD_TOL = 1e-11
 # a circle sum's rounding level is ROUND_EPS * (2 pi/n) sum |zeta h(zeta)|
 ROUND_EPS = 4.0 * np.finfo(float).eps
-# HoloFn arithmetic refuses a deeper tree: the tube adds 4 levels to g
-# (((g*g + 1)*1j)*f, with f = c/(2zg)), so the deepest g that parse accepts,
-# expr.MAX_DEPTH = 100 levels, still makes a tube, and a deeper g is refused
-# there.  The walks recurse, and a derivative can be 3 times as deep as its
-# tree (a chain of quotients): a 104-level tree's derivative is about 310
-# levels, which evaluation (three recursion units a level) takes within
-# Python's default limit of 1,000.
-MAX_BUILT_DEPTH = 104
 
 # the probe's winding circles sit this fraction of ln R inside the rims
 PROBE_MARGIN = 0.02
@@ -111,8 +104,7 @@ class HoloFn:
     that is not an Annulus, and quadrature, the univalence probe and the
     Weierstrass synthesis all read it from here.  Supports arithmetic with
     other HoloFn instances (annuli must agree) and with plain scalars; the
-    results stay symbolic so derivatives and printing keep working, and
-    arithmetic refuses a result deeper than MAX_BUILT_DEPTH levels.
+    results stay symbolic so derivatives and printing keep working.
     Series-backed functions enter as Opaque leaves of the tree (as the slit
     map's thetas do).
 
@@ -125,7 +117,7 @@ class HoloFn:
     derivative() give (), since their results have another divisor.
     """
 
-    __slots__ = ("node", "annulus", "divisor", "_levels")
+    __slots__ = ("node", "annulus", "divisor", "_plan")
 
     def __init__(self, node, annulus, divisor=()):
         if not isinstance(annulus, Annulus):
@@ -133,7 +125,7 @@ class HoloFn:
         self.node = node
         self.annulus = annulus
         self.divisor = tuple((complex(p), int(m)) for p, m in divisor)
-        self._levels = None  # the tree's depth, counted at the first arithmetic
+        self._plan = None  # the tree's evaluation plan, compiled at the first call
 
     @classmethod
     def parse(cls, text, annulus):
@@ -144,7 +136,9 @@ class HoloFn:
         return cls(Var(), annulus)
 
     def __call__(self, z):
-        return evaluate(self.node, z)
+        if self._plan is None:
+            self._plan = _Plan(self.node)
+        return evaluate(self._plan, z)
 
     def derivative(self):
         return HoloFn(differentiate(self.node), self.annulus)
@@ -160,59 +154,27 @@ class HoloFn:
     def _binary(self, other, op, swap=False):
         if isinstance(other, HoloFn):
             node, ann = other.node, _merge_annuli(self.annulus, other.annulus)
-            levels = other._tree_depth()
         elif isinstance(other, (int, float, complex)):
-            node, ann, levels = Const(complex(other)), self.annulus, 1
+            node, ann = Const(complex(other)), self.annulus
         else:
             return NotImplemented
         a, b = (node, self.node) if swap else (self.node, node)
-        return HoloFn._built(op(a, b), ann, max(levels, self._tree_depth()))
+        return HoloFn(op(a, b), ann)
 
-    def __add__(self, other):
-        return self._binary(other, Add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, Sub)
-
-    def __rsub__(self, other):
-        return self._binary(other, Sub, swap=True)
-
-    def __mul__(self, other):
-        return self._binary(other, Mul)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, Div)
-
-    def __rtruediv__(self, other):
-        return self._binary(other, Div, swap=True)
+    __add__ = __radd__ = partialmethod(_binary, op=Add)
+    __sub__ = partialmethod(_binary, op=Sub)
+    __rsub__ = partialmethod(_binary, op=Sub, swap=True)
+    __mul__ = __rmul__ = partialmethod(_binary, op=Mul)
+    __truediv__ = partialmethod(_binary, op=Div)
+    __rtruediv__ = partialmethod(_binary, op=Div, swap=True)
 
     def __neg__(self):
-        return HoloFn._built(Neg(self.node), self.annulus, self._tree_depth())
+        return HoloFn(Neg(self.node), self.annulus)
 
     def __pow__(self, k):
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
             raise TypeError("only integer powers are supported")
-        return HoloFn._built(Pow(self.node, int(k)), self.annulus, self._tree_depth())
-
-    def _tree_depth(self):
-        if self._levels is None:
-            self._levels = _depth(self.node)
-        return self._levels
-
-    @staticmethod
-    def _built(node, annulus, operand_levels):
-        """The result of arithmetic, one level above its deepest operand,
-        refused past MAX_BUILT_DEPTH levels."""
-        result = HoloFn(node, annulus)
-        result._levels = operand_levels + 1
-        if result._levels > MAX_BUILT_DEPTH:
-            raise ExprError(f"arithmetic built an expression {result._levels} levels deep, "
-                            f"deeper than {MAX_BUILT_DEPTH}")
-        return result
+        return HoloFn(Pow(self.node, int(k)), self.annulus)
 
 
 # --- circle quadrature -----------------------------------------------------
@@ -237,9 +199,7 @@ def _finite(h):
     """h, refusing a sample with a non-finite value at the first such point."""
     def sample(z):
         vals = h(z)
-        if not np.isfinite(vals).all():
-            ok = np.isfinite(np.reshape(vals, (-1, len(z)))).all(axis=0)
-            raise EvalDomainError("non-finite integrand", _first_bad(~ok, z))
+        _refuse(~np.isfinite(np.reshape(vals, (-1, len(z)))).all(axis=0), z, "non-finite integrand")
         return vals
 
     return sample
@@ -332,7 +292,8 @@ def circle_integral(h, rho, n_points=None):
 
 def laurent_coeff(h, k, rho=1.0):
     """Laurent coefficient a_k[h] = (1/2pi i) * integral of h(z) z^(-k-1) dz over |z|=rho."""
-    if not isinstance(k, (int, np.integer)):  # z^(-k-1) would cross its branch cut
+    # a fractional k's z^(-k-1) would cross its branch cut; a boolean is no index
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise TypeError(f"Laurent index must be an integer, got k={k!r}")
     _check_rho(h, rho)
 
@@ -350,7 +311,7 @@ def a0(h, rho=1.0):
 def a0_pair(g, rho=1.0):
     """The means (a0[g], a0[1/g]) of a HoloFn g, from one sample [g, 1/g] per level."""
     _check_rho(g, rho)
-    pair = [g.node, Div(Const(1), g.node)]
+    pair = _Plan([g.node, Div(Const(1), g.node)])
     return tuple(laurent_coeff(lambda zeta: np.array(evaluate(pair, zeta)), 0, rho))
 
 
@@ -497,13 +458,13 @@ def _winding_level(g, gprime, rho, ws, zs, block=WINDING_BLOCK):
             if m < 0 or w == 0:  # a pole of g is one of g - w; a zero is a root for w = 0 only
                 base[i, k], sign[i, k] = pole(p, m)
     total = np.zeros(len(ws), complex)  # the sum of zeta g'/(g - w) so far, a target
-    levels = []
+    levels, pair = [], _Plan([gprime.node, g.node])
 
     def quad(n, live):
         zeta = _circle_nodes(rho, n)[1::2] if levels else _circle_nodes(rho, n)
         levels.append(n)
         try:
-            dv, gv = evaluate([gprime.node, g.node], zeta)
+            dv, gv = evaluate(pair, zeta)
         except EvalDomainError:
             return [None] * len(live), [0.0] * len(live)
         rows, zero = [i for i in live if finite[i]], set()
@@ -616,9 +577,10 @@ def _newton_roots(g, gprime, w):
     rr = R ** np.linspace(-(1 - PROBE_MARGIN), 1 - PROBE_MARGIN, 14)
     tt = 2.0 * math.pi * (np.arange(16) + 0.31) / 16
     z = (rr[:, None] * np.exp(1j * tt[None, :])).ravel()
+    pair = _Plan([g.node, gprime.node])
     for _ in range(60):
         try:
-            gz, dz = evaluate([g.node, gprime.node], z)
+            gz, dz = evaluate(pair, z)
         except EvalDomainError:
             break
         fz = gz - w

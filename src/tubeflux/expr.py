@@ -11,11 +11,14 @@ Grammar (whitespace insignificant)::
 Powers take integer exponents only and ``log`` is the principal branch.
 ``parse`` refuses a tree deeper than MAX_DEPTH levels, and a text that nests
 brackets, calls and signs deeper than that.
-Trees are immutable.  Evaluation is vectorised over numpy arrays and
-deterministic; it fails loudly (carrying the offending point) instead of
-silently picking a branch or dividing by zero.  One evaluation pass may
-serve several roots (a map and its derivative); it evaluates each node once
-and holds every value until the pass returns.
+Trees are immutable, and only the parser recurses: one iterative post-order
+of the nodes under a list of roots (each node once, by identity) serves
+evaluation, ``differentiate`` and ``to_string``, so a tree built by
+arithmetic may be of any depth.  Evaluation is vectorised over numpy arrays
+and deterministic; it fails loudly (carrying the offending point) instead of
+silently picking a branch or dividing by zero.  One pass may serve several
+roots (a map and its derivative); roots evaluated many times are compiled
+once into a plan.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ __all__ = [
 
 # evaluation refuses points closer than this to the log cut
 LOG_CUT_TOL = 1e-13
-# parse refuses a deeper tree or nest: parser, derivative, evaluator and
-# printer recurse once a level, and a derivative is up to twice as deep
+# parse refuses a deeper tree or nest: it alone recurses, once a level, and
+# the bound checks text from outside
 MAX_DEPTH = 100
 
 
@@ -125,15 +128,15 @@ class Opaque:
     at the points z, so the leaf is fn(arg(z)); ``arg`` defaults to Var(),
     which makes it fn(z).  ``deriv`` is either None (differentiation raises)
     or the node of fn's derivative, which the chain rule multiplies by arg's.
-    In one evaluation pass every node is evaluated once and its value held
-    until the pass returns, so leaves composed with one ``arg`` node share
-    its value.  ``shared``, if given, is a pair (walk_out, row) that names a
+    A pass evaluates each node once, so leaves on one ``arg`` node share its
+    value.  ``shared``, if given, is a pair (walk_out, row) that names a
     walk-out the leaf shares: walk_out(x, jet) returns a tuple of arrays
-    shaped as x, its value rows and then, with the jet, its derivative rows,
-    and fn(x) is its row ``row``.  Leaves that name one walk-out on one
-    ``arg`` node read their rows from one call a pass (see _Walk); a leaf
-    with no ``deriv`` is taken for a derivative row.  Lets series-backed
-    functions live in parsed expressions' trees.
+    shaped as x, its value rows and then, with the jet, its derivative
+    rows, and fn(x) is its row ``row``.  Leaves that name one walk-out on
+    one ``arg`` node read their rows from one call a pass, which takes the
+    jet if and only if the pass's plan holds one of its derivative rows: a
+    leaf that shares it with no ``deriv``.  Lets series-backed functions
+    live in parsed expressions' trees.
     """
     name: str
     fn: object
@@ -154,137 +157,149 @@ _BINARY = {
 }
 
 
+# --- the plan --------------------------------------------------------------
+
+# the fields that hold each node type's operands, left to right
+_OPERANDS = {**dict.fromkeys(_BINARY, ("left", "right")), Const: (), Var: (),
+             Neg: ("arg",), Pow: ("base",), Exp: ("arg",), Log: ("arg",), Opaque: ("arg",)}
+
+
+def _operands(node):
+    if type(node) not in _OPERANDS:
+        raise ExprError(f"unknown node {node!r}")
+    return [getattr(node, f) for f in _OPERANDS[type(node)]]
+
+
+def _post_order(roots, operands=_operands):
+    """The nodes under ``roots``, each once (by identity), each after its
+    operands, left to right: the order in which a recursive walk with a memo
+    finishes them.  ``operands(node)`` lists the operands to visit; it is
+    called once a node, in the order such a walk enters them."""
+    order, seen, todo = [], set(), [(root, False) for root in reversed(roots)]
+    while todo:
+        node, entered = todo.pop()
+        if entered:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            todo.append((node, True))
+            todo.extend((kid, False) for kid in reversed(operands(node)))
+    return order
+
+
 # --- evaluation ------------------------------------------------------------
 
-# the fields that hold a node's operands
-_OPERANDS = ("left", "right", "base", "arg")
+def _refuse(mask, z, message):
+    """Raise EvalDomainError at the first point of z where mask holds."""
+    if mask.any():
+        raise EvalDomainError(message, complex(z[tuple(np.argwhere(mask)[0])]))
 
 
-def _depth(node):
-    """Levels of the tree under node, a leaf counting one, found without
-    recursion (each shared node once)."""
-    levels, todo = {}, [node]
-    while todo:
-        n = todo[-1]
-        kids = [v for f, v in vars(n).items() if f in _OPERANDS]
-        new = [k for k in kids if id(k) not in levels]
-        if new:
-            todo.extend(new)
-        else:
-            levels[id(todo.pop())] = 1 + max((levels[id(k)] for k in kids), default=0)
-    return levels[id(node)]
-
-
-def _first_bad(mask, z):
-    idx = np.argwhere(mask)
-    if idx.size == 0:
-        return None
-    return complex(z[tuple(idx[0])])
-
-
-class _Walk:
-    """One evaluation pass of ``roots`` at z: each node (by identity) is
-    evaluated at its first use and held until the pass returns.
-
-    The one sharing rule: leaves that name a walk-out in ``shared`` read
-    their rows from one call of it on their ``arg`` node's value, held in
-    the memo under (arg, walk-out) until the pass returns.  That call takes
-    the jet when several roots reach the first such leaf's deriv (listed at
-    need), or when that leaf has no deriv; a derivative row past the rows
-    held calls it again with the jet, once."""
-
-    def __init__(self, z, roots=()):
-        self.z, self.roots, self.memo, self.reached = z, roots, {}, None
-
-    def _reaches(self, node):
-        if self.reached is None:  # one root takes no jet: its pass lists nothing
-            self.reached, new = set(), {id(r): r for r in self.roots} if len(self.roots) > 1 else {}
-            while new:  # the operands one step further, by id, each node once
-                self.reached.update(new)
-                new = {id(v): v for n in new.values() for f, v in vars(n).items()
-                       if f in _OPERANDS and id(v) not in self.reached}
-        return id(node) in self.reached
-
-    def __call__(self, node):
-        value = self.memo.get(id(node))
-        if value is None:  # values are arrays, never None
-            value = self.memo[id(node)] = self._op(node)
-        return value
-
-    def _op(self, node):
-        # z is always a complex ndarray, and every node's value has its shape
-        z = self.z
-        op = _BINARY.get(type(node))
-        if op is not None:
-            left, right = self(node.left), self(node.right)
-            if type(node) is Div:
-                bad = _first_bad(right == 0, z)
-                if bad is not None:
-                    raise EvalDomainError("division by zero", bad)
-            return op.apply(left, right)
-        if isinstance(node, Const):
-            return np.broadcast_to(np.asarray(node.value, dtype=complex), z.shape)
-        if isinstance(node, Var):
-            return z
-        if isinstance(node, Neg):
-            return -self(node.arg)
-        if isinstance(node, Pow):
-            base = self(node.base)
-            k = node.exponent
+def _step(node, ins):
+    """node's step in a plan: a function of the values so far and z (a
+    complex ndarray, whose shape every value has) that reads the values at
+    the slots ``ins``, its operands' (a shared leaf's: its walk-out's)."""
+    kind, (a, b) = type(node), (*ins, None, None)[:2]  # the operands' slots
+    if kind is Const:
+        value = np.asarray(node.value, dtype=complex)
+        return lambda vals, z: np.broadcast_to(value, z.shape)
+    if kind is Var:
+        return lambda vals, z: z
+    if kind is Div:
+        def divide(vals, z):
+            _refuse(vals[b] == 0, z, "division by zero")
+            return vals[a] / vals[b]
+        return divide
+    if kind in _BINARY:
+        apply = _BINARY[kind].apply
+        return lambda vals, z: apply(vals[a], vals[b])
+    if kind is Neg:
+        return lambda vals, z: -vals[a]
+    if kind is Exp:
+        return lambda vals, z: np.exp(vals[a])
+    if kind is Pow:
+        def power(vals, z, k=node.exponent):
             if k < 0:
-                bad = _first_bad(base == 0, z)
-                if bad is not None:
-                    raise EvalDomainError(f"zero base raised to power {k}", bad)
-            return base ** k
-        if isinstance(node, Exp):
-            return np.exp(self(node.arg))
-        if isinstance(node, Log):
-            w = self(node.arg)
-            bad = _first_bad(w == 0, z)
-            if bad is not None:
-                raise EvalDomainError("log of zero", bad)
-            # principal branch; refuse points within LOG_CUT_TOL of the cut
-            near_cut = (w.real < 0) & (np.abs(w.imag) < LOG_CUT_TOL)
-            bad = _first_bad(near_cut, z)
-            if bad is not None:
-                raise EvalDomainError("log evaluated too close to its branch cut", bad)
+                _refuse(vals[a] == 0, z, f"zero base raised to power {k}")
+            return vals[a] ** k
+        return power
+    if kind is Log:
+        def principal_log(vals, z):
+            w = vals[a]
+            _refuse(w == 0, z, "log of zero")  # then points within LOG_CUT_TOL of the cut
+            _refuse((w.real < 0) & (np.abs(w.imag) < LOG_CUT_TOL), z,
+                    "log evaluated too close to its branch cut")
             return np.log(w)
-        if isinstance(node, Opaque):
-            if node.shared is not None:
-                walk_out, row = node.shared
-                key = (id(node.arg), walk_out)
-                rows = self.memo.get(key, ())
-                if row >= len(rows):
-                    jet = node.deriv is None or self._reaches(node.deriv)
-                    rows = self.memo[key] = walk_out(self(node.arg), jet)
-                return rows[row]
-            value = np.asarray(node.fn(self(node.arg)))  # shaped as z, a view where it differs
-            return value if value.shape == z.shape else np.broadcast_to(value, z.shape)
-        raise ExprError(f"unknown node {node!r}")
+        return principal_log
+    if node.shared is not None:
+        return lambda vals, z, row=node.shared[1]: vals[a][row]
+
+    def leaf(vals, z, fn=node.fn):
+        value = np.asarray(fn(vals[a]))  # shaped as z, a view where it differs
+        return value if value.shape == z.shape else np.broadcast_to(value, z.shape)
+    return leaf
+
+
+class _Plan:
+    """A root set compiled for evaluate: a step a node in post-order (and a
+    shared walk-out's before its first leaf), the slots each step reads
+    last, and each root's slot."""
+
+    __slots__ = ("steps", "spent", "roots", "many")
+
+    def __init__(self, node):
+        self.many = isinstance(node, (list, tuple))
+        roots = list(node) if self.many else [node]
+        order = _post_order(roots)
+        jets = {(id(n.arg), n.shared[0]) for n in order  # the jet rule (see evaluate)
+                if type(n) is Opaque and n.shared is not None and n.deriv is None}
+        steps, ins, slot, walks = [], [], {}, {}
+        for n in order:
+            reads = [slot[id(k)] for k in _operands(n)]
+            if type(n) is Opaque and n.shared is not None:
+                key = (id(n.arg), n.shared[0])
+                if key not in walks:
+                    walks[key] = len(steps)
+                    steps.append(lambda vals, z, out=n.shared[0], a=reads[0], jet=key in jets:
+                                 out(vals[a], jet))
+                    ins.append(reads)
+                reads = [walks[key]]
+            slot[id(n)] = len(steps)
+            steps.append(_step(n, reads))
+            ins.append(reads)
+        self.steps, self.roots = steps, [slot[id(r)] for r in roots]
+        self.spent = [[] for _ in steps]
+        for j, i in {j: i for i, reads in enumerate(ins) for j in reads}.items():
+            if j not in self.roots:
+                self.spent[i].append(j)
 
 
 def evaluate(node, z):
     """Evaluate ``node`` at ``z`` (complex scalar or ndarray).
 
-    ``node`` may also be a list or tuple of roots: they are evaluated in order
-    in one pass, and the list of their values is returned.  A node that
-    several roots (or several parents) share is evaluated once, and Opaque
-    leaves that share a walk-out take their rows from one call of it (see
-    _Walk).  Every value equals, bit for bit, that of a separate call, and
-    an EvalDomainError names the point a separate call on each root would.
+    ``node`` may also be a list or tuple of roots, whose values come as a
+    list, or a ``_Plan`` of either, compiled once for roots evaluated many
+    times.  A pass evaluates each node once, however many roots or parents
+    share it, and drops each value after its last use.  Opaque leaves that
+    share a walk-out on one arg node read their rows from one call, which
+    takes the jet if and only if the plan holds one of its derivative rows
+    (a sharing leaf with no deriv).  Every value equals, bit for bit, that
+    of a separate call, and an EvalDomainError names the point a separate
+    call on each root would.
     """
-    roots = list(node) if isinstance(node, (list, tuple)) else [node]
+    plan = node if isinstance(node, _Plan) else _Plan(node)
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
     if scalar:
         arr = arr.reshape(1)
-    walk = _Walk(arr, roots)
-    outs = []
+    vals = []
     with np.errstate(all="ignore"):
-        for root in roots:
-            out = walk(root)
-            outs.append(complex(out[0]) if scalar else out.copy())
-    return outs if isinstance(node, (list, tuple)) else outs[0]
+        for step, spent in zip(plan.steps, plan.spent):
+            vals.append(step(vals, arr))
+            for j in spent:
+                vals[j] = None
+    outs = [complex(vals[s][0]) if scalar else vals[s].copy() for s in plan.roots]
+    return outs if plan.many else outs[0]
 
 
 # --- differentiation -------------------------------------------------------
@@ -329,42 +344,55 @@ def _div(a, b):
     return Div(a, b)
 
 
-def differentiate(node):
-    """Symbolic derivative with respect to z."""
-    if isinstance(node, Const):
+def _derivative_operands(node):
+    """The operands whose derivatives node's needs, none under a zero power;
+    an Opaque leaf with no deriv is refused as the walk enters it."""
+    if type(node) is Pow and node.exponent == 0:
+        return []
+    if type(node) is Opaque and node.deriv is None:
+        raise ExprError(f"no derivative available for {node.name}")
+    return _operands(node)
+
+
+def _derivative(node, d):
+    """node's derivative, given d(operand), each operand's derivative."""
+    kind = type(node)
+    if kind is Const:
         return Const(0)
-    if isinstance(node, Var):
+    if kind is Var:
         return Const(1)
-    if isinstance(node, Add):
-        return _add(differentiate(node.left), differentiate(node.right))
-    if isinstance(node, Sub):
-        return _sub(differentiate(node.left), differentiate(node.right))
-    if isinstance(node, Neg):
-        d = differentiate(node.arg)
-        return Const(0) if _is_zero(d) else Neg(d)
-    if isinstance(node, Mul):
+    if kind is Add:
+        return _add(d(node.left), d(node.right))
+    if kind is Sub:
+        return _sub(d(node.left), d(node.right))
+    if kind is Neg:
+        da = d(node.arg)
+        return Const(0) if _is_zero(da) else Neg(da)
+    if kind is Mul:
         a, b = node.left, node.right
-        return _add(_mul(differentiate(a), b), _mul(a, differentiate(b)))
-    if isinstance(node, Div):
+        return _add(_mul(d(a), b), _mul(a, d(b)))
+    if kind is Div:
         a, b = node.left, node.right
-        num = _sub(_mul(differentiate(a), b), _mul(a, differentiate(b)))
-        return _div(num, Pow(b, 2))
-    if isinstance(node, Pow):
+        return _div(_sub(_mul(d(a), b), _mul(a, d(b))), Pow(b, 2))
+    if kind is Pow:
         k = node.exponent
         if k == 0:
             return Const(0)
-        inner = differentiate(node.base)
         step = _mul(Const(k), Pow(node.base, k - 1)) if k != 1 else Const(k)
-        return _mul(step, inner)
-    if isinstance(node, Exp):
-        return _mul(node, differentiate(node.arg))
-    if isinstance(node, Log):
-        return _div(differentiate(node.arg), node.arg)
-    if isinstance(node, Opaque):
-        if node.deriv is None:
-            raise ExprError(f"no derivative available for {node.name}")
-        return _mul(node.deriv, differentiate(node.arg))
-    raise ExprError(f"unknown node {node!r}")
+        return _mul(step, d(node.base))
+    if kind is Exp:
+        return _mul(node, d(node.arg))
+    if kind is Log:
+        return _div(d(node.arg), node.arg)
+    return _mul(node.deriv, d(node.arg))  # an Opaque leaf with a deriv
+
+
+def differentiate(node):
+    """Symbolic derivative with respect to z (of a shared node, once)."""
+    ds = {}  # each node's derivative, by identity
+    for n in _post_order([node], _derivative_operands):
+        ds[id(n)] = _derivative(n, lambda k: ds[id(k)])
+    return ds[id(node)]
 
 
 # --- printing --------------------------------------------------------------
@@ -385,43 +413,50 @@ def _const_str(value):
     return f"({v.real!r}{sign}{abs(v.imag)!r}*i)", 5
 
 
-def _render(node):
-    # returns (text, precedence of outermost operator)
-    if isinstance(node, Const):
+def _render(node, kids):
+    """node's text and its outermost operator's precedence, from its operands'
+    pairs ``kids``; a text is a string or a tuple of texts, read by _flatten."""
+    kind = type(node)
+    if kind is Const:
         return _const_str(node.value)
-    if isinstance(node, Var):
+    if kind is Var:
         return "z", 5
-    op = _BINARY.get(type(node))
+    op = _BINARY.get(kind)
     if op is not None:
-        lt, lp = _render(node.left)
-        rt, rp = _render(node.right)
-        lt = f"({lt})" if lp < op.prec else lt
-        rt = f"({rt})" if rp < op.prec or (op.strict_right and rp == op.prec) else rt
-        return f"{lt}{op.text}{rt}", op.prec
-    if isinstance(node, Neg):
-        t, p = _render(node.arg)
-        t = f"({t})" if p < 3 else t
-        return f"-{t}", 3
-    if isinstance(node, Pow):
-        t, p = _render(node.base)
+        (lt, lp), (rt, rp) = kids
+        lt = ("(", lt, ")") if lp < op.prec else lt
+        rt = ("(", rt, ")") if rp < op.prec or (op.strict_right and rp == op.prec) else rt
+        return (lt, op.text, rt), op.prec
+    (t, p), = kids
+    if kind is Neg:
+        return ("-", ("(", t, ")") if p < 3 else t), 3
+    if kind is Pow:
         safe = isinstance(node.base, (Var, Exp, Log)) or (
             isinstance(node.base, Const)
             and node.base.value.imag == 0 and node.base.value.real >= 0)
-        if not safe:
-            t = f"({t})"
-        return f"{t}^{node.exponent}", 4
-    if isinstance(node, Exp):
-        return f"exp({_render(node.arg)[0]})", 5
-    if isinstance(node, Log):
-        return f"log({_render(node.arg)[0]})", 5
-    if isinstance(node, Opaque):
-        return f"{node.name}({_render(node.arg)[0]})", 5
-    raise ExprError(f"unknown node {node!r}")
+        return (t if safe else ("(", t, ")"), f"^{node.exponent}"), 4
+    name = {Exp: "exp", Log: "log"}.get(kind) or node.name
+    return (name, "(", t, ")"), 5
+
+
+def _flatten(text):
+    """The string of a text that _render nests in tuples."""
+    pieces, todo = [], [text]
+    while todo:
+        piece = todo.pop()
+        if isinstance(piece, str):
+            pieces.append(piece)
+        else:
+            todo.extend(reversed(piece))
+    return "".join(pieces)
 
 
 def to_string(node):
     """Render a tree back to grammar text (Opaque leaves print as name(arg))."""
-    return _render(node)[0]
+    texts = {}  # each node's (text, precedence), by identity
+    for n in _post_order([node]):
+        texts[id(n)] = _render(n, [texts[id(k)] for k in _operands(n)])
+    return _flatten(texts[id(node)][0])
 
 
 # --- parsing ---------------------------------------------------------------

@@ -38,7 +38,7 @@ from .contour import (
     GL_WEIGHTS, Annulus, HoloFn, ProbeReport, _leg_nodes, _merge_annuli, _path_integrals,
     a0_pair, circle_integral, path_integral, univalence_probe,
 )
-from .expr import evaluate
+from .expr import _Plan, evaluate
 from .flux import _flux_from_loops
 
 __all__ = [
@@ -78,14 +78,16 @@ class WeierstrassData:
     def F(self):
         return enneper_F(self)
 
+    _plan = cached_property(lambda self: _Plan([phi.node for phi in self.F]))
+
     @cached_property
     def probe(self) -> ProbeReport:
         return univalence_probe(self.g)
 
     def __call__(self, z):
-        """The triple at z, stacked on a new first axis, from one evaluation
-        pass over its three trees, so g and f are each sampled once."""
-        return np.stack(evaluate([phi.node for phi in self.F], z))
+        """The triple at z, stacked on a new first axis, from one pass of its
+        three trees' plan (compiled once), so g and f are each sampled once."""
+        return np.stack(evaluate(self._plan, z))
 
 
 def enneper_F(data: WeierstrassData):

@@ -1,6 +1,7 @@
 """Shared fixtures: a catenoid band, a memoized calibrated slit family, the
-counters of the deterministic count tests (circle levels, comb points), and
-a 60-digit Weierstrass P that shares no code with the package."""
+counters of the deterministic count tests (circle levels, comb points), a
+60-digit Weierstrass P that shares no code with the package, and a seeded
+generator of expression texts."""
 
 from functools import lru_cache
 
@@ -115,3 +116,33 @@ def sn_route_wp():
     """``sn_route_wp(u, q)``: Weierstrass P at u on the lattice Z + i*t*Z,
     q = exp(-pi*t), from mpmath's Jacobi sn and theta nulls at 60 digits."""
     return _sn_route_wp
+
+
+def _fuzz_expr(rng, depth):
+    """A random text of the parser's grammar, its operations nested at most
+    depth deep: constants 1e-300..1e300, i, z, the four binary operators,
+    negation, integer powers -3..7, exp and log."""
+    pick = int(rng.integers(9 if depth else 3))
+    if pick == 0:
+        return "z"
+    if pick == 1:
+        return "i"
+    if pick == 2:
+        return f"{10.0 ** rng.uniform(-300.0, 300.0):.3g}"
+    arg = _fuzz_expr(rng, depth - 1)
+    if pick == 3:
+        return f"{arg}{'+-*/'[int(rng.integers(4))]}{_fuzz_expr(rng, depth - 1)}"
+    if pick == 4:
+        return f"({arg})^{int(rng.integers(-3, 8))}"
+    if pick == 5:
+        return f"-{arg}"
+    if pick == 6:
+        return f"({arg})"
+    return f"{('exp', 'log')[pick - 7]}({arg})"
+
+
+@pytest.fixture(scope="session")
+def fuzz_expr():
+    """``fuzz_expr(rng, depth)``: a random grammar text drawn from the numpy
+    Generator rng, its operations nested at most depth deep."""
+    return _fuzz_expr

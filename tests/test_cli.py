@@ -342,8 +342,7 @@ class TestAnalyzeValidation:
                                f"nested deeper than 100 levels (position {pos})\n")
 
     def test_deepest_parsed_map_is_still_a_tube(self, tmp_path):
-        # parsed at depth 100; the tube's trees, 104 deep, stay inside
-        # HoloFn arithmetic's bound
+        # parsed at depth 100, parse's bound; the tube's trees are 104 deep
         g = "1.3*z - 0.1/z" + "+0*z" * 97
         proc = run("analyze", write_config(tmp_path, R=2, g=g, c=1))
         assert proc.returncode == 0, proc.stderr
@@ -375,32 +374,9 @@ class TestAnalyzeValidation:
         assert proc.stderr == f"tubeflux: config error: {message}\n"
 
 
-def fuzz_expr(rng, depth):
-    """A random text of the parser's grammar, its operations nested at most
-    depth deep: constants 1e-300..1e300, i, z, the four binary operators,
-    negation, integer powers -3..7, exp and log."""
-    pick = int(rng.integers(9 if depth else 3))
-    if pick == 0:
-        return "z"
-    if pick == 1:
-        return "i"
-    if pick == 2:
-        return f"{10.0 ** rng.uniform(-300.0, 300.0):.3g}"
-    arg = fuzz_expr(rng, depth - 1)
-    if pick == 3:
-        return f"{arg}{'+-*/'[int(rng.integers(4))]}{fuzz_expr(rng, depth - 1)}"
-    if pick == 4:
-        return f"({arg})^{int(rng.integers(-3, 8))}"
-    if pick == 5:
-        return f"-{arg}"
-    if pick == 6:
-        return f"({arg})"
-    return f"{('exp', 'log')[pick - 7]}({arg})"
-
-
-def fuzz_config(rng):
-    """An analyze config: R in 1.01..1e3, a random g, then c or a random f,
-    and sometimes N."""
+def fuzz_config(rng, fuzz_expr):
+    """An analyze config: R in 1.01..1e3, a random g, then c or a random f
+    (texts from the fixture fuzz_expr), and sometimes N."""
     cfg = {"R": float(10.0 ** rng.uniform(math.log10(1.01), 3.0)), "g": fuzz_expr(rng, 5)}
     if rng.random() < 0.5:
         cfg["c"] = float(10.0 ** rng.uniform(-3.0, 3.0))
@@ -454,14 +430,14 @@ def assert_rotations_hold(tmp_path, cfg, report):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", range(4))
-def test_fuzzed_analyze_ends_in_one_line_or_one_report(tmp_path, seed):
+def test_fuzzed_analyze_ends_in_one_line_or_one_report(tmp_path, fuzz_expr, seed):
     # 50 seeded draws a seed from the grammar: each ends in one refusal
     # line (1) or one report whose verdict its exit code names (0, 2); a
     # tube drawn with c also passes the metamorphic rotations
     rng = np.random.default_rng(seed)
     verdicts = {0: "tube", 2: "not a tube"}
     for k in range(50):
-        cfg = fuzz_config(rng)
+        cfg = fuzz_config(rng, fuzz_expr)
         path = tmp_path / f"config{k}.json"
         path.write_text(json.dumps(cfg))
         try:
@@ -479,6 +455,95 @@ def test_fuzzed_analyze_ends_in_one_line_or_one_report(tmp_path, seed):
             assert report["verdict"] == verdicts[proc.returncode], cfg
             if proc.returncode == 0 and "c" in cfg:
                 assert_rotations_hold(tmp_path, cfg, report)
+
+
+def fuzz_number(rng, lo, hi):
+    """A number's text for an option: mostly uniform in lo..hi, sometimes
+    +-1e-320..1e320 (0 or inf once parsed at either end), or nan, +-inf
+    or +-0."""
+    pick = int(rng.integers(6))
+    if pick == 0:
+        return str(rng.choice(["nan", "inf", "-inf", "0", "-0"]))
+    if pick == 1:
+        return f"{rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320.0, 320.0):.3g}"
+    return f"{rng.uniform(lo, hi):.6g}"
+
+
+def fuzz_sweep(rng, out):
+    """A sweep command: bound with lambdas about -1..30 or conjecture with
+    nomes about -0.2..1.2, and -2..12 steps."""
+    kind, name, lo, hi = [("bound", "lambda", -1.0, 30.0),
+                          ("conjecture", "q", -0.2, 1.2)][int(rng.integers(2))]
+    return ["sweep", kind, f"--{name}-min={fuzz_number(rng, lo, hi)}",
+            f"--{name}-max={fuzz_number(rng, lo, hi)}", f"--steps={int(rng.integers(-2, 13))}",
+            "--out", out]
+
+
+# a modulus descriptor's kinds, the fields each reads, and the bounds of
+# each field's valid range, the lower one excluded
+DESCRIPTOR_FIELDS = {"annulus": {"ratio": (1.0, 10.0)},
+                     "box_conductor": {"width": (0.0, 10.0), "height": (0.0, 10.0)},
+                     "D": {"lambda": (0.0, 10.0)}}
+# values no field accepts besides those at or below its range: JSON's other
+# types, non-finite numbers and an integer past float range
+BAD_VALUES = [None, True, False, "2.5", [1.0], {"x": 1}, math.nan, math.inf, -math.inf,
+              10 ** 400]
+
+
+def fuzz_modulus(rng):
+    """A modulus descriptor and --h, refused before any grid is built: a
+    valid descriptor with an h that is not positive and finite, or one
+    defect in the descriptor (any h): a root that is no object, no kind, an
+    unknown kind, an unknown field or a value its field refuses."""
+    kind = str(rng.choice(sorted(DESCRIPTOR_FIELDS)))
+    fields = DESCRIPTOR_FIELDS[kind]
+    obj = {"kind": kind, **{f: float(rng.uniform(lo + 0.01, hi)) for f, (lo, hi) in fields.items()}}
+    h = str(rng.choice(["0.1", "0", "-0.1", "nan", "inf", "-inf"]))
+    defect = int(rng.integers(6))
+    if defect == 0 and h == "0.1":
+        h = "0"
+    elif defect == 1:
+        obj = [obj] if rng.random() < 0.5 else kind
+    elif defect == 2:
+        del obj["kind"]
+    elif defect == 3:
+        obj["kind"] = [None, True, 3, "", "disk", "Annulus", [kind]][int(rng.integers(7))]
+    elif defect == 4:
+        unread = {"bogus", "Ratio", "h"} | {f for fs in DESCRIPTOR_FIELDS.values() for f in fs}
+        obj[str(rng.choice(sorted(unread - set(fields))))] = 1.5
+    elif defect == 5:
+        field = str(rng.choice(sorted(fields)))
+        below = fields[field][0] - float(rng.uniform(0.0, 2.0))
+        obj[field] = [below, *BAD_VALUES][int(rng.integers(1 + len(BAD_VALUES)))]
+    return obj, h
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(4))
+def test_fuzzed_sweeps_and_descriptors_end_in_one_line_or_one_table(tmp_path, seed):
+    # 50 seeded sweeps and 50 refused modulus descriptors a seed: a sweep
+    # writes its table (0) or prints one refusal line (1); a descriptor or
+    # step that no grid can be built from prints one refusal line
+    rng = np.random.default_rng(seed)
+    out, dom = tmp_path / "table.csv", tmp_path / "domain.json"
+    for _ in range(50):
+        args = fuzz_sweep(rng, out)
+        out.unlink(missing_ok=True)
+        proc = run(*args)
+        assert proc.returncode in (0, 1) and proc.stdout == "", (args, proc)
+        if proc.returncode == 0:
+            rows = out.read_text().splitlines()
+            assert proc.stderr == "" and len(rows) == 1 + int(args[4].split("=")[1]), args
+            assert all(len(row.split(",")) == len(rows[0].split(",")) for row in rows), args
+        else:
+            assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("tubeflux: "), args
+            assert not out.exists(), args
+        obj, h = fuzz_modulus(rng)
+        dom.write_text(json.dumps(obj))
+        proc = run("modulus", "--domain", dom, f"--h={h}")
+        assert proc.returncode == 1 and proc.stdout == "", (obj, h, proc)
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(
+            ("tubeflux: domain error: ", "tubeflux: estimate failed: grid spacing")), (obj, h)
 
 
 class TestSweepBound:

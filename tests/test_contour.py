@@ -18,7 +18,7 @@ from tubeflux import (
     path_integral,
     univalence_probe,
 )
-from tubeflux import contour, tube_from_gauss
+from tubeflux import contour, lifetime_report, tube_from_gauss
 from tubeflux.contour import (
     PROBE_MARGIN, PROBE_TARGETS, TWO_PI_I, _on_integer, _settled_integer,
 )
@@ -177,10 +177,11 @@ class TestLaurentCoefficients:
             assert abs(at1 - athi) < 1e-10
             assert abs(at1 - atlo) < 1e-10
 
-    @pytest.mark.parametrize("k", [0.5, 1.0, -1.5])
+    @pytest.mark.parametrize("k", [0.5, 1.0, -1.5, True])
     def test_index_must_be_an_integer(self, k):
         # z^(-k-1) of a fractional k has a branch cut on the circle (k = 0.5
-        # would give -0.2122-1.5e-5j for z^2)
+        # would give -0.2122-1.5e-5j for z^2); True would give a_1, as
+        # HoloFn powers refuse a boolean too
         with pytest.raises(TypeError, match=f"must be an integer, got k={k}"):
             laurent_coeff(holo("z^2"), k)
 
@@ -318,30 +319,40 @@ class TestHoloFnAlgebra:
         g = HoloFn(Opaque("sq", lambda z: np.asarray(z) ** 2, dnode), ANN)
         assert abs(g.derivative()(1.5) - 3.0) < 1e-15
 
-    def test_arithmetic_refuses_a_tree_past_its_bound(self):
-        # 600 sums ended in a RecursionError inside MinimalTube; the 102nd
-        # builds a tree 105 levels deep, one past the bound
+    def test_600_sums_make_the_tube_of_z(self):
+        # g + 0*z, 600 times, once ended in a RecursionError inside
+        # MinimalTube: its values and derivative are those of g = z
         g = zero = HoloFn.var(ANN)
-        with pytest.raises(ExprError, match=f"deeper than {contour.MAX_BUILT_DEPTH}$") as info:
-            for _ in range(600):
-                g = g + 0 * zero
-        assert str(info.value).startswith("arithmetic built an expression 105 levels deep")
-        with pytest.raises(ExprError, match="deeper than 104"):
-            -g ** 1
-        assert g.derivative()(1.0) == 1.0
-        with pytest.raises(ExprError, match="deeper than 104"):
-            MinimalTube(tube_from_gauss(g, 1.0))
+        for _ in range(600):
+            g = g + 0 * zero
+        deep, flat = (MinimalTube(tube_from_gauss(h, 1.0)) for h in (g, HoloFn.var(ANN)))
+        assert deep.flux == flat.flux
+        assert lifetime_report(deep) == lifetime_report(flat)
 
-    def test_deepest_quotient_chain_is_probed(self):
-        # the deepest tree arithmetic builds, as quotients, whose derivative
-        # is three times as deep: the probe evaluates it without recursing
-        # past Python's limit
+    def test_10000_deep_tree_differentiates_evaluates_and_prints(self):
+        # every walk is iterative, so a tree ten times as deep as Python's
+        # default recursion limit goes through all three; values are
+        # compared, not trees, since a dataclass's == recurses
         z = g = HoloFn.var(ANN)
-        for _ in range(contour.MAX_BUILT_DEPTH - 1):
+        zs = np.array([1.2, -0.7j, 0.9 + 0.3j])
+        want, slope_want = zs, np.ones(3, complex)
+        for _ in range(2500):  # four levels a round
+            g = (-g + 1j) * 0.5 + z
+            want, slope_want = (-want + 1j) * 0.5 + zs, -slope_want * 0.5 + 1
+        value, slope = evaluate([g.node, g.derivative().node], zs)
+        assert np.allclose(value, want, rtol=1e-15, atol=0.0)
+        assert np.allclose(slope, slope_want, rtol=1e-15, atol=0.0)
+        assert str(g) == ("(-(" * 2499 + "(-z + i)*0.5 + z" + ") + i)*0.5 + z" * 2499)
+
+    def test_chain_of_1000_quotients_is_probed(self):
+        # z^-1000, whose derivative is a chain three times as deep; R = 1.05
+        # keeps the values below 1e25 on the annulus, so the sums stay finite
+        ann = Annulus(1.05)
+        z = g = HoloFn.var(ann)
+        for _ in range(1000):
             g = g / z
-        with pytest.raises(ExprError, match="105 levels deep"):
-            g / z
-        univalence_probe(g)
+        report = univalence_probe(g)
+        assert report.univalent == "violated" and report.zero_count == 0
 
     @pytest.mark.parametrize("annulus", [None, 2.0])
     def test_annulus_is_required(self, annulus):

@@ -86,6 +86,14 @@ P' as that comb gave it.  One walk-out also stacks theta1 and theta3 (and
 their derivatives): each row must equal its one-row walk-out bit for bit,
 at every batch size.  A pass of g' and g takes one stacked jet for both
 thetas and must equal separate passes of each.
+
+The expression walks became one iterative post-order that evaluation,
+differentiate and to_string fold over.  The recursive walkers they replaced
+are kept below (plain_value, plain_differentiate, plain_render) as the
+references: on 200 seeded grammar draws each tree's text and its
+derivative's must be equal strings, and their values equal bits or the same
+EvalDomainError at the same point; differentiate must refuse the leaf the
+recursive walk refused first.
 """
 
 import json
@@ -104,7 +112,11 @@ from tubeflux import (
 )
 from tubeflux import elliptic, modulus
 from tubeflux.contour import PROBE_MARGIN, _path_integrals, path_integral
-from tubeflux.expr import Div, EvalDomainError, Pow, _Walk, evaluate
+from tubeflux.expr import (
+    _BINARY, LOG_CUT_TOL, Add, Const, Div, EvalDomainError, Exp, ExprError, Log, Mul, Neg,
+    Opaque, Pow, Sub, Var, _add, _const_str, _div, _is_zero, _mul, _sub,
+    differentiate, evaluate, parse, to_string,
+)
 from tubeflux.modulus import _SLACK, _TIE_EPS, _assemble, _bisect, _crossings, _illinois
 from tubeflux.slitmap import RIM_SAMPLES
 from tubeflux.tubes import _fit_points
@@ -267,18 +279,133 @@ def test_stacked_circle_integral_equals_one_call_per_component(candidate, kind):
     assert np.array_equal(stacked, [circle_integral(phi, 1.0) for phi in data.F])
 
 
-class _PlainWalk(_Walk):
-    """The memo-free recursive walk of one root that evaluate made before it
-    took several roots: every reference to a node evaluates it again."""
+def _first_bad(mask, z):
+    idx = np.argwhere(mask)
+    if idx.size == 0:
+        return None
+    return complex(z[tuple(idx[0])])
 
-    def __call__(self, node):
-        return self._op(node)
+
+def plain_value(node, z):
+    """The recursive walk of one root that evaluate made before its plan,
+    with no memo: every reference to a node evaluates it again, and a leaf
+    that shares a walk-out calls its own fn."""
+    op = _BINARY.get(type(node))
+    if op is not None:
+        left, right = plain_value(node.left, z), plain_value(node.right, z)
+        if type(node) is Div:
+            bad = _first_bad(right == 0, z)
+            if bad is not None:
+                raise EvalDomainError("division by zero", bad)
+        return op.apply(left, right)
+    if isinstance(node, Const):
+        return np.broadcast_to(np.asarray(node.value, dtype=complex), z.shape)
+    if isinstance(node, Var):
+        return z
+    if isinstance(node, Neg):
+        return -plain_value(node.arg, z)
+    if isinstance(node, Pow):
+        base = plain_value(node.base, z)
+        k = node.exponent
+        if k < 0:
+            bad = _first_bad(base == 0, z)
+            if bad is not None:
+                raise EvalDomainError(f"zero base raised to power {k}", bad)
+        return base ** k
+    if isinstance(node, Exp):
+        return np.exp(plain_value(node.arg, z))
+    if isinstance(node, Log):
+        w = plain_value(node.arg, z)
+        bad = _first_bad(w == 0, z)
+        if bad is not None:
+            raise EvalDomainError("log of zero", bad)
+        near_cut = (w.real < 0) & (np.abs(w.imag) < LOG_CUT_TOL)
+        bad = _first_bad(near_cut, z)
+        if bad is not None:
+            raise EvalDomainError("log evaluated too close to its branch cut", bad)
+        return np.log(w)
+    if isinstance(node, Opaque):
+        value = np.asarray(node.fn(plain_value(node.arg, z)))
+        return value if value.shape == z.shape else np.broadcast_to(value, z.shape)
+    raise ExprError(f"unknown node {node!r}")
 
 
 def plain_evaluate(node, z):
     arr = np.asarray(z, dtype=complex)
     with np.errstate(all="ignore"):
-        return np.broadcast_to(np.asarray(_PlainWalk(arr)(node)), arr.shape).copy()
+        return np.broadcast_to(np.asarray(plain_value(node, arr)), arr.shape).copy()
+
+
+def plain_differentiate(node):
+    """The recursive differentiate that the iterative one replaced."""
+    if isinstance(node, Const):
+        return Const(0)
+    if isinstance(node, Var):
+        return Const(1)
+    if isinstance(node, Add):
+        return _add(plain_differentiate(node.left), plain_differentiate(node.right))
+    if isinstance(node, Sub):
+        return _sub(plain_differentiate(node.left), plain_differentiate(node.right))
+    if isinstance(node, Neg):
+        d = plain_differentiate(node.arg)
+        return Const(0) if _is_zero(d) else Neg(d)
+    if isinstance(node, Mul):
+        a, b = node.left, node.right
+        return _add(_mul(plain_differentiate(a), b), _mul(a, plain_differentiate(b)))
+    if isinstance(node, Div):
+        a, b = node.left, node.right
+        num = _sub(_mul(plain_differentiate(a), b), _mul(a, plain_differentiate(b)))
+        return _div(num, Pow(b, 2))
+    if isinstance(node, Pow):
+        k = node.exponent
+        if k == 0:
+            return Const(0)
+        inner = plain_differentiate(node.base)
+        step = _mul(Const(k), Pow(node.base, k - 1)) if k != 1 else Const(k)
+        return _mul(step, inner)
+    if isinstance(node, Exp):
+        return _mul(node, plain_differentiate(node.arg))
+    if isinstance(node, Log):
+        return _div(plain_differentiate(node.arg), node.arg)
+    if isinstance(node, Opaque):
+        if node.deriv is None:
+            raise ExprError(f"no derivative available for {node.name}")
+        return _mul(node.deriv, plain_differentiate(node.arg))
+    raise ExprError(f"unknown node {node!r}")
+
+
+def plain_render(node):
+    """The recursive printer that to_string replaced: (text, precedence)."""
+    if isinstance(node, Const):
+        return _const_str(node.value)
+    if isinstance(node, Var):
+        return "z", 5
+    op = _BINARY.get(type(node))
+    if op is not None:
+        lt, lp = plain_render(node.left)
+        rt, rp = plain_render(node.right)
+        lt = f"({lt})" if lp < op.prec else lt
+        rt = f"({rt})" if rp < op.prec or (op.strict_right and rp == op.prec) else rt
+        return f"{lt}{op.text}{rt}", op.prec
+    if isinstance(node, Neg):
+        t, p = plain_render(node.arg)
+        t = f"({t})" if p < 3 else t
+        return f"-{t}", 3
+    if isinstance(node, Pow):
+        t, p = plain_render(node.base)
+        safe = isinstance(node.base, (Var, Exp, Log)) or (
+            isinstance(node.base, Const)
+            and node.base.value.imag == 0 and node.base.value.real >= 0)
+        if not safe:
+            t = f"({t})"
+        return f"{t}^{node.exponent}", 4
+    if isinstance(node, Exp):
+        return f"exp({plain_render(node.arg)[0]})", 5
+    if isinstance(node, Log):
+        return f"log({plain_render(node.arg)[0]})", 5
+    if isinstance(node, Opaque):
+        return f"{node.name}({plain_render(node.arg)[0]})", 5
+    raise ExprError(f"unknown node {node!r}")
 
 
 # shared subtrees: g' holds g's exp and log nodes, and the quotient rule
@@ -408,9 +535,10 @@ def test_one_walk_out_gives_theta_and_theta_prime_bit_for_bit(q, k):
 @pytest.mark.parametrize("q", JET_NOMES)
 def test_pass_of_g_prime_and_g_takes_one_jet_a_theta(candidate, comb_calls, q):
     # one stacked jet walk-out gives theta1, theta3, theta1' and theta3'
-    # (two jet walk-outs, one a theta, before).  g' alone takes a value
-    # walk-out and then a jet one (one root takes no jet; four combs
-    # before), and g one value walk-out for both thetas (two before)
+    # (two jet walk-outs, one a theta, before).  g' alone takes one jet
+    # walk-out, since its plan holds the theta' leaves (a value walk-out and
+    # then a jet one before, four combs before that), and g one value
+    # walk-out for both thetas (two before)
     g = candidate(q).g
     gprime = g.derivative()
     z = ring_points(g.annulus.R)
@@ -418,7 +546,7 @@ def test_pass_of_g_prime_and_g_takes_one_jet_a_theta(candidate, comb_calls, q):
     dv, gv = evaluate([gprime.node, g.node], z)
     assert calls == [(4, z.size)]
     assert same_bits(dv, evaluate(gprime.node, z)) and same_bits(gv, evaluate(g.node, z))
-    assert calls == [(4, z.size), (2, z.size), (4, z.size), (2, z.size)]
+    assert calls == [(4, z.size), (4, z.size), (2, z.size)]
     assert same_bits(dv, plain_evaluate(gprime.node, z))
 
 
@@ -517,6 +645,69 @@ def test_one_pass_names_the_point_separate_walks_name(text, bad):
     assert first_error(lambda: evaluate(roots, z)) == want
     assert first_error(lambda: evaluate(roots[::-1], z)) == first_error(
         lambda: [plain_evaluate(root, z) for root in roots[::-1]])
+
+
+def outcome(fn):
+    """fn()'s value, or the message and point of the EvalDomainError it raises."""
+    try:
+        return fn()
+    except EvalDomainError as exc:
+        return str(exc), exc.z
+
+
+def same_outcome(got, want):
+    if isinstance(want, tuple):  # a refusal
+        return got == want
+    return not isinstance(got, tuple) and same_bits(got, want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fuzzed_trees_equal_the_recursive_walks(fuzz_expr, seed):
+    # 50 seeded draws a seed from the grammar: the text of each tree and of
+    # its derivative equals the recursive printer's and differentiate's, and
+    # their values at ring points the recursive evaluation's (the same bits,
+    # or an EvalDomainError at the same point), apart and in one pass
+    rng = np.random.default_rng(seed)
+    z = ring_points(2.0)
+    for _ in range(50):
+        text = fuzz_expr(rng, 5)
+        node = parse(text)
+        d, plain_d = differentiate(node), plain_differentiate(node)
+        assert to_string(node) == plain_render(node)[0], text
+        assert to_string(d) == plain_render(plain_d)[0], text
+        for root, plain_root in ((node, node), (d, plain_d)):
+            assert same_outcome(outcome(lambda: evaluate(root, z)),
+                                outcome(lambda: plain_evaluate(plain_root, z))), text
+        got = outcome(lambda: evaluate([node, d], z))
+        want = outcome(lambda: [plain_evaluate(root, z) for root in (node, plain_d)])
+        if isinstance(want, tuple):
+            assert got == want, text
+        else:
+            assert all(same_outcome(a, b) for a, b in zip(got, want)), text
+
+
+def bare(name, arg=Var()):
+    """A leaf with no derivative."""
+    return Opaque(name, np.exp, None, arg)
+
+
+@pytest.mark.parametrize("node", [
+    Add(bare("a"), bare("b")),
+    bare("outer", bare("inner")),
+    Mul(Exp(bare("a", bare("inner"))), bare("b")),
+    Add(Pow(bare("a"), 0), bare("b")),
+    Pow(bare("a"), 0),
+    Sub(Pow(Log(bare("a")), 0), Var()),
+], ids=["left first", "outer leaf first", "outer leaf of the left", "zero power skipped",
+        "zero power of a bare leaf", "zero power of a log"])
+def test_differentiate_refuses_the_leaf_the_recursive_walk_met_first(node):
+    def derivative_text(differentiate):
+        try:
+            return to_string(differentiate(node))
+        except ExprError as exc:
+            return str(exc)
+
+    assert derivative_text(differentiate) == derivative_text(plain_differentiate)
 
 
 def balance_loci(cand, u):

@@ -1,10 +1,13 @@
 """Parser, evaluator, and symbolic-derivative checks for the expression language."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tubeflux import expr
 from tubeflux.expr import (
     MAX_DEPTH,
     Const,
@@ -24,6 +27,47 @@ from tubeflux.expr import (
 
 def ev(text, z):
     return evaluate(parse(text), z)
+
+
+def recursive_functions(source):
+    """The functions of a module's source that can call themselves, directly
+    or through others: a call by name, or on self (``self(...)`` calls
+    ``__call__``), counts as one; a nested function's calls count for the
+    function around it too."""
+    calls = {}
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if isinstance(f, ast.Name):
+                    name = "__call__" if f.id == "self" else f.id
+                elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                        and f.value.id == "self":
+                    name = f.attr
+                else:
+                    continue
+                calls.setdefault(fn.name, set()).add(name)
+    recursive = set()
+    for start in calls:
+        reached, todo = set(), list(calls[start])
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo.extend(calls.get(name, ()))
+        if start in reached:
+            recursive.add(start)
+    return recursive
+
+
+def test_only_the_parser_recurses():
+    # every walk over a built tree is iterative, so a tree of any depth
+    # goes through them; the parser alone recurses, over text that
+    # MAX_DEPTH bounds
+    recursive = recursive_functions(Path(expr.__file__).read_text())
+    assert recursive and all(name.startswith("_parse_") for name in recursive), recursive
 
 
 class TestParseAndEvaluate:
