@@ -1,20 +1,22 @@
 """Contour calculus on circular annuli.
 
 Quadrature on circles is the uniform trapezoid rule, which is spectrally
-accurate for integrands analytic in a neighbourhood of the circle.  When no
-node count is given, integrals start at N=1024 and double until two
-successive estimates agree (or differ by less than the rounding level of
-the sum, where QUAD_TOL is out of reach), capped at N=65536.  The levels
-nest, so each doubling evaluates the integrand on its new nodes only
-(Trefethen & Weideman, SIAM Rev. 2014).  Path integrals use 32-node
-Gauss-Legendre panels, doubling from 1 to 256 panels per leg.  A leg is a
-record (a, b, c, d), the curve (a + b t) exp(i (c + d t)) for 0 <= t <= 1,
-and the paths of one call integrate each distinct leg once.  Circle and
-path integrands may return a stack of k rows (the Weierstrass triple, or
-a0_pair's [g, 1/g]), giving k integrals from one sample per level.  One
-routine, ``_refine``, does all of this doubling; it refines a vector of
-estimates that share one sample per level, and each estimate stops at its
-own level.
+accurate for integrands analytic near the circle: on |z| = rho its error
+falls like exp(-d N), d = ln R - |ln rho| the log distance to the nearer
+rim (Trefethen & Weideman, SIAM Rev. 2014).  So when no node count is
+given, an integral starts at the least power of two N >= 128 and
+ln(1/QUAD_TOL)/d, and doubles until two successive estimates agree (or
+differ by less than the sum's rounding level, where QUAD_TOL is out of
+reach), capped at N=65536.  The levels nest: each doubling evaluates the
+integrand on its new nodes only (_circle_nodes, as the windings do) and
+adds them to running sums.  Path integrals use 32-node Gauss-Legendre
+panels, doubling from 1 to 256 panels per leg.  A leg is a record (a, b,
+c, d), the curve (a + b t) exp(i (c + d t)) for 0 <= t <= 1, and the paths
+of one call integrate each distinct leg once.  Circle and path integrands
+may return a stack of k rows (the Weierstrass triple, or a0_pair's
+[g, 1/g]), giving k integrals from one sample per level.  One routine,
+``_refine``, does all of this doubling; it refines a vector of estimates
+that share one sample per level, and each estimate stops at its own level.
 
 The univalence probe counts zeros and preimages by the argument principle
 on two circles.  It works level-major from WINDING_N0 = 128 nodes: each
@@ -53,7 +55,6 @@ __all__ = [
 
 TWO_PI_I = 2j * math.pi
 
-DEFAULT_N = 1024
 MAX_N = 2 ** 16
 QUAD_TOL = 1e-11
 # a circle sum's rounding level is ROUND_EPS * (2 pi/n) sum |zeta h(zeta)|
@@ -190,9 +191,12 @@ def _check_rho(h, rho):
             f"({ann.inner_radius} .. {ann.R})")
 
 
-def _circle_nodes(rho, n):
-    theta = 2.0 * math.pi * np.arange(n) / n
-    return rho * np.exp(1j * theta)
+def _circle_nodes(rho, n, n0):
+    """The nodes that level n of a nested trapezoid sum on |z| = rho adds,
+    the sum having started at n0: all n at the first level, and the n/2 odd
+    ones after it, since the even ones are the level before."""
+    k = np.arange(n) if n == n0 else np.arange(1, n, 2)
+    return rho * np.exp(1j * (2.0 * math.pi * k / n))
 
 
 def _finite(h):
@@ -201,26 +205,6 @@ def _finite(h):
         vals = h(z)
         _refuse(~np.isfinite(np.reshape(vals, (-1, len(z)))).all(axis=0), z, "non-finite integrand")
         return vals
-
-    return sample
-
-
-def _nested(h, rho):
-    """``sample(n)``: the n nodes on |z| = rho and h there.  When n doubles,
-    only the new odd nodes are evaluated: the even ones are the previous
-    level's bit for bit, so a pointwise h gives the sample of a fresh call."""
-    last = []
-
-    def sample(n):
-        zeta = _circle_nodes(rho, n)
-        if last and 2 * len(last[0]) == n:
-            new = h(zeta[1::2])
-            vals = np.empty(np.shape(new)[:-1] + (n,), np.result_type(last[1], new))
-            vals[..., ::2], vals[..., 1::2] = last[1], new
-        else:
-            vals = h(zeta)
-        last[:] = zeta, vals
-        return zeta, vals
 
     return sample
 
@@ -254,10 +238,13 @@ def _refine(quad, k, n, n_max, tol, settled=None):
 def circle_integral(h, rho, n_points=None):
     """Integral of h over the circle |z| = rho, counterclockwise.
 
-    With explicit ``n_points`` (even, >= 16) a single trapezoid pass is used;
-    otherwise the node count doubles from 1024 until two successive estimates
-    differ by less than QUAD_TOL (relative to the magnitude) or than the sum's
-    rounding level, capped at 65536, evaluating h on the new nodes only.
+    With explicit ``n_points`` (even, >= 16) a single trapezoid pass is used.
+    Otherwise the first level is the least power of two at least WINDING_N0
+    and ln(1/QUAD_TOL)/d, d = ln R - |ln rho| for h's annulus (WINDING_N0
+    for an h with none, MAX_N when d rounds to 0), and each level adds
+    sum(zeta h) and sum(|zeta h|) on its new nodes to running sums until two
+    successive estimates differ by less than QUAD_TOL (relative to the
+    magnitude) or than the sum's rounding level, capped at MAX_N.
     When h returns a (k, n) stack for n nodes, the result is the array of k
     integrals, each kept at the level where it settled.  A non-finite sample
     raises EvalDomainError at its first such node, and finite samples whose
@@ -266,28 +253,39 @@ def circle_integral(h, rho, n_points=None):
     """
     _check_rho(h, rho)
     if n_points is None:
-        n0, n_max = DEFAULT_N, MAX_N
+        ann = getattr(h, "annulus", None)
+        d = math.inf if ann is None else math.log(ann.R) - abs(math.log(rho))
+        need = math.log(1.0 / QUAD_TOL) / d if d > 0.0 else math.inf
+        n0, n_max = WINDING_N0, MAX_N
+        while n0 < min(need, n_max):
+            n0 *= 2
     elif n_points < 16 or n_points % 2:
         raise ValueError("n_points must be even and at least 16")
     else:
         n0 = n_max = int(n_points)
 
-    sample = _nested(_finite(h), rho)
-    first = sample(n0)  # its shape tells how many components h has
+    sample = _finite(h)
+
+    def level(n):
+        zeta = _circle_nodes(rho, n, n0)
+        return zeta, sample(zeta)
+
+    first = level(n0)  # its shape tells how many components h has
+    k = len(np.reshape(first[1], (-1, n0)))
+    total, size = np.zeros(k, complex), np.zeros(k)  # running sums of zeta h and |zeta h|
 
     def quad(n, live):
-        zeta, vals = first if n == n0 else sample(n)
+        zeta, vals = first if n == n0 else level(n)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite sum
-            terms = [zeta * row for row in np.reshape(vals, (-1, n))[live]]
-            sums = [(np.sum(w), np.sum(np.abs(w))) for w in terms]
-        if not np.isfinite(sums).all():
+            terms = zeta * np.reshape(vals, (k, -1))[live]
+            total[live] += np.sum(terms, axis=1)
+            size[live] += np.sum(np.abs(terms), axis=1)
+        if not (np.isfinite(total[live]).all() and np.isfinite(size[live]).all()):
             raise OverflowError(f"circle sum of finite samples is not finite at n={n} nodes")
-        return ([(TWO_PI_I / n) * w for w, _ in sums],
-                [ROUND_EPS * (2.0 * math.pi / n) * a for _, a in sums])
+        return (TWO_PI_I / n) * total[live], ROUND_EPS * (2.0 * math.pi / n) * size[live]
 
-    if np.ndim(first[1]) == 1:
-        return _refine(quad, 1, n0, n_max, QUAD_TOL)[0]
-    return np.array(_refine(quad, len(first[1]), n0, n_max, QUAD_TOL))
+    est = _refine(quad, k, n0, n_max, QUAD_TOL)
+    return est[0] if np.ndim(first[1]) == 1 else np.array(est)
 
 
 def laurent_coeff(h, k, rho=1.0):
@@ -378,11 +376,12 @@ def _path_integrals(h, z0, ends):
     k = math.prod(shape)
 
     def quad(panels, live):  # estimate e is component e % k of leg e // k
-        used = sorted({e // k for e in live})
+        live = np.asarray(live)
+        used, row = np.unique(live // k, return_inverse=True)  # used[row] == live // k
         vals, dz = first if panels == 1 else sample(panels, used)
         weights = np.tile(GL_WEIGHTS, panels) / panels
         sums = np.sum(np.reshape(vals, (k, len(used), -1)) * dz * weights, axis=-1)
-        return [sums[e % k, used.index(e // k)] for e in live], [0.0] * len(live)
+        return list(sums[live % k, row]), [0.0] * len(live)
 
     est = np.reshape(_refine(quad, k * len(index), 1, 256, 1e-12), (-1,) + shape)
     return list(np.array([sum((est[i] for i in legs), np.zeros(shape, complex))
@@ -425,9 +424,9 @@ def _winding_level(g, gprime, rho, ws, zs, block=WINDING_BLOCK):
     """``quad(n, live)`` for _refine: the argument-principle sums of g'/(g - w)
     over n nodes of |z| = rho for the targets ws[i], i in live.
 
-    The levels nest: the first call sums every node, and each later one (at
-    twice the n before) evaluates (g', g) in one pass on its new odd nodes
-    only and adds their terms to one running sum per target.  The live
+    The levels nest: the first (WINDING_N0) sums every node, and each later
+    one (at twice the n before) evaluates (g', g) in one pass on its new odd
+    nodes only and adds their terms to one running sum per target.  The live
     targets are summed in one broadcast over blocks of rows of at most
     ``block`` terms.  zs[i] is a known preimage of ws[i] (None for w = 0),
     a pole of g'/(g - w) whose trapezoid error has a closed form: the n
@@ -458,11 +457,10 @@ def _winding_level(g, gprime, rho, ws, zs, block=WINDING_BLOCK):
             if m < 0 or w == 0:  # a pole of g is one of g - w; a zero is a root for w = 0 only
                 base[i, k], sign[i, k] = pole(p, m)
     total = np.zeros(len(ws), complex)  # the sum of zeta g'/(g - w) so far, a target
-    levels, pair = [], _Plan([gprime.node, g.node])
+    pair = _Plan([gprime.node, g.node])
 
     def quad(n, live):
-        zeta = _circle_nodes(rho, n)[1::2] if levels else _circle_nodes(rho, n)
-        levels.append(n)
+        zeta = _circle_nodes(rho, n, WINDING_N0)
         try:
             dv, gv = evaluate(pair, zeta)
         except EvalDomainError:

@@ -1,5 +1,5 @@
 """Shared fixtures: a catenoid band, a memoized calibrated slit family, the
-counters of the deterministic count tests (circle levels, comb points), a
+counters of the deterministic count tests (circle nodes, comb points), a
 60-digit Weierstrass P that shares no code with the package, and a seeded
 generator of expression texts."""
 
@@ -65,17 +65,20 @@ def counting():
 
 @pytest.fixture()
 def count_levels(monkeypatch):
-    """``count_levels()`` records the node count of every circle sample taken
-    from then on, and returns the list it records into."""
+    """``count_levels()`` records how many nodes every circle sample taken
+    from then on evaluates, and returns the list it records into.  A nested
+    sum evaluates only the nodes each level adds, so the counts of one sum
+    add up to its top level."""
     def start():
-        levels, nodes = [], contour._circle_nodes
+        counts, nodes = [], contour._circle_nodes
 
-        def counted(rho, n):
-            levels.append(n)
-            return nodes(rho, n)
+        def counted(rho, n, n0):
+            zeta = nodes(rho, n, n0)
+            counts.append(len(zeta))
+            return zeta
 
         monkeypatch.setattr(contour, "_circle_nodes", counted)
-        return levels
+        return counts
 
     return start
 

@@ -1,7 +1,9 @@
 """Circle/path quadrature oracles and the univalence probe."""
 
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,13 @@ from tubeflux.contour import (
 from tubeflux.expr import EvalDomainError, ExprError, Opaque, Var, evaluate
 
 ANN = Annulus(2.0)
+GOLDENS = Path(__file__).parent / "goldens"
+# the analyze configs frozen in goldens/
+GOLDEN_CONFIGS = sorted(p for p in GOLDENS.glob("*.json") if "config" in json.loads(p.read_text()))
+SLIT_NOMES = [0.0025, 0.1, 0.33, 0.72, 0.82, 0.9, 0.95]
+# each slit loop sum's levels
+SLIT_LOOP_LEVELS = [(0.0025, [128, 256]), (0.1, [128, 256]), (0.33, [128, 256]),
+                    (0.72, [256, 512]), (0.82, [256, 512, 1024]), (0.9, [512, 1024, 2048])]
 
 
 def holo(text, ann=ANN):
@@ -99,15 +108,15 @@ class TestCircleIntegral:
 
         with pytest.raises(EvalDomainError, match="non-finite integrand") as err:
             circle_integral(nan_below, 1.0)
-        assert sizes == [1024]  # no doubling after the bad sample
-        theta = 2.0 * math.pi * np.arange(1024) / 1024
+        assert sizes == [128]  # no doubling after the bad sample
+        theta = 2.0 * math.pi * np.arange(128) / 128
         first = np.exp(1j * theta[np.argmax(np.sin(theta) < -0.5)])
         assert err.value.z == first
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_sum_of_finite_samples_is_refused(self):
-        # every sample is 1e308, but 1024 of them sum past the largest float
-        with pytest.raises(OverflowError, match="is not finite at n=1024 nodes"):
+        # every sample is 1e308, but 128 of them sum past the largest float
+        with pytest.raises(OverflowError, match="is not finite at n=128 nodes"):
             circle_integral(lambda z: 1e308 + 0 * z, 1.0)
 
     def test_non_finite_row_of_a_stack_is_refused(self):
@@ -118,32 +127,89 @@ class TestCircleIntegral:
 
 
 class TestNestedLevels:
-    """Each doubling samples h on the new nodes only; the sums are unchanged."""
+    """Each doubling samples h on the new nodes only and adds them to running
+    sums; the first level is the one h's annulus predicts."""
 
     @pytest.mark.parametrize("q", [0.1, 0.72])
     def test_reuse_equals_one_level_where_it_settled(self, candidate, count_levels, q):
-        levels = count_levels()
+        # the levels are summed apart, so the running sum is the one-pass sum
+        # of its top level to that sum's rounding floor, not bit for bit
+        counts = count_levels()
         g = candidate(q).g
         for h in (g, 1 / g):
-            levels.clear()
+            counts.clear()
             got = circle_integral(h, 1.0)
-            assert got == circle_integral(h, 1.0, n_points=max(levels))
+            n = sum(counts)
+            zeta = contour._circle_nodes(1.0, n, n)
+            floor = contour.ROUND_EPS * (2.0 * math.pi / n) * np.sum(np.abs(zeta * h(zeta)))
+            assert abs(got - circle_integral(h, 1.0, n_points=n)) <= floor
 
-    @pytest.mark.parametrize("q", [0.0025, 0.1, 0.33])
-    def test_slit_loop_integrals_keep_their_levels(self, candidate, count_levels, q):
+    # the first level is the least power of two at least 128 and ln(1e11)/d,
+    # d = ln R the unit circle's distance to the rims; every slit loop sum
+    # went from 1,024 to 2,048 when all started at 1,024
+    @pytest.mark.parametrize("q, levels", SLIT_LOOP_LEVELS,
+                             ids=[f"{q}-{levels[-1]}" for q, levels in SLIT_LOOP_LEVELS])
+    def test_slit_loop_integrals_keep_their_levels(self, candidate, count_levels, q, levels):
         data = tube_from_gauss(candidate(q).g, 1.0)
-        levels = count_levels()
+        counts = count_levels()
         circle_integral(data, 1.0)
-        assert levels == [1024, 2048]
+        assert list(np.cumsum(counts)) == levels
 
     def test_noise_limited_loop_integrals_stop_at_the_rounding_floor(
             self, candidate, count_levels):
-        # at q = 0.72 the phi_2 deltas (2e-11 .. 6e-11) never meet QUAD_TOL
-        # but sit below the sum's rounding level (about 1.2e-10 per eps)
+        # at q = 0.72 the phi_2 delta from 256 to 512 nodes (2.4e-10) misses
+        # QUAD_TOL but sits below the sum's rounding level (4.9e-10)
         data = tube_from_gauss(candidate(0.72).g, 1.0)
-        levels = count_levels()
+        counts = count_levels()
         circle_integral(data, 1.0)
-        assert max(levels) <= 4096
+        assert sum(counts) == 512
+
+    @pytest.mark.parametrize("case", [p.stem for p in GOLDEN_CONFIGS] + SLIT_NOMES)
+    def test_lower_start_never_stops_early(self, candidate, case):
+        if isinstance(case, str):
+            config = json.loads((GOLDENS / f"{case}.json").read_text())["config"]
+            data = tube_from_gauss(holo(config["g"], Annulus(config["R"])), config["c"])
+        else:
+            data = tube_from_gauss(candidate(case).g, 1.0)
+        full = circle_integral(data, 1.0, n_points=contour.MAX_N)
+        got = circle_integral(data, 1.0)
+        assert np.max(np.abs(got - full)) <= 1e-12 * np.linalg.norm(full.imag)
+
+    def test_a_plain_callable_starts_at_128(self, count_levels):
+        # a callable carries no annulus, so nothing says the rims are near
+        counts = count_levels()
+        circle_integral(lambda z: 1.0 / z, 1.0)
+        assert counts == [128, 128]  # 256 nodes agree with 128
+        counts.clear()
+        a0(holo("exp(z)"))  # laurent_coeff weights h in a plain callable
+        assert counts[0] == 128
+
+    def test_a_radius_one_ulp_inside_a_rim_runs_one_top_level(self, count_levels):
+        # d rounds to 0 or a few ulps: the start is the cap, with no division by 0
+        h = holo("1/z")
+        counts = count_levels()
+        for rho in (np.nextafter(ANN.R, 0.0), np.nextafter(ANN.inner_radius, 1.0)):
+            counts.clear()
+            assert abs(circle_integral(h, rho) - TWO_PI_I) < 1e-12
+            assert counts == [contour.MAX_N]
+
+    def test_each_node_is_evaluated_once(self, candidate, count_levels):
+        data = tube_from_gauss(candidate(0.9).g, 1.0)
+        seen = []
+
+        class Seen:
+            annulus = data.annulus
+
+            def __call__(self, z):
+                seen.append(z)
+                return data(z)
+
+        counts = count_levels()
+        circle_integral(Seen(), 1.0)
+        assert counts == [512, 512, 1024] and [len(z) for z in seen] == counts
+        top = sum(counts)  # each level adds as many nodes as the levels before hold
+        full = contour._circle_nodes(1.0, top, top)
+        assert np.array_equal(np.sort_complex(np.concatenate(seen)), np.sort_complex(full))
 
 
 class TestLaurentCoefficients:
@@ -525,13 +591,14 @@ class TestWindingStops:
     # with the 1e-8 relative test alone the windings went to 8,192, 16,384
     # and the 65,536 cap; q = 0.1 went to 2,048 before each target's own pole
     # was removed in closed form, and 1,024 / 4,096 / 8,192 / 16,384 before
-    # g's rim divisor was
+    # g's rim divisor was.  Both circles climb to the top level, and each
+    # evaluates every node of it once.
     @pytest.mark.parametrize("q, top", [(0.1, 256), (0.6, 1024), (0.72, 2048), (0.9, 8192)])
     def test_slit_windings_stop_on_their_integer(self, candidate, count_levels, q, top):
         g = candidate(q).g
-        levels = count_levels()
+        counts = count_levels()
         univalence_probe(g)
-        assert max(levels) == top
+        assert sum(counts) == 2 * top
 
 
 def divisor_poles(g, w):
@@ -546,7 +613,7 @@ def per_target_sums(g, rho, ws, n):
     divisor pole of residue m at p (the n nodes sum zeta/(zeta - p) to
     n/(1 - r), r = (p/rho)^n, inside and to -n r/(1 - r), r = (rho/p)^n,
     outside), and the rounding level of that sum."""
-    zeta = contour._circle_nodes(rho, n)
+    zeta = contour._circle_nodes(rho, n, n)
     dv, gv = evaluate([g.derivative().node, g.node], zeta)
     sums = []
     for w in ws:
@@ -616,7 +683,7 @@ class TestBufferedWindingSums:
         ws, zs = probe_targets(g)
         for rho in (g.annulus.R ** (1.0 - PROBE_MARGIN), g.annulus.R ** (PROBE_MARGIN - 1.0)):
             got = nested_sums(g, rho, ws, n, zs)
-            zeta = contour._circle_nodes(rho, n)
+            zeta = contour._circle_nodes(rho, n, n)
             dv, gv = evaluate([g.derivative().node, g.node], zeta)
             for s, w, zt in zip(got, ws, zs):
                 poles = divisor_poles(g, w) + ([] if zt is None else [(zt, 1)])
@@ -646,7 +713,7 @@ class TestBufferedWindingSums:
 
     def test_a_zero_of_g_minus_w_at_a_node_gives_none(self):
         g = HoloFn.var(ANN)
-        nodes = contour._circle_nodes(1.5, 256)
+        nodes = contour._circle_nodes(1.5, 256, 256)
         # g - w is 0 at node 8 of the first level, and at node 7 of the second
         ws = [complex(nodes[8]), complex(nodes[7]), 0.3j, complex("nan")]
         quad = contour._winding_level(g, g.derivative(), 1.5, ws, [None] * 4)
