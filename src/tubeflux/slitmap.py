@@ -51,8 +51,10 @@ class SlitMapCandidate:
     g is the map g0, lam its level a0[g] = lam = -a0[1/g]; slit_neg and
     slit_pos are the finite endpoints of the boundary slits (-inf, slit_neg]
     and (0, slit_pos].  calibrate_candidate sets g's rim divisor,
-    ((R, 2), (-1/R, -2)), which the univalence probe removes in closed form;
-    a map made from g by arithmetic (2*g, g.derivative()) carries none.
+    ((R, 2), (-1/R, -2)), and its mirrors (R, 1/R), the rims across which
+    g reflects to itself; the univalence probe removes the divisor's poles
+    and each target's two reflected preimages in closed form.  A map made
+    from g by arithmetic (2*g, g.derivative()) carries neither.
     """
 
     params: EllipticParams
@@ -139,9 +141,12 @@ def calibrate_candidate(q) -> SlitMapCandidate:
                 Opaque(f"theta3'[q={q:g}]", lambda w: theta3_prime(w, q), arg=v,
                        shared=(thetas, 3)), v, (thetas, 1))
     # theta1's zero at u = 0 and theta3's at u = (1 + it)/2 put g0's rim
-    # divisor at z = R (a double zero) and z = -1/R (a double pole)
+    # divisor at z = R (a double zero) and z = -1/R (a double pole); g0 has
+    # real coefficients and is real on both rims, so Schwarz reflection
+    # gives g0(R^2/z) = g0(z) = g0(1/(R^2 z)): its mirrors are R and 1/R
     R = params.ring_radius
-    g0 = HoloFn(Pow(Div(t1, t3), 2), Annulus(R), divisor=((R, 2), (-1.0 / R, -2)))
+    g0 = HoloFn(Pow(Div(t1, t3), 2), Annulus(R), divisor=((R, 2), (-1.0 / R, -2)),
+                mirrors=(R, 1.0 / R))
     return SlitMapCandidate(params=params, g=g0, lam=_level(params))
 
 

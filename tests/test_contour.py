@@ -180,9 +180,19 @@ class TestNestedLevels:
         counts = count_levels()
         circle_integral(lambda z: 1.0 / z, 1.0)
         assert counts == [128, 128]  # 256 nodes agree with 128
+
+    def test_a_laurent_coefficient_starts_where_the_annulus_says(self, candidate,
+                                                                 count_levels):
+        # the weighted integrand carries h's annulus: at q = 0.9, ln R = 0.0527
+        # asks for 512 nodes, where a0_pair climbed 128 -> 2,048 in 5 levels
+        g = candidate(0.9).g
+        counts = count_levels()
+        m, minv = a0_pair(g)
+        assert counts == [512, 512, 1024]
+        assert m == a0(g) and minv == a0(1 / g)
         counts.clear()
-        a0(holo("exp(z)"))  # laurent_coeff weights h in a plain callable
-        assert counts[0] == 128
+        laurent_coeff(g, 3)
+        assert counts[0] == 512
 
     def test_a_radius_one_ulp_inside_a_rim_runs_one_top_level(self, count_levels):
         # d rounds to 0 or a few ulps: the start is the cap, with no division by 0
@@ -420,6 +430,11 @@ class TestHoloFnAlgebra:
         report = univalence_probe(g)
         assert report.univalent == "violated" and report.zero_count == 0
 
+    @pytest.mark.parametrize("rho", [0.0, -2.0, math.inf, math.nan])
+    def test_a_bad_mirror_radius_is_refused(self, rho):
+        with pytest.raises(ValueError, match=f"mirror radius .* got {rho}"):
+            HoloFn(Var(), ANN, mirrors=(2.0, rho))
+
     @pytest.mark.parametrize("annulus", [None, 2.0])
     def test_annulus_is_required(self, annulus):
         with pytest.raises(TypeError, match="needs an Annulus"):
@@ -591,20 +606,42 @@ class TestWindingStops:
     # with the 1e-8 relative test alone the windings went to 8,192, 16,384
     # and the 65,536 cap; q = 0.1 went to 2,048 before each target's own pole
     # was removed in closed form, and 1,024 / 4,096 / 8,192 / 16,384 before
-    # g's rim divisor was.  Both circles climb to the top level, and each
-    # evaluates every node of it once.
-    @pytest.mark.parametrize("q, top", [(0.1, 256), (0.6, 1024), (0.72, 2048), (0.9, 8192)])
+    # g's rim divisor was.  With the divisor removed but not each target's
+    # two reflected preimages (g.mirrors), q = 0.6 / 0.72 / 0.82 / 0.9 / 0.95
+    # went to 1,024 / 2,048 / 4,096 / 8,192 / 16,384.  Both circles climb to
+    # the top level, and each evaluates every node of it once.
+    @pytest.mark.parametrize("q, top", [(0.1, 256), (0.6, 256), (0.72, 256), (0.82, 256),
+                                        (0.9, 256), (0.95, 512)])
     def test_slit_windings_stop_on_their_integer(self, candidate, count_levels, q, top):
         g = candidate(q).g
         counts = count_levels()
         univalence_probe(g)
         assert sum(counts) == 2 * top
 
+    @pytest.mark.parametrize("case, R", [("1.3*z - 0.1/z", 2.2), ("z", 2.0), ("z^2", 2.0),
+                                         ("exp(z)", 2.0), (0.9, None)])
+    def test_a_wrong_mirror_cannot_move_a_count(self, candidate, case, R):
+        # a claimed reflection that is no root adds a term that shrinks
+        # geometrically from level to level: it can delay a stop, never move
+        # the integer a sum settles on
+        g = candidate(case).g if R is None else holo(case, Annulus(R))
+        R = g.annulus.R
+        bare = HoloFn(g.node, g.annulus, g.divisor)
+        want = univalence_probe(bare)
+        for mirrors in ((1.0,), (math.sqrt(R),), (1.01 * R, 1.0 / (1.01 * R))):
+            assert univalence_probe(HoloFn(g.node, g.annulus, g.divisor, mirrors)) == want
+
 
 def divisor_poles(g, w):
     """The (point, residue) of each pole that g's divisor gives g'/(g - w):
     every pole of g, and the zeros of g when w = 0."""
     return [(p, m) for p, m in g.divisor if m < 0 or w == 0]
+
+
+def preimage_poles(g, zt):
+    """The (point, residue) of each known simple root of g - g(zt): zt itself
+    and its reflection c^2/zt in each mirror c of g (none for zt None)."""
+    return [] if zt is None else [(zt, 1)] + [(c * c / zt, 1) for c in g.mirrors]
 
 
 def per_target_sums(g, rho, ws, n):
@@ -660,9 +697,10 @@ class TestBufferedWindingSums:
     levels are summed apart, but they agree to the rounding level of a
     circle sum (ROUND_EPS (2 pi/n) sum |terms|, as circle_integral's floor):
     measured at most 2.3e-16 of it here.  The block size does not move them
-    at all.  A target's own pole, and each pole that g's rim divisor gives
-    its integrand, is removed in closed form; that equals subtracting
-    m/(z - p) at every node and adding its exact integral.
+    at all.  A target's own pole, its reflection in each of g's mirrors, and
+    each pole that g's rim divisor gives its integrand, is removed in closed
+    form; that equals subtracting m/(z - p) at every node and adding its
+    exact integral.
     """
 
     @pytest.mark.parametrize("n", [1024, 2048, 4096, 8192])
@@ -686,7 +724,7 @@ class TestBufferedWindingSums:
             zeta = contour._circle_nodes(rho, n, n)
             dv, gv = evaluate([g.derivative().node, g.node], zeta)
             for s, w, zt in zip(got, ws, zs):
-                poles = divisor_poles(g, w) + ([] if zt is None else [(zt, 1)])
+                poles = divisor_poles(g, w) + preimage_poles(g, zt)
                 rest = dv / (gv - w) - sum(m / (zeta - p) for p, m in poles)
                 want = (TWO_PI_I / n) * np.sum(zeta * rest) + TWO_PI_I * sum(
                     m * (abs(p) < rho) for p, m in poles)

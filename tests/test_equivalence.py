@@ -900,26 +900,29 @@ def test_witness_samples_g_once_per_step_for_both_loci(candidate, comb_calls):
 def without_jets(g):
     """The slit map g with theta leaves that share no walk-out: a pass takes
     each of theta1, theta3, theta1' and theta3' from a walk-out of its own,
-    as before one walk-out gave several.  It keeps g's rim divisor."""
+    as before one walk-out gave several.  It keeps g's rim divisor and its
+    mirrors, so the probe removes the same poles and reaches the same levels."""
     def unshared(leaf):
         return replace(leaf, shared=None, deriv=replace(leaf.deriv, shared=None))
     t1, t3 = g.node.base.left, g.node.base.right
-    return HoloFn(Pow(Div(unshared(t1), unshared(t3)), 2), g.annulus, g.divisor)
+    return HoloFn(Pow(Div(unshared(t1), unshared(t3)), 2), g.annulus, g.divisor, g.mirrors)
 
 
 # The probe's 32 targets take one call of two combs, where they took 32
 # calls.  The winding levels nest from 128 nodes, so a circle evaluates g on
-# as many nodes as its top level: 256 at q = 0.1 and 8,192 at q = 0.9 with
-# g's rim divisor removed in closed form (1,024 and 16,384 before; 2,048 at
-# q = 0.1 before each target's own pole was removed, and the 65,536 cap at
-# q = 0.9 under the 1e-8 relative stop alone).  Its winding samples take g
-# and g' from one pass: without jets that is four combs a node (theta1,
-# theta1', theta3 and theta3'), 2 * 256 * 4 + 64 and 2 * 8192 * 4 + 64
-# points (8,256 and 131,136 before the divisor; 24,640 and 786,496 when g
-# and g' were sampled apart, six combs a node, and 16,448 at q = 0.1 before
-# the pole correction).  A theta' comb is a one-row jet: it walks out theta
-# too, so it returns two rows.
-@pytest.mark.parametrize("q, points", [(0.1, 2112), (0.9, 65600)])
+# as many nodes as its top level: 256 at q = 0.1 and at q = 0.9 with g's rim
+# divisor and each target's two reflected preimages removed in closed form
+# (8,192 at q = 0.9 with the divisor alone; 1,024 and 16,384 before it;
+# 2,048 at q = 0.1 before each target's own pole was removed, and the 65,536
+# cap at q = 0.9 under the 1e-8 relative stop alone).  Its winding samples
+# take g and g' from one pass: without jets that is four combs a node
+# (theta1, theta1', theta3 and theta3'), 2 * 256 * 4 + 64 points at both
+# nomes (65,600 at q = 0.9 before the reflections; 8,256 and 131,136 before
+# the divisor; 24,640 and 786,496 when g and g' were sampled apart, six
+# combs a node, and 16,448 at q = 0.1 before the pole correction).  A
+# theta' comb is a one-row jet: it walks out theta too, so it returns two
+# rows.
+@pytest.mark.parametrize("q, points", [(0.1, 2112), (0.9, 2112)])
 def test_probe_comb_points(candidate, comb_calls, q, points):
     g = without_jets(candidate(q).g)
     calls = comb_calls()
@@ -929,12 +932,13 @@ def test_probe_comb_points(candidate, comb_calls, q, points):
 
 
 # With the shared walk-out one stacked jet gives theta1, theta3, theta1'
-# and theta3' (four rows): one comb a node, 2 * 256 + 32 and 2 * 8192 + 32
-# points, and the 32 targets one two-row comb.  With a jet a theta it was
-# two combs a node, 1,088 and 32,832 points (4,160 and 65,600 before the
-# divisor, and 8,256 at q = 0.1 before the pole correction).  The levels
-# and the report are those without jets.
-@pytest.mark.parametrize("q, points", [(0.1, 544), (0.9, 16416)])
+# and theta3' (four rows): one comb a node, 2 * 256 + 32 points at both
+# nomes (16,416 at q = 0.9 before the reflections), and the 32 targets one
+# two-row comb.  With a jet a theta it was two combs a node, 1,088 and
+# 32,832 points (4,160 and 65,600 before the divisor, and 8,256 at q = 0.1
+# before the pole correction).  The levels and the report are those
+# without jets.
+@pytest.mark.parametrize("q, points", [(0.1, 544), (0.9, 544)])
 def test_probe_jet_comb_points(candidate, comb_calls, q, points):
     g = candidate(q).g
     calls = comb_calls()

@@ -21,7 +21,7 @@ from tubeflux import (
     max_log_radius,
     univalence_probe,
 )
-from tubeflux import slitmap
+from tubeflux import contour, slitmap
 from tubeflux.expr import Div, Pow
 
 # calibrated slit levels, frozen from a converged run; the huge values at
@@ -127,9 +127,20 @@ class TestRawMap:
         g = candidate(0.1).g
         R = g.annulus.R
         assert g.divisor == ((R, 2), (-1.0 / R, -2))
+        assert g.mirrors == (R, 1.0 / R)
         for other in (2 * g, g + 1.0, -g, g ** 2, g.derivative(),
                       HoloFn.parse("z + 0.1/z", g.annulus), HoloFn.var(g.annulus)):
-            assert other.divisor == ()
+            assert other.divisor == () and other.mirrors == ()
+
+    @pytest.mark.parametrize("q", [0.0025, 0.1, 0.33, 0.72, 0.9, 0.95])
+    def test_the_map_reflects_to_itself_in_each_mirror(self, candidate, q):
+        # the probe removes a pole at c^2/z_t for each mirror c as a root of
+        # g - g(z_t): measured at most 3.7e-14 relative at these nomes
+        g = candidate(q).g
+        zt = contour._sample_points(g.annulus)
+        want = g(zt)
+        for c in g.mirrors:
+            assert np.all(np.abs(g(c * c / zt) - want) <= 1e-12 * np.abs(want)), c
 
     def test_quotient_equals_shifted_reciprocal_wp(self, sn_route_wp):
         # g0 * (P(u) - e2) should be the constant pi^2 * theta2^2 * theta4^2;
