@@ -172,12 +172,15 @@ def _load_json(path: str):
 
 def cmd_analyze(args) -> int:
     spec = _validate_spec(_load_json(args.config))
-    taus = []
-    if args.sections:
-        try:
-            taus = [float(tok) for tok in args.sections.split(",") if tok.strip()]
-        except ValueError:
-            raise _Refusal("--sections must be a comma-separated list of reals")
+    taus = {}  # each section's key in the report -> its tau
+    try:
+        for tau in (float(tok) for tok in (args.sections or "").split(",") if tok.strip()):
+            key = format(tau, ".12g")
+            if key in taus:
+                raise _Refusal(f"--sections lists the section key {key!r} twice")
+            taus[key] = tau
+    except ValueError:
+        raise _Refusal("--sections must be a comma-separated list of reals")
 
     echo = {k: spec[k] for k in _FIELDS if k in spec}
     ann = Annulus(float(spec["R"]))
@@ -224,12 +227,11 @@ def cmd_analyze(args) -> int:
     }
     if taus:
         sections = {}
-        for tau in taus:
+        for key, tau in taus.items():
             try:
-                pts = section_polyline(tube, tau)
+                sections[key] = section_polyline(tube, tau).tolist()
             except ValueError as exc:
                 raise _Refusal(str(exc))
-            sections[format(tau, ".12g")] = pts.tolist()
         report["sections"] = sections
     return _emit(report, args.out, status=2 if violated else 0)
 

@@ -102,16 +102,18 @@ def flux_vector(data, rho=1.0) -> FluxVector:
 
 @dataclass(frozen=True)
 class Lifetime:
+    """A life interval's length: ``measured`` from tube.life, ``from_flux``."""
+
     measured: float
     from_flux: float
 
 
 def lifetime(tube) -> Lifetime:
-    """Life-time two ways: from the fitted height profile, and as J3 ln R / pi.
+    """Life-time two ways: the length of tube.life, and J3 ln R / pi.
 
     The second form is the flux identity ln R = pi (tau2 - tau1) / J3 solved
-    for the interval length; agreement of the two is a consistency check on
-    the whole synthesis pipeline, not an a-priori fact.
+    for the interval length; MinimalTube takes its slope from the same
+    identity, so the two agree to rounding (profile_residual checks the height).
     """
     tau1, tau2 = tube.life
     measured = tau2 - tau1

@@ -8,7 +8,8 @@ isotropic triple
 and u(z) = Re int_{z0}^{z} F dzeta immerses the annulus in R^3 whenever the
 real periods of F vanish.  If additionally the third coordinate is a radial
 log profile, the level sections are compact circles and the image is a tube:
-a surface living over an interval of the time axis.
+a surface living over an interval of the time axis.  The profile's slope is
+the flux's, J3 / (2 pi), and path integrals of F3 check the height against it.
 
 The triple is written once, as the expression trees of enneper_F.
 WeierstrassData evaluates itself for quadrature by walking those three trees
@@ -49,8 +50,8 @@ __all__ = [
 
 # a closed tube's period defect must be dust relative to its flux
 PERIOD_TOL = 1e-8
-# and its height function must be a radial log profile to this residual,
-# relative to the height's half-range |s| ln R
+# and its height function must follow the flux's log profile to this
+# residual, relative to the height's half-range s ln R
 PROFILE_TOL = 1e-7
 
 
@@ -140,8 +141,8 @@ def tube_from_gauss(g: HoloFn, c: float) -> WeierstrassData:
 
 # --- the tube object -------------------------------------------------------
 
-# deterministic sample of the annulus interior for the height-profile fit
-def _fit_points(annulus: Annulus):
+# deterministic sample of the annulus interior where the height is checked
+def _height_points(annulus: Annulus):
     R = annulus.R
     radii = R ** np.linspace(-0.9, 0.9, 8)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
@@ -154,8 +155,10 @@ class MinimalTube:
 
     Construction checks every tube hypothesis: g's zero count (``data.probe``)
     must settle at 0; one pass of loop integrals (``n_points`` nodes, or
-    adaptive) gives the period defect and the flux; the height (path integrals
-    of F3 from z0) must fit m + s ln|z|.  NotATubeError carries any defect.
+    adaptive) gives the period defect and the flux.  The flux gives the height
+    profile s ln|z|, s = J3 / (2 pi) (u3(z0) = 0 at |z0| = 1), so the life is
+    (-s ln R, s ln R); the heights of F3 at 48 points, integrated from z0, must
+    follow it to ``profile_residual``.  NotATubeError carries any defect.
     """
 
     # the base point of u = Re int_{z0}^{z} F: 1 lies on the unit circle,
@@ -188,36 +191,29 @@ class MinimalTube:
                 f"period defect {self.defect} exceeds tolerance {period_tol:.3g}; "
                 "u = Re int F is not single-valued", defect=self.defect)
 
-        m, s, resid = self._fit_profile()
-        self.profile = (m, s)
-        self.profile_residual = resid
+        s = self.flux.J3 / (2.0 * math.pi)
+        self.profile = (0.0, s)
+        self.profile_residual = resid = self._height_residual(s)
         lnR = math.log(self.annulus.R)
-        if not resid < PROFILE_TOL * (abs(s) * lnR):
+        if not resid < PROFILE_TOL * (s * lnR):
             raise NotATubeError(
                 f"height function deviates from a radial log profile by {resid:.3g}; "
                 "sections are not circles over the time axis", defect=self.defect)
-        if s <= 0.0:
-            raise NotATubeError(f"height profile slope {s:.3g} is not positive",
-                                defect=self.defect)
-        self.life = (m - s * lnR, m + s * lnR)
+        self.life = (-s * lnR, s * lnR)
 
     @property
     def annulus(self) -> Annulus:
         return self.data.annulus
 
-    def _fit_profile(self):
-        pts = _fit_points(self.annulus)
+    def _height_residual(self, s):
+        """max |u3 - s ln|z|| over the 48 height points, one batch of paths."""
+        pts = _height_points(self.annulus)
         u3 = np.array([u.real for u in _path_integrals(self.data.F[2], self.z0, pts)])
-        lr = np.log(np.abs(pts))
-        A = np.column_stack([np.ones_like(lr), lr])
-        (m, s), *_ = np.linalg.lstsq(A, u3, rcond=None)
-        resid = float(np.max(np.abs(u3 - (m + s * lr))))
-        return float(m), float(s), resid
+        return float(np.max(np.abs(u3 - s * np.log(np.abs(pts)))))
 
     def u3(self, z):
-        """Fitted height m + s ln|z| (use immerse for the integrated value)."""
-        m, s = self.profile
-        return m + s * np.log(np.abs(z))
+        """The flux's height profile s ln|z| (use immerse for the integrated value)."""
+        return self.profile[1] * np.log(np.abs(z))
 
     def __repr__(self):
         return (f"MinimalTube(R={self.annulus.R:.6g}, "
@@ -242,8 +238,7 @@ def section_polyline(tube: MinimalTube, tau: float, n_points=256):
     t1, t2 = tube.life
     if not (t1 < tau < t2):
         raise ValueError(f"tau={tau} outside the open life interval ({t1:.6g}, {t2:.6g})")
-    m, s = tube.profile
-    rho = math.exp((tau - m) / s)
+    rho = math.exp(tau / tube.profile[1])
 
     anchor = immerse(tube, rho)
     theta = np.linspace(0.0, 2.0 * math.pi, n_points + 1)[:-1, None]

@@ -1,8 +1,10 @@
 """Shared fixtures: a catenoid band, a memoized calibrated slit family, the
 counters of the deterministic count tests (circle nodes, comb points), a
-60-digit Weierstrass P that shares no code with the package, and a seeded
-generator of expression texts."""
+check of the life interval on every tube the CLI reports, a 60-digit
+Weierstrass P that shares no code with the package, and a seeded generator
+of expression texts."""
 
+import math
 from functools import lru_cache
 
 import mpmath as mp
@@ -14,8 +16,10 @@ from tubeflux import (
     HoloFn,
     MinimalTube,
     calibrate_candidate,
+    cli,
     contour,
     elliptic,
+    lifetime,
     tube_from_gauss,
 )
 
@@ -100,6 +104,28 @@ def comb_calls(monkeypatch):
         return calls
 
     return start
+
+
+@pytest.fixture()
+def life_from_flux(monkeypatch):
+    """From then on, every tube that ``cli.main`` reports on is checked as it
+    is reported, and the list of them is returned.  A tube's height profile
+    is its flux's, slope s = J3/(2 pi) and intercept 0, so its life is
+    (-s ln R, s ln R) bit for bit, and its two life-times agree within 2 ulps."""
+    tubes, report = [], cli.lifetime_report
+
+    def checked(tube):
+        s = tube.flux.J3 / (2.0 * math.pi)
+        lnR = math.log(tube.annulus.R)
+        assert tube.profile == (0.0, s)
+        assert tube.life == (-s * lnR, s * lnR)
+        life = lifetime(tube)
+        assert abs(life.measured - life.from_flux) <= 2.0 * math.ulp(life.from_flux), life
+        tubes.append(tube)
+        return report(tube)
+
+    monkeypatch.setattr(cli, "lifetime_report", checked)
+    return tubes
 
 
 def _sn_route_wp(u, q):

@@ -172,6 +172,14 @@ class TestAnalyze:
         assert proc.returncode == 1
         assert "comma-separated" in proc.stderr
 
+    def test_sections_sharing_a_key_are_refused(self, tmp_path):
+        # both taus print as "0.1", so one section would overwrite the other
+        cfg = write_config(tmp_path, R=2.0, g="z", c=1.0)
+        proc = run("analyze", cfg, "--sections", "0.1,0.1000000000000001,0.2")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "tubeflux: --sections lists the section key '0.1' twice\n"
+
     def test_open_seam_reports_not_a_tube(self, tmp_path):
         cfg = write_config(tmp_path, R=2.0, g="z + 2", c=1.0)
         proc = run("analyze", cfg)
@@ -235,14 +243,15 @@ class TestFluxScale:
             ("tube", "ok", True)
 
     def test_bent_height_profile_at_any_scale(self, tmp_path):
-        # the height bends by 1.9e-13 against a half-range |s| ln R of
-        # 6.8e-13; under an absolute floor of 1e-7 this passed as a tube
-        cfg = write_config(tmp_path, R=2.0, g="z", f="1e-12*(0.5/z^2 + 0.05)")
-        proc = run("analyze", cfg)
-        assert proc.returncode == 2, proc.stderr
-        report = json.loads(proc.stdout)
-        assert report["verdict"] == "not a tube"
-        assert "deviates from a radial log profile by 1.91e-13" in report["error"]
+        # the height bends from the flux's profile s ln|z| by 2.2e-13, toward
+        # the outer rim and then the inner, against a half-range s ln R of
+        # 6.9e-13; under an absolute floor of 1e-7 this passed as a tube
+        for f in ("1e-12*(0.5/z^2 + 0.05)", "1e-12*(0.5/z^2 + 0.05/z^4)"):
+            proc = run("analyze", write_config(tmp_path, R=2.0, g="z", f=f))
+            assert proc.returncode == 2, (f, proc.stderr)
+            report = json.loads(proc.stdout)
+            assert report["verdict"] == "not a tube", f
+            assert "deviates from a radial log profile by 2.24e-13" in report["error"], f
 
     def test_downward_flux_is_not_a_tube(self, tmp_path):
         proc = run("analyze", write_config(tmp_path, R=2.0, g="z", f="-0.5/z^2"))
@@ -430,10 +439,12 @@ def assert_rotations_hold(tmp_path, cfg, report):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", range(4))
-def test_fuzzed_analyze_ends_in_one_line_or_one_report(tmp_path, fuzz_expr, seed):
+def test_fuzzed_analyze_ends_in_one_line_or_one_report(tmp_path, fuzz_expr, life_from_flux,
+                                                       seed):
     # 50 seeded draws a seed from the grammar: each ends in one refusal
     # line (1) or one report whose verdict its exit code names (0, 2); a
-    # tube drawn with c also passes the metamorphic rotations
+    # tube drawn with c also passes the metamorphic rotations, and every
+    # tube reported takes its life interval from its flux (life_from_flux)
     rng = np.random.default_rng(seed)
     verdicts = {0: "tube", 2: "not a tube"}
     for k in range(50):

@@ -53,12 +53,14 @@ def assert_close(got, want, path, abs_tol=0.0):
 
 
 @pytest.mark.parametrize("name, config, argv, status", CASES, ids=[c[0] for c in CASES])
-def test_analyze_matches_golden(tmp_path, capsys, name, config, argv, status):
+def test_analyze_matches_golden(tmp_path, capsys, life_from_flux, name, config, argv, status):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert cli.main(["analyze", str(path)] + argv) == status
     got = json.loads(capsys.readouterr().out)
     want = json.loads((GOLDENS / f"{name}.json").read_text())
+    # each tube's life interval is its flux's, checked as it was reported
+    assert len(life_from_flux) == ("life" in want)
     qnorm = math.hypot(*want["Q"])
     assert_close(got.pop("defect"), want.pop("defect"), "defect",
                  abs_tol=REL * (1.0 + qnorm))

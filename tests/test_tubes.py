@@ -313,6 +313,14 @@ class TestLogRadiusIdentity:
         lnR = math.log(tube.annulus.R)
         assert abs(lnR - math.pi * (hi - lo) / tube.flux.J3) < 1e-8
 
+    def test_acceptance_family_heights_follow_the_flux(self, catenoid, slit_tube):
+        # test_04's catenoid and test_06's thirty slit nomes: the 48 path
+        # heights follow the flux's profile s ln|z| within 1e-12 of its
+        # half-range s ln R, far inside PROFILE_TOL
+        for tube in [catenoid] + [slit_tube(q) for q in np.geomspace(0.0025, 0.33, 30)]:
+            s = tube.profile[1]
+            assert tube.profile_residual <= 1e-12 * s * math.log(tube.annulus.R), tube
+
     def test_slit_tube_profile_is_radial(self, slit_tube):
         tube = slit_tube(0.25)
         assert tube.profile_residual < 1e-12 and np.max(np.abs(tube.defect)) < 1e-12
